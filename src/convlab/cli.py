@@ -110,9 +110,16 @@ def _cmd_run(args) -> int:
         if args.json == "-":
             print(text)
         else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            _write_text(args.json, text + "\n")
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParam(f"cannot write the output file: {exc}") from exc
 
 
 def _cmd_marginal(args) -> int:
@@ -123,8 +130,7 @@ def _cmd_marginal(args) -> int:
     ts = np.linspace(args.lo, args.hi, args.n)
     curve = prekopa.sample_marginal_curve(w, line, ts)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(curve.to_csv())
+        _write_text(args.csv, curve.to_csv())
     rep = curve.convexity(tol=args.tol)
     print(f"samples: {args.n}   checked midpoint triples: {rep.checked}")
     print(f"worst violation: {rep.worst_violation:.3e}   tol: {rep.tol:.1e}")

@@ -19,13 +19,25 @@ Three consumers drive the design:
   with an honest inexact flag and a certified bracket otherwise;
 * the disc criterion wants deterministic sampling of closed analytic discs
   with the boundary samples a literal subset of the disc samples.
+
+Points are real coordinate vectors.  ``Node.member``, ``Node.closed_member``,
+``dist_to_complement`` and ``dist_to_set`` take either one point, shape
+``(rdim,)``, or a coordinate-major batch of N points, shape ``(rdim, N)``:
+``p[a]`` is then coordinate ``a`` of every point at once.  They answer per
+point -- a numpy scalar for one point, an ``(N,)`` array for a batch -- and a
+batch column gets exactly the bits that the same point gets alone.  Exact
+flags broadcast against the values: a plain ``True``/``False`` where the flag
+is the same for every point.  The ``Domain`` and ``FiberDomain`` methods and
+the probes built on them take one point and return Python scalars.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +61,20 @@ __all__ = [
 
 _INF = math.inf
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# Disc samples per array pass in disc_distance_check: enough to amortize the
+# per-call cost of the CSG recursion, few enough that memory stays flat.
+_CHUNK = 4096
+
+
+def _fill(p, value):
+    """``value`` at every point of ``p``: a numpy scalar, or an (N,) array."""
+    return np.full(p.shape[1:], value)[()]
+
+
+def _sum_squares(xs):
+    """x0*x0 + x1*x1 + ..., left to right.  Not ``x ** 2``: a numpy scalar's
+    power goes through ``pow``, which can miss the array square by an ulp."""
+    return reduce(operator.add, (x * x for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +114,8 @@ class Ball(Node):
     def __post_init__(self):
         if len(self.center) != len(self.axes):
             raise InvalidParam("ball center and axes lengths differ")
+        if not self.axes:
+            raise InvalidParam("ball needs at least one axis")
         if self.radius < 0.0:
             raise InvalidParam("ball radius must be nonnegative")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -95,7 +123,7 @@ class Ball(Node):
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
 
     def _dist2(self, p):
-        return sum((p[a] - c) ** 2 for a, c in zip(self.axes, self.center))
+        return _sum_squares(p[a] - c for a, c in zip(self.axes, self.center))
 
     def member(self, p):
         return self._dist2(p) < self.radius * self.radius
@@ -139,15 +167,19 @@ class Box(Node):
     def __post_init__(self):
         if not (len(self.lo) == len(self.hi) == len(self.axes)):
             raise InvalidParam("box lo/hi/axes lengths differ")
+        if not self.axes:
+            raise InvalidParam("box needs at least one axis")
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
 
     def member(self, p):
-        return all(l < p[a] < h for a, l, h in zip(self.axes, self.lo, self.hi))
+        return reduce(operator.and_, ((l < p[a]) & (p[a] < h)
+                                      for a, l, h in zip(self.axes, self.lo, self.hi)))
 
     def closed_member(self, p):
-        return all(l <= p[a] <= h for a, l, h in zip(self.axes, self.lo, self.hi))
+        return reduce(operator.and_, ((l <= p[a]) & (p[a] <= h)
+                                      for a, l, h in zip(self.axes, self.lo, self.hi)))
 
     def axes_set(self):
         return frozenset(self.axes)
@@ -191,7 +223,10 @@ class Halfspace(Node):
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
 
     def _dot(self, p):
-        return sum(v * p[a] for a, v in zip(self.axes, self.normal))
+        return reduce(operator.add, (v * p[a] for a, v in zip(self.axes, self.normal)))
+
+    def _norm(self):
+        return math.sqrt(sum(v * v for v in self.normal))
 
     def member(self, p):
         return self._dot(p) < self.offset
@@ -231,10 +266,10 @@ class Halfspace(Node):
 @dataclass(frozen=True)
 class Full(Node):
     def member(self, p):
-        return True
+        return _fill(p, True)
 
     def closed_member(self, p):
-        return True
+        return _fill(p, True)
 
     def axes_set(self):
         return frozenset()
@@ -249,10 +284,10 @@ class Full(Node):
 @dataclass(frozen=True)
 class Empty(Node):
     def member(self, p):
-        return False
+        return _fill(p, False)
 
     def closed_member(self, p):
-        return False
+        return _fill(p, False)
 
     def axes_set(self):
         return frozenset()
@@ -274,10 +309,10 @@ class Union(Node):
             raise InvalidParam("union needs at least one part")
 
     def member(self, p):
-        return any(q.member(p) for q in self.parts)
+        return reduce(operator.or_, (q.member(p) for q in self.parts))
 
     def closed_member(self, p):
-        return any(q.closed_member(p) for q in self.parts)
+        return reduce(operator.or_, (q.closed_member(p) for q in self.parts))
 
     def axes_set(self):
         return frozenset().union(*(q.axes_set() for q in self.parts))
@@ -311,10 +346,10 @@ class Intersection(Node):
             raise InvalidParam("intersection needs at least one part")
 
     def member(self, p):
-        return all(q.member(p) for q in self.parts)
+        return reduce(operator.and_, (q.member(p) for q in self.parts))
 
     def closed_member(self, p):
-        return all(q.closed_member(p) for q in self.parts)
+        return reduce(operator.and_, (q.closed_member(p) for q in self.parts))
 
     def axes_set(self):
         return frozenset().union(*(q.axes_set() for q in self.parts))
@@ -345,10 +380,10 @@ class Complement(Node):
     part: Node
 
     def member(self, p):
-        return not self.part.closed_member(p)
+        return np.logical_not(self.part.closed_member(p))
 
     def closed_member(self, p):
-        return not self.part.member(p)
+        return np.logical_not(self.part.member(p))
 
     def axes_set(self):
         return self.part.axes_set()
@@ -495,94 +530,80 @@ def dist_to_complement(node: Node, p: np.ndarray):
     Nonnegative when p is in the node; the sign is meaningful to the
     combiners. Intersections combine exactly by min; unions combine exactly by
     Pythagoras across disjoint axis groups, and fall back to a max lower bound
-    (flagged inexact) within a shared group.
+    (flagged inexact) within a shared group.  ``p`` is one point or an
+    (rdim, N) batch.
     """
     if isinstance(node, Full):
-        return _INF, True
+        return _fill(p, _INF), True
     if isinstance(node, Empty):
-        return 0.0, True
+        return _fill(p, 0.0), True
     if isinstance(node, Ball):
-        return node.radius - math.sqrt(node._dist2(p)), True
+        return node.radius - np.sqrt(node._dist2(p)), True
     if isinstance(node, Box):
-        v = min(min(p[a] - l, h - p[a]) for a, l, h in zip(node.axes, node.lo, node.hi))
-        return v, True
+        return reduce(np.minimum, (np.minimum(p[a] - l, h - p[a])
+                                   for a, l, h in zip(node.axes, node.lo, node.hi))), True
     if isinstance(node, Halfspace):
-        nrm = math.sqrt(sum(v * v for v in node.normal))
-        return (node.offset - node._dot(p)) / nrm, True
+        return (node.offset - node._dot(p)) / node._norm(), True
     if isinstance(node, Intersection):
-        best, exact = _INF, True
-        for q in node.parts:
-            v, e = dist_to_complement(q, p)
-            exact = exact and e
-            best = min(best, v)
-        return best, exact
+        vals, flags = zip(*(dist_to_complement(q, p) for q in node.parts))
+        return reduce(np.minimum, vals), reduce(operator.and_, flags)
     if isinstance(node, Union):
-        groups = _axis_groups(node.parts)
         vals, exact = [], True
-        for g in groups:
+        for g in _axis_groups(node.parts):
             if len(g) == 1:
                 v, e = dist_to_complement(g[0], p)
             else:
-                v, e = -_INF, False
-                for q in g:
-                    qv, _ = dist_to_complement(q, p)
-                    v = max(v, qv)
+                v = reduce(np.maximum, (dist_to_complement(q, p)[0] for q in g))
+                e = False
             vals.append(v)
-            exact = exact and e
+            exact = exact & e
         if len(vals) == 1:
             return vals[0], exact
-        return math.sqrt(sum(max(v, 0.0) ** 2 for v in vals)), exact
+        return np.sqrt(_sum_squares(np.maximum(v, 0.0) for v in vals)), exact
     if isinstance(node, Complement):
         return dist_to_set(node.part, p)
     raise InvalidParam(f"no distance rule for {type(node).__name__}")
 
 
 def dist_to_set(node: Node, p: np.ndarray):
-    """(distance from p to the closure of node, exact flag).  Zero inside."""
-    if node.closed_member(p):
-        return 0.0, True
-    if isinstance(node, Full):
-        return 0.0, True
+    """(distance from p to the closure of node, exact flag).  Zero inside.
+
+    Points inside the closure get ``0.0`` and an exact flag; when every point
+    is inside, the tree below is not visited at all.
+    """
+    inside = node.closed_member(p)
+    if inside.all():
+        return _fill(p, 0.0), True
     if isinstance(node, Empty):
-        return _INF, True
-    if isinstance(node, Ball):
-        return max(math.sqrt(node._dist2(p)) - node.radius, 0.0), True
-    if isinstance(node, Box):
-        s = 0.0
-        for a, l, h in zip(node.axes, node.lo, node.hi):
-            e = max(l - p[a], p[a] - h, 0.0)
-            s += e * e
-        return math.sqrt(s), True
-    if isinstance(node, Halfspace):
-        nrm = math.sqrt(sum(v * v for v in node.normal))
-        return max((node._dot(p) - node.offset) / nrm, 0.0), True
-    if isinstance(node, Union):
-        best, exact = _INF, True
-        for q in node.parts:
-            v, e = dist_to_set(q, p)
-            exact = exact and e
-            best = min(best, v)
-        return best, exact
-    if isinstance(node, Intersection):
-        groups = _axis_groups(node.parts)
-        vals, exact = [], True
-        for g in groups:
+        v, e = _fill(p, _INF), True
+    elif isinstance(node, Ball):
+        v, e = np.maximum(np.sqrt(node._dist2(p)) - node.radius, 0.0), True
+    elif isinstance(node, Box):
+        v = np.sqrt(_sum_squares(np.maximum(np.maximum(l - p[a], p[a] - h), 0.0)
+                                 for a, l, h in zip(node.axes, node.lo, node.hi)))
+        e = True
+    elif isinstance(node, Halfspace):
+        v, e = np.maximum((node._dot(p) - node.offset) / node._norm(), 0.0), True
+    elif isinstance(node, Union):
+        vals, flags = zip(*(dist_to_set(q, p) for q in node.parts))
+        v, e = reduce(np.minimum, vals), reduce(operator.and_, flags)
+    elif isinstance(node, Intersection):
+        vals, e = [], True
+        for g in _axis_groups(node.parts):
             if len(g) == 1:
-                v, e = dist_to_set(g[0], p)
+                gv, ge = dist_to_set(g[0], p)
             else:
-                v, e = 0.0, False
-                for q in g:
-                    qv, _ = dist_to_set(q, p)
-                    v = max(v, qv)
-            vals.append(v)
-            exact = exact and e
-        if len(vals) == 1:
-            return vals[0], exact
-        return math.sqrt(sum(v * v for v in vals)), exact
-    if isinstance(node, Complement):
+                gv = reduce(np.maximum, (dist_to_set(q, p)[0] for q in g))
+                ge = False
+            vals.append(gv)
+            e = e & ge
+        v = vals[0] if len(vals) == 1 else np.sqrt(_sum_squares(vals))
+    elif isinstance(node, Complement):
         v, e = dist_to_complement(node.part, p)
-        return max(v, 0.0), e
-    raise InvalidParam(f"no distance rule for {type(node).__name__}")
+        v = np.maximum(v, 0.0)
+    else:
+        raise InvalidParam(f"no distance rule for {type(node).__name__}")
+    return np.where(inside, 0.0, v)[()], inside | e
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +665,10 @@ class Domain:
         return _as_real_point(p, self.kind, self.rdim)
 
     def member(self, p) -> bool:
-        return self.csg.member(self.point(p))
+        return bool(self.csg.member(self.point(p)))
 
     def closed_member(self, p) -> bool:
-        return self.csg.closed_member(self.point(p))
+        return bool(self.csg.closed_member(self.point(p)))
 
     def bounds(self):
         return self.csg.bounds(self.rdim)
@@ -677,11 +698,11 @@ class FiberDomain:
 
     def member(self, x) -> bool:
         x = _as_real_point(x, self.parent.kind, self.dim)
-        return self.parent.csg.member(np.concatenate([self.t, x]))
+        return bool(self.parent.csg.member(np.concatenate([self.t, x])))
 
     def closed_member(self, x) -> bool:
         x = _as_real_point(x, self.parent.kind, self.dim)
-        return self.parent.csg.closed_member(np.concatenate([self.t, x]))
+        return bool(self.parent.csg.closed_member(np.concatenate([self.t, x])))
 
     def quad_intervals(self) -> list:
         if self.dim != 1:
@@ -855,11 +876,16 @@ class AffineFiberMap:
         return AffineFiberMap((a0.real, a0.imag), mat, (t0.real, t0.imag))
 
 
-def _horner(coeffs, w: complex) -> complex:
-    acc = 0j
+def _horner(coeffs, wr, wi):
+    """(real, imaginary) part of sum_k coeffs[k] w^k at w = wr + i wi.
+
+    Horner's rule written out with the operations of Python's complex product
+    and sum, so Python floats and float arrays give the bits of ``acc * w + c``.
+    """
+    re = im = 0.0
     for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
+        re, im = re * wr - im * wi + c.real, re * wi + im * wr + c.imag
+    return re, im
 
 
 @dataclass(frozen=True)
@@ -887,21 +913,22 @@ class AnalyticDisc:
         return len(self.fibers)
 
     def base_at(self, w: complex) -> complex:
-        return _horner(self.base, complex(w))
+        w = complex(w)
+        return complex(*_horner(self.base, w.real, w.imag))
 
     def fiber_at(self, w: complex) -> list:
-        return [_horner(g, complex(w)) for g in self.fibers]
+        w = complex(w)
+        return [complex(*_horner(g, w.real, w.imag)) for g in self.fibers]
 
     def eval_complex(self, w: complex) -> list:
         return [self.base_at(w)] + self.fiber_at(w)
 
-    def eval_real(self, w: complex) -> np.ndarray:
-        vals = self.eval_complex(w)
-        out = np.empty(2 * len(vals))
-        for i, z in enumerate(vals):
-            out[2 * i] = z.real
-            out[2 * i + 1] = z.imag
-        return out
+    def eval_real(self, w) -> np.ndarray:
+        """Packed real coordinates: (2 + 2 n_fiber,) at one ``w``, or
+        (2 + 2 n_fiber, N) at an array of N parameters."""
+        w = np.asarray(w, dtype=complex)
+        return np.array([x for g in (self.base, *self.fibers)
+                         for x in _horner(g, w.real, w.imag)])
 
     def is_base_constant(self) -> bool:
         return all(c == 0 for c in self.base[1:])
@@ -927,14 +954,27 @@ class DiscDistanceReport:
         }
 
 
-def _sunflower_points(n: int) -> list:
-    """Deterministic, near-uniform interior sample of the closed unit disc."""
-    pts = [0j]
-    for j in range(1, n + 1):
-        r = math.sqrt(j / (n + 1.0))
-        th = j * _GOLDEN_ANGLE
-        pts.append(complex(r * math.cos(th), r * math.sin(th)))
-    return pts
+def _polar(r, th) -> np.ndarray:
+    """complex(r * cos(th), r * sin(th)), elementwise."""
+    w = np.empty(np.shape(th), dtype=complex)
+    w.real = r * np.cos(th)
+    w.imag = r * np.sin(th)
+    return w
+
+
+def _disc_samples(n_boundary: int, n_interior: int):
+    """The disc parameters ``w`` in scan order, at most ``_CHUNK`` at a time.
+
+    Yields ``(on_boundary, w)``: first ``n_boundary`` equally spaced points of
+    the unit circle from ``w = 1``, then a deterministic, near-uniform
+    sunflower of ``n_interior + 1`` points of the closed disc from ``w = 0``.
+    """
+    for lo in range(0, n_boundary, _CHUNK):
+        j = np.arange(lo, min(lo + _CHUNK, n_boundary))
+        yield True, _polar(1.0, 2.0 * math.pi * j / n_boundary)
+    for lo in range(0, n_interior + 1, _CHUNK):
+        j = np.arange(lo, min(lo + _CHUNK, n_interior + 1))
+        yield False, _polar(np.sqrt(j / (n_interior + 1.0)), j * _GOLDEN_ANGLE)
 
 
 def disc_distance_check(domain: Domain, disc: AnalyticDisc,
@@ -945,8 +985,8 @@ def disc_distance_check(domain: Domain, disc: AnalyticDisc,
     ``gap = d_disc - d_boundary`` is nonpositive by construction (the boundary
     samples are a subset of the disc samples); a strictly negative gap
     exhibits a disc whose interior approaches the boundary of the domain more
-    closely than its edge does.  Raises DiscEscapesDomain when any sample
-    leaves the domain.
+    closely than its edge does.  Raises DiscEscapesDomain, naming the first
+    escaping sample, when any sample leaves the domain.
     """
     if domain.kind != "complex":
         raise InvalidParam("disc_distance_check needs a complex-coordinate domain")
@@ -957,32 +997,25 @@ def disc_distance_check(domain: Domain, disc: AnalyticDisc,
     if n_boundary < 8 or n_interior < 1:
         raise InvalidParam("need n_boundary >= 8 and n_interior >= 1")
 
-    def dist_at(w: complex) -> tuple:
-        p = disc.eval_real(w)
-        if not domain.csg.member(p):
-            raise DiscEscapesDomain(f"disc point at w={w!r} leaves the domain")
-        return dist_to_complement(domain.csg, p)
-
     exact_all = True
-    d_boundary = _INF
-    boundary_vals = []
-    for j in range(n_boundary):
-        th = 2.0 * math.pi * j / n_boundary
-        v, e = dist_at(complex(math.cos(th), math.sin(th)))
-        exact_all = exact_all and e
-        boundary_vals.append(v)
-        d_boundary = min(d_boundary, v)
-
-    d_disc = d_boundary  # boundary samples are included in the disc samples
-    for w in _sunflower_points(n_interior):
-        v, e = dist_at(w)
-        exact_all = exact_all and e
-        d_disc = min(d_disc, v)
+    d_boundary = d_disc = _INF
+    for on_boundary, w in _disc_samples(n_boundary, n_interior):
+        p = disc.eval_real(w)
+        inside = domain.csg.member(p)
+        if not inside.all():
+            first = complex(w[np.argmin(inside)])
+            raise DiscEscapesDomain(f"disc point at w={first!r} leaves the domain")
+        v, e = dist_to_complement(domain.csg, p)
+        exact_all = exact_all and bool(np.all(e))
+        chunk_min = float(v.min())
+        d_disc = min(d_disc, chunk_min)
+        if on_boundary:
+            d_boundary = min(d_boundary, chunk_min)
 
     return DiscDistanceReport(
-        d_disc=float(d_disc),
-        d_boundary=float(d_boundary),
-        gap=float(d_disc - d_boundary),
+        d_disc=d_disc,
+        d_boundary=d_boundary,
+        gap=d_disc - d_boundary,
         n_interior=n_interior + 1,
         n_boundary=n_boundary,
         exact=exact_all,
@@ -1006,7 +1039,7 @@ def midpoint_closure_check(domain: Domain, p0, p1) -> MidpointReport:
         if not domain.csg.member(q):
             raise PointOutsideDomain(f"{name} = {q.tolist()} is not in the domain")
     mid = 0.5 * (a + b)
-    return MidpointReport(tuple(float(v) for v in mid), domain.csg.closed_member(mid))
+    return MidpointReport(tuple(float(v) for v in mid), bool(domain.csg.closed_member(mid)))
 
 
 # ---------------------------------------------------------------------------

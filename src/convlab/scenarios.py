@@ -64,6 +64,11 @@ class Check:
     passed: bool
     detail: dict
 
+    def __post_init__(self):
+        # verdicts computed from numpy values arrive as numpy.bool, which the
+        # json module cannot encode
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def to_jsonable(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
@@ -100,17 +105,28 @@ def load_defaults() -> dict:
     """Scenario parameter defaults, from the packaged file or CONVLAB_DEFAULTS."""
     path = os.environ.get("CONVLAB_DEFAULTS")
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise InvalidParam(f"cannot read the defaults file: {exc}") from exc
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise InvalidParam(f"defaults file {path} is not valid JSON: {exc}") from exc
     else:
         data = json.loads(
             resources.files("convlab").joinpath("defaults.json").read_text())
-    if not isinstance(data, dict) or data.get("version") != DEFAULTS_VERSION:
+    if not isinstance(data, dict):
+        raise InvalidParam(
+            f"defaults file must hold a JSON object, not {type(data).__name__}")
+    if data.get("version") != DEFAULTS_VERSION:
         raise InvalidParam(
             f"defaults file version {data.get('version')!r} does not match "
             f"the expected version {DEFAULTS_VERSION}")
-    if set(data.get("scenarios", {})) != set(_REGISTRY):
+    scen = data.get("scenarios")
+    if not isinstance(scen, dict) or set(scen) != set(_REGISTRY):
         raise InvalidParam("defaults file does not cover exactly the registered scenarios")
+    if not all(isinstance(v, dict) for v in scen.values()):
+        raise InvalidParam("defaults file gives a scenario's parameters as a non-object")
     return data
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from convlab import geometry
 from convlab.errors import DiscEscapesDomain, InvalidParam
 from convlab.geometry import (
     AffineFiberMap,
@@ -17,6 +19,8 @@ from convlab.geometry import (
     box_domain,
     disc_distance_check,
     disc_region,
+    dist_to_complement,
+    dist_to_set,
     domain_from_json,
     domain_to_json,
     dumbbell,
@@ -167,6 +171,129 @@ class TestDiscDistance:
         d = AnalyticDisc(base=(0.0, 1.0), fibers=((1.2,),))
         with pytest.raises(DiscEscapesDomain):
             disc_distance_check(bidisc(), d, n_interior=100, n_boundary=16)
+
+    def test_chunked_scan_matches_a_point_by_point_scan(self):
+        # 5001 sunflower points span two chunks
+        hf = hartogs_figure()
+        d = AnalyticDisc(base=(0.0, 0.8), fibers=((0.45,),))
+        rep = disc_distance_check(hf, d, n_interior=5000, n_boundary=64)
+        ws = scan_order(5000, 64)
+        dists = [dist_to_complement(hf.csg, d.eval_real(w)) for w in ws]
+        assert all(e for _, e in dists) and rep.exact
+        assert rep.d_boundary == min(float(v) for v, _ in dists[:64])
+        assert rep.d_disc == min(float(v) for v, _ in dists)
+        assert rep.n_interior == 5001 and rep.n_boundary == 64
+
+    def test_escape_names_the_first_boundary_sample(self):
+        d = AnalyticDisc(base=(0.0, 1.0), fibers=((1.2,),))
+        with pytest.raises(DiscEscapesDomain) as info:
+            disc_distance_check(bidisc(), d, n_interior=100, n_boundary=16)
+        assert str(info.value) == "disc point at w=(1+0j) leaves the domain"
+
+    def test_interior_escape_beyond_the_first_chunk(self):
+        # the boundary circle stays in the Hartogs figure (|tau| = 0.8), but the
+        # annulus 5/9 <= |w| <= 5/8 maps into the removed {|tau| <= 1/2, |z| >= 1/2}
+        hf = hartogs_figure(0.5)
+        d = AnalyticDisc(base=(0.0, 0.8), fibers=((0.0, 0.9),))
+        n_interior, n_boundary = 20000, 64
+        ws = scan_order(n_interior, n_boundary)
+        first = next(k for k, w in enumerate(ws) if not hf.member(d.eval_real(w)))
+        assert first - n_boundary >= geometry._CHUNK
+        with pytest.raises(DiscEscapesDomain) as info:
+            disc_distance_check(hf, d, n_interior=n_interior, n_boundary=n_boundary)
+        assert str(info.value) == f"disc point at w={ws[first]!r} leaves the domain"
+
+
+def scan_order(n_interior, n_boundary):
+    """disc_distance_check's samples, one Python complex at a time: the
+    boundary circle, then the sunflower from w = 0."""
+    ws = []
+    for j in range(n_boundary):
+        th = 2.0 * math.pi * j / n_boundary
+        ws.append(complex(math.cos(th), math.sin(th)))
+    ws.append(0j)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    for j in range(1, n_interior + 1):
+        r = math.sqrt(j / (n_interior + 1.0))
+        th = j * golden
+        ws.append(complex(r * math.cos(th), r * math.sin(th)))
+    return ws
+
+
+STOCK = {
+    "bidisc": bidisc(),
+    "hartogs_figure": hartogs_figure(0.5),
+    "punctured_ball": punctured_ball(split=(1, 1)),
+    "dumbbell": dumbbell(),
+    "ball_domain": ball_domain(split=(1, 2), radius=1.0),
+    "box_domain": box_domain((-1.0, -0.5), (1.0, 0.5), split=(1, 1)),
+    "vesica": vesica(),
+}
+
+
+def probe_points(domain, seed, n=48):
+    """Seeded (rdim, n) points around ``domain``.  The first columns are
+    drawn from a coarse grid, so some land exactly on primitive boundaries,
+    on the puncture, and on the removed set of the Hartogs figure."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.5, 1.5, size=(domain.rdim, n))
+    pts[:, : n // 3] = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(domain.rdim, n // 3))
+    return pts
+
+
+def rule_answers(node, p):
+    return {
+        "member": (node.member(p),),
+        "closed_member": (node.closed_member(p),),
+        "dist_to_complement": dist_to_complement(node, p),
+        "dist_to_set": dist_to_set(node, p),
+    }
+
+
+class TestBatchedRules:
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_single_points(self, name, seed):
+        node = STOCK[name].csg
+        pts = probe_points(STOCK[name], seed)
+        n = pts.shape[1]
+        batch = rule_answers(node, pts)
+        for got in batch.values():
+            assert np.shape(got[0]) == (n,)
+        for j in range(n):
+            single = rule_answers(node, pts[:, j])
+            for rule, got in batch.items():
+                for b, s in zip(got, single[rule]):
+                    x = np.broadcast_to(b, (n,))[j]
+                    assert np.ndim(s) == 0
+                    # equal, and with the same sign, zeros included
+                    assert x == s, (rule, pts[:, j])
+                    assert math.copysign(1.0, x) == math.copysign(1.0, s), (rule, pts[:, j])
+
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_members_sit_at_nonnegative_distance(self, name, seed):
+        node = STOCK[name].csg
+        pts = probe_points(STOCK[name], seed)
+        inside = node.member(pts)
+        depth, _ = dist_to_complement(node, pts)
+        gap, _ = dist_to_set(node, pts)
+        assert np.all(depth[inside] >= 0.0)
+        assert np.all(gap >= 0.0)
+        assert np.all(gap[node.closed_member(pts)] == 0.0)
+
+    def test_reports_hold_python_scalars(self):
+        info = boundary_distance(bidisc(), (0.3 + 0j, 0.1j))
+        assert type(info.value) is float and type(info.exact) is bool
+        rep = disc_distance_check(bidisc(), AnalyticDisc(base=(0.0, 0.5), fibers=((0.25,),)),
+                                  n_interior=100, n_boundary=16)
+        assert all(type(v) is float for v in (rep.d_disc, rep.d_boundary, rep.gap))
+        assert type(rep.exact) is bool
+        mid = midpoint_closure_check(ball_domain(split=(1, 1)), (-0.5, 0.2), (0.5, 0.2))
+        assert type(mid.in_closure) is bool
+        assert all(type(v) is float for v in mid.midpoint)
 
 
 class TestDomainJson:

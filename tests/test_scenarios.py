@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from convlab.cli import main
 from convlab.errors import InvalidParam, UnknownScenario
 from convlab.scenarios import (
     DEFAULTS_VERSION,
+    Check,
     RunReport,
     list_scenarios,
     load_defaults,
@@ -94,6 +96,15 @@ class TestReports:
         assert doc["passed"] is True
         assert all({"name", "passed", "detail"} <= set(c) for c in doc["checks"])
 
+    def test_numpy_scalars_serialize(self):
+        check = Check("numpy-verdict", np.float64(0.5) > 0.0, {"value": np.float64(0.25)})
+        assert type(check.passed) is bool
+        report = RunReport(scenario="x", params={"n": 3}, checks=(check,),
+                           passed=check.passed, wall_time=0.0)
+        doc = json.loads(report.to_json())
+        assert doc["checks"][0] == {"name": "numpy-verdict", "passed": True,
+                                    "detail": {"value": 0.25}}
+
 
 class TestDefaults:
     def test_shipped_defaults_cover_every_scenario(self):
@@ -121,6 +132,13 @@ class TestDefaults:
     def test_extra_scenario_rejected(self, tmp_path, monkeypatch):
         def mutate(sc):
             sc["lemma99"] = {}
+        write_defaults(tmp_path, monkeypatch, mutate)
+        with pytest.raises(InvalidParam):
+            load_defaults()
+
+    def test_non_object_parameters_rejected(self, tmp_path, monkeypatch):
+        def mutate(sc):
+            sc["lemma1"] = [1, 2]
         write_defaults(tmp_path, monkeypatch, mutate)
         with pytest.raises(InvalidParam):
             load_defaults()
@@ -177,6 +195,37 @@ class TestCliRun:
         write_defaults(tmp_path, monkeypatch, mutate)
         assert main(["run", "psh-delta"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCliBadFiles:
+    def test_defaults_holding_a_list(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "defaults.json"
+        path.write_text("[1, 2, 3]")
+        monkeypatch.setenv("CONVLAB_DEFAULTS", str(path))
+        assert main(["run", "lemma1"]) == 3
+        assert _one_line_error(capsys)
+
+    def test_malformed_defaults(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "defaults.json"
+        path.write_text('{"version": 1,')
+        monkeypatch.setenv("CONVLAB_DEFAULTS", str(path))
+        assert main(["run", "lemma1"]) == 3
+        assert _one_line_error(capsys)
+
+    def test_missing_defaults_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CONVLAB_DEFAULTS", str(tmp_path / "absent.json"))
+        assert main(["run", "lemma1"]) == 3
+        assert _one_line_error(capsys)
+
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "report.json"
+        assert main(["run", "min-principle", "--json", str(target)]) == 3
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestCliTools:
