@@ -188,11 +188,11 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     js = np.arange(degree + 1)
 
     def tensor(x: np.ndarray):
-        v = w.fn(np.concatenate([t, x]))
+        v = w.fn(np.concatenate([t, x]) if t.size else x)
         if v == math.inf:
             return np.zeros((degree + 1, degree + 1), dtype=complex)
         b = (complex(x[0], x[1]) - c) ** js
-        return np.outer(b, b.conj()) * math.exp(-v)
+        return b[:, None] * b.conj() * math.exp(-v)
 
     gram = integrate_fiber(tensor, fib, cfg,
                            circle_seams=w.fiber_circle_seams(t))
@@ -228,12 +228,15 @@ def berndtsson_profile(z: complex, eps: float) -> RadialProfile:
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParam("needs eps in (0, 1)")
-    c = abs(complex(z)) ** 2 - eps * eps
+    z_abs = abs(complex(z))
+    if not math.isfinite(z_abs):
+        raise InvalidParam("base point must be finite")
+    c = z_abs ** 2 - eps * eps
     seams = (math.sqrt(-c),) if c < 0.0 else ()
     return RadialProfile(
         fn=lambda r: 1.5 * math.log1p(abs(c + r * r)),
         cutoff=math.inf, seam_radii=seams,
-        label=f"logdent(|z|={abs(complex(z)):g})",
+        label=f"logdent(|z|={z_abs:g})",
     )
 
 
@@ -243,6 +246,8 @@ def berndtsson_m0_closed(z_abs: float, eps: float) -> float:
     if not (0.0 < eps < 1.0):
         raise InvalidParam("needs eps in (0, 1)")
     z_abs = abs(float(z_abs))
+    if not math.isfinite(z_abs):
+        raise InvalidParam("base point must be finite")
     if z_abs >= eps:
         return 2.0 * math.pi / math.sqrt(1.0 - eps * eps + z_abs * z_abs)
     return 4.0 * math.pi - 2.0 * math.pi / math.sqrt(1.0 + eps * eps - z_abs * z_abs)
@@ -356,6 +361,11 @@ def psh_mean_value_check(u: Callable[[complex], float], centers, radii,
     """
     if n_angles < 8:
         raise InvalidParam("need at least 8 angles")
+    if not math.isfinite(tol):
+        raise InvalidParam("tol must be finite")
+    centers, radii = list(centers), list(radii)
+    if not centers or not radii:
+        raise InvalidParam("need at least one center and one radius")
     angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
     worst = -math.inf
     witness = None

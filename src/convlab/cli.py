@@ -180,6 +180,8 @@ def _cmd_check_convex(args) -> int:
 
 
 def _cmd_check_psh(args) -> int:
+    if args.centers < 1:
+        raise InvalidParam("need at least one center")
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-0.6, 0.6, size=(args.centers, 2))
     centers = [complex(a, b) for a, b in pts]

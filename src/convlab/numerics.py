@@ -20,6 +20,16 @@ no randomness, no parallelism), integrands may be scalar-, vector- or
 complex-valued (error control uses the max-norm across components), and
 divergence is reported by exception rather than by a garbage value.
 
+A GK15 panel calls the integrand once per node (15 calls) and reduces the
+stacked node values with four 1-D ``np.dot`` products against the Kronrod and
+Gauss weight rows: the Kronrod value, the Gauss value, the absolute-value
+integral and the residual about the panel mean.  Array-valued integrands are
+flattened to ``(15, m)`` for these products and the value is reshaped back;
+scalar integrands stay 1-D, so their error arithmetic runs on numpy scalars.
+Each product is a separate BLAS vector call on purpose: one stacked
+``(2, 15) @ (15, m)`` product takes a different BLAS path and changes the
+last bits of the results.
+
 Deliberately out of scope: quadrature in more than two fiber dimensions,
 Monte Carlo fallbacks, oscillatory-integral machinery, and arbitrary
 precision.  Slowly convergent algebraic tails (decay weaker than the declared
@@ -217,15 +227,19 @@ def _panel_rule(f, a: float, b: float):
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = [np.asarray(_eval_node(f, mid + half * u)) for u in _NODES]
-    stack = np.stack(vals)  # (15, *shape)
-    if not np.all(np.isfinite(stack)):
-        return np.full(stack.shape[1:], np.inf), math.inf, math.inf
-    resk = np.tensordot(_KW, stack, axes=(0, 0)) * half
-    resg = np.tensordot(_GW, stack, axes=(0, 0)) * half
-    resabs = np.tensordot(_KW, np.abs(stack), axes=(0, 0)) * abs(half)
+    stack = np.array([_eval_node(f, mid + half * u) for u in _NODES])  # (15, *shape)
+    shape = stack.shape[1:]
+    if not np.isfinite(stack).all():
+        return np.full(shape, np.inf), math.inf, math.inf
+    # A scalar integrand stays 1-D: through (15, 1) its ``** 1.5`` below would
+    # take the array power loop, which can differ from the scalar one in the
+    # last bit.
+    flat = stack.reshape(15, -1) if stack.ndim > 1 else stack
+    resk = np.dot(_KW, flat) * half
+    resg = np.dot(_GW, flat) * half
+    resabs = np.dot(_KW, np.abs(flat)) * abs(half)
     reskh = resk * 0.5
-    resasc = np.tensordot(_KW, np.abs(stack * half - reskh), axes=(0, 0))
+    resasc = np.dot(_KW, np.abs(flat * half - reskh))
 
     raw = np.abs(resk - resg)
     err = np.where(
@@ -234,7 +248,7 @@ def _panel_rule(f, a: float, b: float):
         raw,
     )
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, float(np.max(err)), float(np.max(resabs))
+    return resk.reshape(shape), float(err.max()), float(resabs.max())
 
 
 def _adaptive_segments(f, segments: Sequence[tuple[float, float]], cfg: QuadConfig):
@@ -252,7 +266,7 @@ def _adaptive_segments(f, segments: Sequence[tuple[float, float]], cfg: QuadConf
         if not (b > a):
             continue
         val, err, _ = _panel_rule(f, a, b)
-        if not np.all(np.isfinite(np.atleast_1d(val))):
+        if not np.isfinite(val).all():
             raise NonConvergent(f"non-finite panel value on [{a}, {b}]")
         panels.append((a, b, val, err))
         heapq.heappush(heap, (-err, seq, len(panels) - 1))
@@ -267,7 +281,7 @@ def _adaptive_segments(f, segments: Sequence[tuple[float, float]], cfg: QuadConf
     dead = [False] * len(panels)  # panels too narrow to split further
 
     while True:
-        norm = float(np.max(np.abs(np.atleast_1d(running))))
+        norm = float(np.abs(running).max())
         if tot_err <= max(cfg.abs_tol, cfg.rel_tol * norm):
             break
         if len(panels) >= cfg.max_subdiv:
@@ -291,10 +305,7 @@ def _adaptive_segments(f, segments: Sequence[tuple[float, float]], cfg: QuadConf
         mid = 0.5 * (a + b)
         lval, lerr, _ = _panel_rule(f, a, mid)
         rval, rerr, _ = _panel_rule(f, mid, b)
-        if not (
-            np.all(np.isfinite(np.atleast_1d(lval)))
-            and np.all(np.isfinite(np.atleast_1d(rval)))
-        ):
+        if not (np.isfinite(lval).all() and np.isfinite(rval).all()):
             raise NonConvergent(f"non-finite panel value inside [{a}, {b}]")
         panels[idx] = (a, mid, lval, lerr)
         dead[idx] = False

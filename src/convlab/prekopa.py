@@ -350,6 +350,8 @@ def convexity_check(ts, values, tol: float = 1e-9) -> ConvexityReport:
         raise InvalidParam("grid must be uniform for exact midpoints")
     if any(math.isnan(v) for v in vals):
         raise InvalidParam("curve contains NaN")
+    if not math.isfinite(tol):
+        raise InvalidParam("tol must be finite")
 
     checked = skipped = 0
     worst = -math.inf

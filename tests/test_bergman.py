@@ -189,6 +189,17 @@ class TestMeanValueCheck:
         rep = psh_mean_value_check(lambda z: -(abs(z) ** 2), [0j], [0.01], tol=1e-3)
         assert rep.verdict
 
+    @pytest.mark.parametrize("centers,radii", [([], [0.1]), ([0j], []), ((), ())])
+    def test_nothing_to_check_is_rejected(self, centers, radii):
+        # An empty audit would certify "submean" without looking at anything.
+        with pytest.raises(InvalidParam):
+            psh_mean_value_check(lambda z: abs(z) ** 2, centers, radii)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_is_rejected(self, tol):
+        with pytest.raises(InvalidParam):
+            psh_mean_value_check(lambda z: abs(z) ** 2, [0j], [0.1], tol=tol)
+
 
 class TestHarnesses:
     def test_lemma2_rows(self):
@@ -268,3 +279,13 @@ class TestKernelCurve:
                 [(0.0, 0.0)],
                 method="magic",
             )
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_log_dent_rejects_a_non_finite_base_point(z):
+    with pytest.raises(InvalidParam):
+        berndtsson_profile(complex(z, 0.0), EPS)
+    with pytest.raises(InvalidParam):
+        berndtsson_m0_closed(z, EPS)
+    with pytest.raises(InvalidParam):
+        berndtsson_phi_curve(EPS, [z])

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from convlab.errors import DivergentIntegral, InvalidParam, Unbounded
 from convlab.geometry import box_domain, disc_region, fiber, full_space
 from convlab.numerics import (
+    _GW,
+    _KW,
+    _NODES,
+    _panel_rule,
     MinConfig,
     QuadConfig,
     integrate_1d,
@@ -87,6 +91,83 @@ class TestIntegrate1d:
         F = lambda x: c0 * x + c1 * x * x / 2 + c2 * x ** 3 / 3
         val = integrate_1d(lambda x: c0 + c1 * x + c2 * x * x, lo, hi)
         np.testing.assert_allclose(val, F(hi) - F(lo), rtol=1e-10, atol=1e-10)
+
+
+def _tensordot_panel_rule(f, a, b):
+    """The GK15 panel rule as it stood with one tensordot per reduction."""
+    eps = float(np.finfo(np.float64).eps)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    stack = np.stack([np.asarray(f(mid + half * u)) for u in _NODES])
+    if not np.all(np.isfinite(stack)):
+        return np.full(stack.shape[1:], np.inf), math.inf, math.inf
+    resk = np.tensordot(_KW, stack, axes=(0, 0)) * half
+    resg = np.tensordot(_GW, stack, axes=(0, 0)) * half
+    resabs = np.tensordot(_KW, np.abs(stack), axes=(0, 0)) * abs(half)
+    reskh = resk * 0.5
+    resasc = np.tensordot(_KW, np.abs(stack * half - reskh), axes=(0, 0))
+    raw = np.abs(resk - resg)
+    err = np.where(
+        (resasc != 0.0) & (raw != 0.0),
+        resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc == 0.0, 1.0, resasc)) ** 1.5),
+        raw,
+    )
+    err = np.maximum(err, 50.0 * eps * resabs)
+    return resk, float(np.max(err)), float(np.max(resabs))
+
+
+def _bits(v):
+    v = np.asarray(v)
+    return v.shape, v.dtype, v.tobytes()
+
+
+def _integrand(kind, c0, c1, degree):
+    if kind == "real":
+        return lambda x: c0 * math.cos(c1 * x) + math.exp(-x * x)
+    if kind == "complex":
+        return lambda x: complex(math.cos(c1 * x), c0 * x) * math.exp(-0.1 * x * x)
+    js = np.arange(degree + 1)
+    if kind == "vector":  # shaped like the radial route's moment vector
+        return lambda x: abs(x) ** (2 * js + 1) * math.exp(-c0 * c0 - x * x)
+
+    def tensor(x):  # shaped like the Gram route's rank-one integrand
+        b = (complex(x, c1) - c0) ** js
+        return b[:, None] * b.conj() * math.exp(-x * x)
+    return tensor
+
+
+_KINDS = st.sampled_from(["real", "complex", "vector", "matrix"])
+
+
+class TestPanelRule:
+    @given(kind=_KINDS, lo=st.floats(-20, 20), width=st.floats(1e-6, 10),
+           c0=st.floats(-3, 3), c1=st.floats(-3, 3), degree=st.integers(0, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_tensordot_rule_to_the_bit(self, kind, lo, width, c0, c1, degree):
+        f = _integrand(kind, c0, c1, degree)
+        val, err, resabs = _panel_rule(f, lo, lo + width)
+        ref_val, ref_err, ref_resabs = _tensordot_panel_rule(f, lo, lo + width)
+        assert _bits(val) == _bits(ref_val)
+        assert err == ref_err and resabs == ref_resabs
+
+    @given(kind=_KINDS, node=st.integers(0, 14), bad=st.sampled_from([math.inf, math.nan]),
+           degree=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_one_non_finite_node_gives_inf(self, kind, node, bad, degree):
+        smooth = _integrand(kind, 0.5, 1.5, degree)
+        x_bad = 0.5 + 0.5 * _NODES[node]
+        f = lambda x: smooth(x) + bad if x == x_bad else smooth(x)
+        val, err, resabs = _panel_rule(f, 0.0, 1.0)
+        assert err == math.inf and resabs == math.inf
+        assert np.all(np.asarray(val) == math.inf)
+        assert np.shape(val) == np.shape(smooth(0.5))
+
+    @given(rate=st.floats(0.05, 4.0), freq=st.floats(-3, 3), start=st.floats(-5, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_tail_integral_repeats_bit_for_bit(self, rate, freq, start):
+        f = lambda x: math.exp(-rate * abs(x)) * complex(math.cos(freq * x), 1.0)
+        first = integrate_1d(f, start, math.inf)
+        assert _bits(integrate_1d(f, start, math.inf)) == _bits(first)
 
 
 class TestSkirtLadder:

@@ -192,6 +192,11 @@ class TestConvexityCheck:
         assert not rep.verdict
         assert rep.worst_violation == math.inf
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_is_rejected(self, tol):
+        with pytest.raises(InvalidParam):
+            convexity_check(np.linspace(0.0, 1.0, 3), [0.0, 0.5, 1.0], tol=tol)
+
 
 class TestLocalization:
     def test_flat_identity(self):

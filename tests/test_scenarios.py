@@ -277,3 +277,26 @@ class TestCliTools:
             "--radii", "0.05", "--angles", "512", "--seed", "7",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("centers", ["0", "-1"])
+    def test_check_psh_needs_a_center(self, centers, capsys):
+        assert main(["check-psh", "--centers", centers]) == 3
+        assert _one_line_error(capsys)
+
+    def test_marginal_rejects_nan_tol(self, capsys):
+        assert main(["marginal", "--n", "5", "--tol", "nan"]) == 3
+        assert _one_line_error(capsys)
+
+    def test_check_psh_rejects_nan_tol(self, capsys):
+        assert main(["check-psh", "--centers", "1", "--tol", "nan"]) == 3
+        assert _one_line_error(capsys)
+
+    def test_check_convex_rejects_nan_tol(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        path.write_text("t,value\n0,0\n1,1\n2,4\n")
+        assert main(["check-convex", str(path), "--tol", "nan"]) == 3
+        assert _one_line_error(capsys)
+
+    def test_bergman_rejects_nan_base_point(self, capsys):
+        assert main(["bergman", "--z", "nan"]) == 3
+        assert _one_line_error(capsys)
