@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DivergentIntegral, IllConditioned, InvalidParam,
-                     MethodUnavailable, ZeroKernel)
+                     MethodUnavailable, NonConvergent, ZeroKernel)
 from .geometry import (AffineFiberMap, Ball, Domain, Full, boundary_distance,
                        disc_region, fiber)
 from .numerics import QuadConfig, integrate_1d, integrate_fiber, skirt_ladder
@@ -229,8 +229,8 @@ def berndtsson_profile(z: complex, eps: float) -> RadialProfile:
     if not (0.0 < eps < 1.0):
         raise InvalidParam("needs eps in (0, 1)")
     z_abs = abs(complex(z))
-    if not math.isfinite(z_abs):
-        raise InvalidParam("base point must be finite")
+    if not math.isfinite(z_abs * z_abs):
+        raise InvalidParam("base point must have a finite |z|^2")
     c = z_abs ** 2 - eps * eps
     seams = (math.sqrt(-c),) if c < 0.0 else ()
     return RadialProfile(
@@ -246,8 +246,8 @@ def berndtsson_m0_closed(z_abs: float, eps: float) -> float:
     if not (0.0 < eps < 1.0):
         raise InvalidParam("needs eps in (0, 1)")
     z_abs = abs(float(z_abs))
-    if not math.isfinite(z_abs):
-        raise InvalidParam("base point must be finite")
+    if not math.isfinite(z_abs * z_abs):
+        raise InvalidParam("base point must have a finite |z|^2")
     if z_abs >= eps:
         return 2.0 * math.pi / math.sqrt(1.0 - eps * eps + z_abs * z_abs)
     return 4.0 * math.pi - 2.0 * math.pi / math.sqrt(1.0 + eps * eps - z_abs * z_abs)
@@ -270,6 +270,8 @@ def berndtsson_phi_curve(eps: float, z_abs_list, cfg: QuadConfig | None = None) 
         mt = radial_moments(berndtsson_profile(complex(abs(float(za)), 0.0), eps), 0, cfg)
         if not mt.finite(0):
             raise DivergentIntegral("fiber mass diverged; no curve value")
+        if not mt.values[0] > 0.0:
+            raise NonConvergent("fiber mass underflows to zero; no curve value")
         out.append(-math.log(mt.values[0]))
     return out
 

@@ -30,6 +30,14 @@ Each product is a separate BLAS vector call on purpose: one stacked
 ``(2, 15) @ (15, m)`` product takes a different BLAS path and changes the
 last bits of the results.
 
+On a two-dimensional fiber the outer integrand F(x) = int slice(x) dy has
+square-root endpoints wherever a slice closes up or a seam circle turns (a
+disc's slice is 2 sqrt(r^2 - x^2)), and GK15 converges only algebraically
+there.  ``integrate_fiber`` therefore enters each segment between such edges
+through the cubic x = e + h u^2 (3 - 2u), whose Jacobian vanishes at both ends
+and makes those endpoints smooth (a polynomial endpoint substitution, Sidi
+1993).
+
 Deliberately out of scope: quadrature in more than two fiber dimensions,
 Monte Carlo fallbacks, oscillatory-integral machinery, and arbitrary
 precision.  Slowly convergent algebraic tails (decay weaker than the declared
@@ -209,15 +217,6 @@ def kahan_total(parts: Iterable):
     return total if total.ndim else total[()]
 
 
-def _eval_node(f, x: float):
-    # math.exp and friends raise OverflowError where np.exp would return inf;
-    # treat both the same so the non-finite panel handling sees them.
-    try:
-        return f(x)
-    except OverflowError:
-        return math.inf
-
-
 def _panel_rule(f, a: float, b: float):
     """One GK15 evaluation on [a, b].
 
@@ -227,7 +226,12 @@ def _panel_rule(f, a: float, b: float):
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    stack = np.array([_eval_node(f, mid + half * u) for u in _NODES])  # (15, *shape)
+    try:
+        stack = np.array([f(mid + half * u) for u in _NODES])  # (15, *shape)
+    except OverflowError:
+        # math.exp and friends raise where np.exp would return inf; either way
+        # the panel is non-finite.
+        return math.inf, math.inf, math.inf
     shape = stack.shape[1:]
     if not np.isfinite(stack).all():
         return np.full(shape, np.inf), math.inf, math.inf
@@ -479,6 +483,15 @@ def integrate_fiber(f, fiber, cfg: QuadConfig | None = None,
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are (cx, cy, radius) kink circles (dimension 2).
     An empty fiber integrates to 0.
+
+    In dimension 2 the outer integral runs over s, one unit per segment
+    between sorted edges e_0 < ... < e_n (the finite x-extremes of the region,
+    ``critical_xs()`` and the seam circles): x = e_i + h u^2 (3 - 2u) with
+    u = s - i and h = e_{i+1} - e_i.  The Jacobian 6 h u (1 - u) cancels the
+    square-root behaviour of the slice length at every edge where a slice
+    closes up or a seam circle turns, so plain GK15 panels converge fast
+    there.  An unbounded end continues the first or last edge by the
+    identity; a plane with no finite edge is integrated in x itself.
     """
     cfg = cfg or DEFAULT_QUAD
     dim = fiber.dim
@@ -519,10 +532,26 @@ def integrate_fiber(f, fiber, cfg: QuadConfig | None = None,
         parts.sort(key=lambda p: p[0])
         return kahan_total(v for (_, v) in parts)
 
-    xbps = list(fiber.critical_xs())
+    edges = [x_lo, x_hi, *fiber.critical_xs()]
     for (cx, cy, r) in circles:
-        xbps.extend((cx - r, cx + r))
-    return integrate_1d(outer, x_lo, x_hi, cfg, breakpoints=xbps)
+        edges.extend((cx - r, cx + r))
+    edges = sorted({float(e) for e in edges if math.isfinite(e) and x_lo <= e <= x_hi})
+    n = len(edges) - 1  # finite segments; -1 for a plane with no finite edge
+    x0 = edges[0] if edges else 0.0
+
+    def mapped(s: float):
+        if s < 0.0 or n < 1:
+            return outer(x0 + s)
+        if s > n:
+            return outer(edges[n] + (s - n))
+        i = min(int(s), n - 1)
+        u = s - i
+        h = edges[i + 1] - edges[i]
+        return outer(edges[i] + h * (u * u * (3.0 - 2.0 * u))) * (6.0 * h * u * (1.0 - u))
+
+    s_lo = -math.inf if math.isinf(x_lo) else 0.0
+    s_hi = math.inf if math.isinf(x_hi) else float(n)
+    return integrate_1d(mapped, s_lo, s_hi, cfg, breakpoints=range(len(edges)))
 
 
 def _axis_grid(lo: float, hi: float, n: int) -> np.ndarray:

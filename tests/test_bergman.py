@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from convlab.errors import IllConditioned, InvalidParam, MethodUnavailable, ZeroKernel
+from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, NonConvergent,
+                            ZeroKernel)
 from convlab.geometry import AffineFiberMap, bidisc, disc_region, hartogs_figure, plane_region
 from convlab.weights import RadialProfile, constant_weight, lemma3_weight
 from convlab.bergman import (
@@ -281,7 +282,7 @@ class TestKernelCurve:
             )
 
 
-@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 1e200])  # 1e200: |z|^2 overflows
 def test_log_dent_rejects_a_non_finite_base_point(z):
     with pytest.raises(InvalidParam):
         berndtsson_profile(complex(z, 0.0), EPS)
@@ -289,3 +290,14 @@ def test_log_dent_rejects_a_non_finite_base_point(z):
         berndtsson_m0_closed(z, EPS)
     with pytest.raises(InvalidParam):
         berndtsson_phi_curve(EPS, [z])
+
+
+def test_log_dent_curve_with_an_underflowing_mass_is_non_convergent():
+    with pytest.raises(NonConvergent):
+        berndtsson_phi_curve(EPS, [1e154])
+
+
+def test_overflowing_weight_on_some_nodes_is_non_convergent():
+    # e^{800 r} overflows math.exp on part of the first panel only.
+    with pytest.raises(NonConvergent):
+        radial_moments(RadialProfile(fn=lambda r: -800.0 * r, cutoff=1.0), 3)

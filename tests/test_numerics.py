@@ -251,6 +251,45 @@ class TestIntegrateFiber:
         )
         np.testing.assert_allclose(val, math.pi / 4.0, rtol=1e-6)
 
+    # The outer integrand of a disc has square-root endpoints at x = c -+ r;
+    # the segment map of the outer variable makes them smooth.
+
+    def test_off_centre_disc_area(self):
+        val = integrate_fiber(lambda x: 1.0, fiber(disc_region(0.75, 0.3 - 0.2j), ()))
+        np.testing.assert_allclose(val, math.pi * 0.5625, rtol=1e-13)
+
+    def test_disc_second_moment(self):
+        val = integrate_fiber(lambda x: x[0] * x[0] + x[1] * x[1], fiber(disc_region(1.0), ()))
+        np.testing.assert_allclose(val, math.pi / 2.0, rtol=1e-13)
+
+    def test_seam_circle_tangent_to_the_disc(self):
+        # A cone of height 1/4 over the circle |z - 1/2| = 1/2, which touches
+        # the unit circle at z = 1: its volume is pi/32.
+        f = lambda x: 1.0 + max(0.0, 0.25 - (x[0] - 0.5) ** 2 - x[1] ** 2)
+        val = integrate_fiber(f, fiber(disc_region(1.0), ()),
+                              circle_seams=((0.5, 0.0, 0.5),))
+        np.testing.assert_allclose(val, math.pi + math.pi / 32.0, rtol=1e-13)
+
+    def test_disc_area_takes_few_integrand_calls(self):
+        calls = []
+
+        def one(x):
+            calls.append(1)
+            return 1.0
+        integrate_fiber(one, fiber(disc_region(0.75), ()))
+        assert len(calls) <= 2000  # 18,000 with the unmapped outer variable
+
+    def test_two_dimensional_fiber_repeats_bit_for_bit(self):
+        js = np.arange(4)
+
+        def tensor(x):
+            b = complex(x[0], x[1]) ** js
+            return b[:, None] * b.conj() * math.exp(-abs(x[0] - 0.1))
+        fd = fiber(disc_region(0.9, 0.2 + 0.1j), ())
+        seams = ((0.0, 0.0, 0.5),)
+        first = integrate_fiber(tensor, fd, circle_seams=seams)
+        assert _bits(integrate_fiber(tensor, fd, circle_seams=seams)) == _bits(first)
+
 
 class TestIntegrateRadial2d:
     def test_gaussian_plane(self):

@@ -300,3 +300,12 @@ class TestCliTools:
     def test_bergman_rejects_nan_base_point(self, capsys):
         assert main(["bergman", "--z", "nan"]) == 3
         assert _one_line_error(capsys)
+
+    def test_bergman_rejects_a_base_point_whose_square_overflows(self, capsys):
+        assert main(["bergman", "--z", "1e200"]) == 3
+        assert _one_line_error(capsys)
+
+    def test_bergman_reports_an_underflowing_mass_as_numerical(self, capsys):
+        assert main(["bergman", "--z", "1e154"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
