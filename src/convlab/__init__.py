@@ -15,22 +15,19 @@ from .errors import (ConvlabError, DiscEscapesDomain, DivergentIntegral,
                      NonConvergent, OutOfDomain, PointOutsideDomain, Unbounded,
                      UnknownName, UnknownScenario, ZeroKernel)
 from .numerics import (BallVolume, MinConfig, QuadConfig, integrate_1d,
-                       integrate_fiber, integrate_radial_2d, kahan_total,
-                       minimize_over_fiber, second_difference, skirt_ladder)
+                       integrate_fiber, kahan_total, minimize_over_fiber,
+                       skirt_ladder)
 from .geometry import (AffineFiberMap, AnalyticDisc, Ball, Box, Complement,
-                       Domain, Empty, FiberDomain, Full, Halfspace,
-                       Intersection, Union, ball_domain, bidisc,
-                       boundary_distance, box_domain, disc_distance_check,
-                       disc_region, domain_from_json, domain_to_json, dumbbell,
-                       fiber, fiber_distance, full_space, hartogs_figure,
+                       Domain, Empty, FiberDomain, Full, Intersection, Union,
+                       ball_domain, bidisc, boundary_distance, box_domain,
+                       disc_distance_check, disc_region, dumbbell, fiber,
+                       fiber_distance, full_space, hartogs_figure,
                        midpoint_closure_check, plane_region, punctured_ball)
-from .weights import (LocalizationSchedule, RadialProfile, WeightField,
-                      constant_weight, convex_localizer, disc_twist_weight,
-                      lemma3_weight, stock_weight, psh_localizer,
-                      weight_from_fn)
+from .weights import (RadialProfile, WeightField, constant_weight,
+                      convex_localizer, lemma3_weight, stock_weight,
+                      psh_localizer, weight_from_fn)
 from .prekopa import (ConvexityReport, MarginalCurve, convexity_check,
-                      dent_marginal_closed, directional_marginal,
-                      infimum_over_fiber,
+                      dent_marginal_closed, infimum_over_fiber,
                       localization_rows, marginal_transform,
                       midpoint_divergence_probe, min_principle_transform,
                       sample_marginal_curve, twisted_marginal)

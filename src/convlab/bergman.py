@@ -302,10 +302,6 @@ class LaplacianRow:
     closed: float
     error: float
 
-    def to_jsonable(self) -> dict:
-        return {"z_abs": self.z_abs, "numeric": self.numeric,
-                "closed": self.closed, "error": self.error}
-
 
 def laplacian_check(eps: float, z_abs_list, h: float = 1e-3,
                     u: Callable[[complex], float] | None = None) -> list:
@@ -346,11 +342,6 @@ class PshReport:
     tol: float
     verdict: bool
 
-    def to_jsonable(self) -> dict:
-        return {"checked": self.checked, "worst_deficit": self.worst_deficit,
-                "witness": None if self.witness is None else list(self.witness),
-                "tol": self.tol, "verdict": self.verdict}
-
 
 def psh_mean_value_check(u: Callable[[complex], float], centers, radii,
                          n_angles: int = 1024, tol: float = 0.0) -> PshReport:
@@ -359,15 +350,19 @@ def psh_mean_value_check(u: Callable[[complex], float], centers, radii,
     The worst deficit ``u(c) - average`` over all probes is reported; a
     positive deficit beyond tol is a certified subharmonicity failure at the
     witness (center, radius).  Uniform angles make the average a trapezoid
-    rule, spectrally accurate for smooth circle restrictions.
+    rule, spectrally accurate for smooth circle restrictions.  Radii must be
+    positive and finite (InvalidParam); a probe whose deficit is NaN raises
+    NonConvergent naming its center and radius.
     """
     if n_angles < 8:
         raise InvalidParam("need at least 8 angles")
     if not math.isfinite(tol):
         raise InvalidParam("tol must be finite")
-    centers, radii = list(centers), list(radii)
+    centers, radii = list(centers), [float(rho) for rho in radii]
     if not centers or not radii:
         raise InvalidParam("need at least one center and one radius")
+    if not all(math.isfinite(rho) and rho > 0.0 for rho in radii):
+        raise InvalidParam("probe radii must be positive and finite")
     angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
     worst = -math.inf
     witness = None
@@ -376,11 +371,14 @@ def psh_mean_value_check(u: Callable[[complex], float], centers, radii,
         c = complex(c)
         uc = float(u(c))
         for rho in radii:
-            rho = float(rho)
-            if rho <= 0.0:
-                raise InvalidParam("probe radii must be positive")
             mean = float(np.mean([u(c + rho * a) for a in angles]))
             deficit = uc - mean
+            if math.isnan(deficit):
+                # a NaN deficit never compares above the worst one, so the
+                # audit would pass without having looked at this probe
+                raise NonConvergent(
+                    f"sub-mean probe at center {c!r}, radius {rho!r} is NaN "
+                    f"(u(center) = {uc!r}, circle mean = {mean!r})")
             checked += 1
             if deficit > worst:
                 worst = deficit
@@ -400,10 +398,6 @@ class Lemma2Row:
     target: float
     error: float
     upper: float
-
-    def to_jsonable(self) -> dict:
-        return {"k": self.k, "value": self.value, "target": self.target,
-                "error": self.error, "upper": self.upper}
 
 
 def lemma2_harness(profile: RadialProfile, ks,
@@ -449,10 +443,6 @@ class Lemma3Row:
     lower: float
     value: float
     upper: Optional[float]
-
-    def to_jsonable(self) -> dict:
-        return {"k": self.k, "lower": self.lower, "value": self.value,
-                "upper": self.upper}
 
 
 def lemma3_harness(ks, r: float, domain: Domain | None = None,

@@ -1,8 +1,8 @@
 """Constructive solid geometry for product domains, fibers, and distance probes.
 
 Domains live in R^(m+n) (or C^(m+n), stored as interleaved real pairs) and are
-described by CSG trees over three primitives -- balls, boxes, halfspaces --
-closed under union, intersection, and complement.  Primitives may constrain a
+described by CSG trees over two primitives -- balls and boxes -- closed
+under union, intersection, and complement.  Primitives may constrain a
 subset of the coordinates (a ball over two of four axes is a cylinder), which
 is what makes polydiscs and product figures exact.  Membership is decided
 exactly for any point; the represented sets are open (complements are taken
@@ -33,12 +33,10 @@ the probes built on them take one point and return Python scalars.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,14 +47,13 @@ from .errors import (
 )
 
 __all__ = [
-    "Ball", "Box", "Halfspace", "Full", "Empty", "Union", "Intersection",
+    "Ball", "Box", "Full", "Empty", "Union", "Intersection",
     "Complement", "Domain", "FiberDomain", "AffineFiberMap", "AnalyticDisc",
     "DistanceInfo", "MidpointReport", "DiscDistanceReport",
     "fiber", "fiber_distance", "boundary_distance", "disc_distance_check",
     "midpoint_closure_check",
     "ball_domain", "box_domain", "full_space", "bidisc", "hartogs_figure",
     "punctured_ball", "dumbbell", "disc_region", "plane_region",
-    "domain_to_json", "domain_from_json",
 ]
 
 _INF = math.inf
@@ -204,62 +201,6 @@ class Box(Node):
         for a, l, h in zip(self.axes, self.lo, self.hi):
             lo[a] = l
             hi[a] = h
-        return lo, hi
-
-
-@dataclass(frozen=True)
-class Halfspace(Node):
-    normal: tuple
-    offset: float
-    axes: tuple
-
-    def __post_init__(self):
-        if len(self.normal) != len(self.axes):
-            raise InvalidParam("halfspace normal and axes lengths differ")
-        if all(v == 0.0 for v in self.normal):
-            raise InvalidParam("halfspace normal must be nonzero")
-        object.__setattr__(self, "normal", tuple(float(v) for v in self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
-
-    def _dot(self, p):
-        return reduce(operator.add, (v * p[a] for a, v in zip(self.axes, self.normal)))
-
-    def _norm(self):
-        return math.sqrt(sum(v * v for v in self.normal))
-
-    def member(self, p):
-        return self._dot(p) < self.offset
-
-    def closed_member(self, p):
-        return self._dot(p) <= self.offset
-
-    def axes_set(self):
-        return frozenset(self.axes)
-
-    def slice_first(self, t, nb):
-        off = self.offset
-        keep_axes, keep_n = [], []
-        for a, v in zip(self.axes, self.normal):
-            if a < nb:
-                off -= v * t[a]
-            else:
-                keep_axes.append(a - nb)
-                keep_n.append(v)
-        if not keep_axes or all(v == 0.0 for v in keep_n):
-            return Full() if 0.0 < off else Empty()
-        return Halfspace(tuple(keep_n), off, tuple(keep_axes))
-
-    def bounds(self, dim):
-        lo = np.full(dim, -_INF)
-        hi = np.full(dim, _INF)
-        nz = [(a, v) for a, v in zip(self.axes, self.normal) if v != 0.0]
-        if len(nz) == 1:
-            a, v = nz[0]
-            if v > 0:
-                hi[a] = self.offset / v
-            else:
-                lo[a] = self.offset / v
         return lo, hi
 
 
@@ -452,11 +393,6 @@ def node_intervals(node: Node) -> list:
     if isinstance(node, Box):
         (l,), (h,) = node.lo, node.hi
         return [(l, h)] if h > l else []
-    if isinstance(node, Halfspace):
-        (v,) = node.normal
-        if v > 0:
-            return [(-_INF, node.offset / v)]
-        return [(node.offset / v, _INF)]
     if isinstance(node, Union):
         parts = []
         for q in node.parts:
@@ -486,11 +422,6 @@ def _critical_points(node: Node, axis: int) -> list:
             if a == axis:
                 out.extend((l, h))
         return out
-    if isinstance(node, Halfspace):
-        nz = [(a, v) for a, v in zip(node.axes, node.normal) if v != 0.0]
-        if len(nz) == 1 and nz[0][0] == axis:
-            return [node.offset / nz[0][1]]
-        return []
     if isinstance(node, (Union, Intersection)):
         out = []
         for q in node.parts:
@@ -542,8 +473,6 @@ def dist_to_complement(node: Node, p: np.ndarray):
     if isinstance(node, Box):
         return reduce(np.minimum, (np.minimum(p[a] - l, h - p[a])
                                    for a, l, h in zip(node.axes, node.lo, node.hi))), True
-    if isinstance(node, Halfspace):
-        return (node.offset - node._dot(p)) / node._norm(), True
     if isinstance(node, Intersection):
         vals, flags = zip(*(dist_to_complement(q, p) for q in node.parts))
         return reduce(np.minimum, vals), reduce(operator.and_, flags)
@@ -582,8 +511,6 @@ def dist_to_set(node: Node, p: np.ndarray):
         v = np.sqrt(_sum_squares(np.maximum(np.maximum(l - p[a], p[a] - h), 0.0)
                                  for a, l, h in zip(node.axes, node.lo, node.hi)))
         e = True
-    elif isinstance(node, Halfspace):
-        v, e = np.maximum((node._dot(p) - node.offset) / node._norm(), 0.0), True
     elif isinstance(node, Union):
         vals, flags = zip(*(dist_to_set(q, p) for q in node.parts))
         v, e = reduce(np.minimum, vals), reduce(operator.and_, flags)
@@ -675,12 +602,6 @@ class Domain:
 
     def fiber(self, t) -> "FiberDomain":
         return fiber(self, t)
-
-    def descriptor(self) -> dict:
-        return {"csg": _node_to_dict(self.csg), "split": list(self.split), "kind": self.kind}
-
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -920,18 +841,12 @@ class AnalyticDisc:
         w = complex(w)
         return [complex(*_horner(g, w.real, w.imag)) for g in self.fibers]
 
-    def eval_complex(self, w: complex) -> list:
-        return [self.base_at(w)] + self.fiber_at(w)
-
     def eval_real(self, w) -> np.ndarray:
         """Packed real coordinates: (2 + 2 n_fiber,) at one ``w``, or
         (2 + 2 n_fiber, N) at an array of N parameters."""
         w = np.asarray(w, dtype=complex)
         return np.array([x for g in (self.base, *self.fibers)
                          for x in _horner(g, w.real, w.imag)])
-
-    def is_base_constant(self) -> bool:
-        return all(c == 0 for c in self.base[1:])
 
 
 @dataclass(frozen=True)
@@ -942,16 +857,6 @@ class DiscDistanceReport:
     n_interior: int
     n_boundary: int
     exact: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "d_disc": self.d_disc,
-            "d_boundary": self.d_boundary,
-            "gap": self.gap,
-            "n_interior": self.n_interior,
-            "n_boundary": self.n_boundary,
-            "exact": self.exact,
-        }
 
 
 def _polar(r, th) -> np.ndarray:
@@ -1027,9 +932,6 @@ class MidpointReport:
     midpoint: tuple
     in_closure: bool
 
-    def to_jsonable(self) -> dict:
-        return {"midpoint": list(self.midpoint), "in_closure": self.in_closure}
-
 
 def midpoint_closure_check(domain: Domain, p0, p1) -> MidpointReport:
     """Whether the midpoint of two domain points stays in the closure."""
@@ -1040,73 +942,6 @@ def midpoint_closure_check(domain: Domain, p0, p1) -> MidpointReport:
             raise PointOutsideDomain(f"{name} = {q.tolist()} is not in the domain")
     mid = 0.5 * (a + b)
     return MidpointReport(tuple(float(v) for v in mid), bool(domain.csg.closed_member(mid)))
-
-
-# ---------------------------------------------------------------------------
-# JSON descriptors
-
-
-def _node_to_dict(node: Node) -> dict:
-    if isinstance(node, Ball):
-        return {"op": "ball", "center": list(node.center), "radius": node.radius,
-                "axes": list(node.axes)}
-    if isinstance(node, Box):
-        return {"op": "box", "lo": list(node.lo), "hi": list(node.hi),
-                "axes": list(node.axes)}
-    if isinstance(node, Halfspace):
-        return {"op": "halfspace", "normal": list(node.normal), "offset": node.offset,
-                "axes": list(node.axes)}
-    if isinstance(node, Full):
-        return {"op": "full"}
-    if isinstance(node, Empty):
-        return {"op": "empty"}
-    if isinstance(node, Union):
-        return {"op": "union", "parts": [_node_to_dict(q) for q in node.parts]}
-    if isinstance(node, Intersection):
-        return {"op": "intersection", "parts": [_node_to_dict(q) for q in node.parts]}
-    if isinstance(node, Complement):
-        return {"op": "complement", "part": _node_to_dict(node.part)}
-    raise InvalidParam(f"cannot serialize node of type {type(node).__name__}")
-
-
-def _node_from_dict(d: dict) -> Node:
-    try:
-        op = d["op"]
-    except (TypeError, KeyError):
-        raise InvalidParam(f"bad CSG node descriptor: {d!r}")
-    if op == "ball":
-        return Ball(tuple(d["center"]), d["radius"], tuple(d["axes"]))
-    if op == "box":
-        return Box(tuple(d["lo"]), tuple(d["hi"]), tuple(d["axes"]))
-    if op == "halfspace":
-        return Halfspace(tuple(d["normal"]), d["offset"], tuple(d["axes"]))
-    if op == "full":
-        return Full()
-    if op == "empty":
-        return Empty()
-    if op == "union":
-        return Union(tuple(_node_from_dict(q) for q in d["parts"]))
-    if op == "intersection":
-        return Intersection(tuple(_node_from_dict(q) for q in d["parts"]))
-    if op == "complement":
-        return Complement(_node_from_dict(d["part"]))
-    raise InvalidParam(f"unknown CSG op {op!r}")
-
-
-def domain_to_json(domain: Domain) -> str:
-    return domain.to_json()
-
-
-def domain_from_json(s: str) -> Domain:
-    try:
-        d = json.loads(s)
-    except json.JSONDecodeError as e:
-        raise InvalidParam(f"domain descriptor is not valid JSON: {e}")
-    if not isinstance(d, dict) or set(d) - {"csg", "split", "kind"}:
-        raise InvalidParam("domain descriptor must carry csg/split/kind only")
-    if "csg" not in d or "split" not in d:
-        raise InvalidParam("domain descriptor needs both 'csg' and 'split'")
-    return Domain(_node_from_dict(d["csg"]), tuple(d["split"]), d.get("kind", "real"))
 
 
 # ---------------------------------------------------------------------------

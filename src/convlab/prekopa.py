@@ -28,13 +28,14 @@ import numpy as np
 
 from .errors import InvalidParam, PointOutsideDomain
 from .geometry import AffineFiberMap, Domain, fiber
+# integrate_1d is unused here but stays importable as prekopa.integrate_1d:
+# perfbench/test_perfbench.py checks that the layer tracer wraps it.
 from .numerics import (MinConfig, QuadConfig, integrate_1d, integrate_fiber,
                        minimize_over_fiber, skirt_ladder)
 from .weights import WeightField, convex_localizer
 
 __all__ = [
-    "marginal_transform", "twisted_marginal", "directional_marginal",
-    "min_principle_transform",
+    "marginal_transform", "twisted_marginal", "min_principle_transform",
     "infimum_over_fiber", "localization_rows", "LocalizationRow",
     "midpoint_divergence_probe", "MidpointProbeRow", "MidpointProbeReport",
     "convexity_check", "ConvexityReport", "MarginalCurve",
@@ -100,37 +101,6 @@ def twisted_marginal(w: WeightField, twist: WeightField, domain: Domain, t,
     return marginal_transform(w + twist, domain, t, cfg)
 
 
-def directional_marginal(w: WeightField, e1, e2, t: float,
-                         cfg: QuadConfig | None = None) -> float:
-    """-log of ``e^{-w}`` integrated along the line ``t*e1 + s*e2``, s in R.
-
-    A frame-free variant of the marginal transform for weights on the plane:
-    the base direction e1 and the integration direction e2 can be any linearly
-    independent pair, so the same weight can be marginalized along rotated or
-    sheared frames.  Registered seams are intersected with the line and handed
-    to the quadrature as breakpoints.
-    """
-    if w.base_rdim + w.fiber_rdim != 2:
-        raise InvalidParam("directional marginals are defined for weights on R^2")
-    e1 = np.asarray(e1, dtype=float).ravel()
-    e2 = np.asarray(e2, dtype=float).ravel()
-    if e1.shape != (2,) or e2.shape != (2,):
-        raise InvalidParam("directions must be 2-vectors")
-    if abs(e1[0] * e2[1] - e1[1] * e2[0]) < 1e-14:
-        raise InvalidParam("directions must be linearly independent")
-    p0 = float(t) * e1
-
-    def density(s: float) -> float:
-        v = w.fn(p0 + s * e2)
-        return 0.0 if v == math.inf else float(np.exp(-v))
-
-    crossings = skirt_ladder(w.line_seams(p0, e2), None)
-    mass = integrate_1d(density, -math.inf, math.inf, cfg, breakpoints=crossings)
-    if mass <= 0.0:
-        return math.inf
-    return -math.log(mass)
-
-
 # ---------------------------------------------------------------------------
 # Localization harness
 
@@ -141,10 +111,6 @@ class LocalizationRow:
     value: float
     target: float
     error: float
-
-    def to_jsonable(self) -> dict:
-        return {"k": self.k, "value": _num(self.value),
-                "target": _num(self.target), "error": _num(self.error)}
 
 
 def localization_rows(w: WeightField, domain: Domain, a: AffineFiberMap,
@@ -236,21 +202,12 @@ class MidpointProbeRow:
     right: float
     violation: float
 
-    def to_jsonable(self) -> dict:
-        return {"k": self.k, "left": _num(self.left), "mid": _num(self.mid),
-                "right": _num(self.right), "violation": _num(self.violation)}
-
 
 @dataclass(frozen=True)
 class MidpointProbeReport:
     rows: tuple
     midpoint: tuple
     verdict: bool
-
-    def to_jsonable(self) -> dict:
-        return {"rows": [r.to_jsonable() for r in self.rows],
-                "midpoint": [_num(v) for v in self.midpoint],
-                "verdict": self.verdict}
 
 
 def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
@@ -319,13 +276,6 @@ class ConvexityReport:
     witness: Optional[tuple]
     tol: float
     verdict: bool
-
-    def to_jsonable(self) -> dict:
-        return {"checked": self.checked, "skipped": self.skipped,
-                "worst_violation": _num(self.worst_violation),
-                "witness": None if self.witness is None
-                else [_num(v) for v in self.witness],
-                "tol": self.tol, "verdict": self.verdict}
 
 
 def convexity_check(ts, values, tol: float = 1e-9) -> ConvexityReport:
@@ -447,12 +397,3 @@ def dent_marginal_closed(t: float, eps: float) -> float:
     mass = 2.0 * math.exp(gap) * tail + 2.0 * math.exp(-gap) * core
     return -math.log(mass)
 
-
-def _num(v: float):
-    """JSON-safe float: finite floats pass through, the rest become strings."""
-    if isinstance(v, bool):
-        return v
-    v = float(v)
-    if math.isfinite(v):
-        return v
-    return "inf" if v == math.inf else ("-inf" if v == -math.inf else "nan")

@@ -10,7 +10,10 @@ this module expects, which keeps stale parameter files from silently driving
 new code.
 
 Reports serialize deterministically: two runs of the same scenario produce
-byte-identical JSON except for the ``wall_time`` field.
+byte-identical JSON except for the ``wall_time`` field.  Scenarios put raw
+values, rows and report dataclasses into each check's ``detail``; one encoder,
+``_jsonable``, turns the whole report into JSON data, writing a non-finite
+float as the string ``"inf"``, ``"-inf"`` or ``"nan"``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -41,36 +44,43 @@ DEFAULTS_VERSION = 1
 _SEED = 20210921
 
 
-def _num(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    v = float(v)
-    if math.isfinite(v):
-        return v
-    return "inf" if v == math.inf else ("-inf" if v == -math.inf else "nan")
-
-
-def _numlist(xs):
-    return [_num(v) for v in xs]
+def _jsonable(obj):
+    """``obj`` as plain JSON data: dataclasses become dicts of their fields,
+    tuples become lists, numpy scalars become Python numbers, and a non-finite
+    float becomes the string ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if math.isfinite(v):
+            return v
+        return "nan" if math.isnan(v) else ("inf" if v > 0.0 else "-inf")
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    raise TypeError(f"cannot encode a {type(obj).__name__} in a report")
 
 
 @dataclass(frozen=True)
 class Check:
-    """One named pass/fail observation with its numeric evidence."""
+    """One named pass/fail observation with its numeric evidence: a dict, or
+    a report dataclass, that ``_jsonable`` can encode."""
 
     name: str
     passed: bool
-    detail: dict
+    detail: object
 
     def __post_init__(self):
-        # verdicts computed from numpy values arrive as numpy.bool, which the
-        # json module cannot encode
+        # verdicts computed from numpy values arrive as numpy.bool; callers
+        # and the report's own ``passed`` get a plain bool
         object.__setattr__(self, "passed", bool(self.passed))
-
-    def to_jsonable(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -82,14 +92,9 @@ class RunReport:
     wall_time: float
 
     def to_jsonable(self, with_wall_time: bool = True) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "params": self.params,
-            "checks": [c.to_jsonable() for c in self.checks],
-            "passed": self.passed,
-        }
-        if with_wall_time:
-            out["wall_time"] = self.wall_time
+        out = _jsonable(self)
+        if not with_wall_time:
+            del out["wall_time"]
         return out
 
     def to_json(self, with_wall_time: bool = True) -> str:
@@ -184,14 +189,14 @@ def _prekopa_cex(p):
     errs = [abs(a - b) for a, b in zip(quad, closed)]
     checks.append(Check(
         "closed-vs-quadrature", max(errs) <= p["value_tol"],
-        {"ts": _numlist(pts), "quadrature": _numlist(quad),
-         "closed": _numlist(closed), "max_error": _num(max(errs)),
+        {"ts": pts, "quadrature": quad,
+         "closed": closed, "max_error": max(errs),
          "tol": p["value_tol"]}))
 
     ts = np.linspace(-p["grid_span"], p["grid_span"], p["grid_n"])
     curve = prekopa.sample_marginal_curve(w, line, ts)
     rep = curve.convexity(tol=p["convexity_tol"])
-    checks.append(Check("midpoint-convexity", rep.verdict, rep.to_jsonable()))
+    checks.append(Check("midpoint-convexity", rep.verdict, rep))
 
     h = p["quotient_h"]
     f = lambda t: prekopa.marginal_transform(w, line, t)
@@ -201,7 +206,7 @@ def _prekopa_cex(p):
                 and abs(left - 2 * eps) <= p["quotient_tol"])
     checks.append(Check(
         "seam-slope", slope_ok,
-        {"left": _num(left), "right": _num(right), "target": 2 * eps,
+        {"left": left, "right": right, "target": 2 * eps,
          "h": h, "tol": p["quotient_tol"]}))
     return checks
 
@@ -222,11 +227,11 @@ def _twisted_nonconvex(p):
                 and abs(right - p["frozen_side"]) <= p["frozen_tol"])
     return [
         Check("midpoint-violation", violation >= p["min_violation"],
-              {"left": _num(left), "mid": _num(mid), "right": _num(right),
-               "violation": _num(violation), "min_violation": p["min_violation"]}),
+              {"left": left, "mid": mid, "right": right,
+               "violation": violation, "min_violation": p["min_violation"]}),
         Check("localized-values", value_ok,
-              {"mid": _num(mid), "frozen_mid": p["frozen_mid"],
-               "side": _num(right), "frozen_side": p["frozen_side"],
+              {"mid": mid, "frozen_mid": p["frozen_mid"],
+               "side": right, "frozen_side": p["frozen_side"],
                "tol": p["frozen_tol"]}),
     ]
 
@@ -243,15 +248,15 @@ def _lemma1(p):
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     checks = [Check(
         "localization-convergence", decreasing and errs[-1] < p["final_error"],
-        {"rows": [r.to_jsonable() for r in rows], "final_error": p["final_error"]})]
+        {"rows": rows, "final_error": p["final_error"]})]
 
     frozen = p["frozen_values"]
     spot_ok = (abs(rows[0].value - frozen[0]) <= p["frozen_tol"]
                and abs(rows[-1].value - frozen[1]) <= p["frozen_tol"])
     checks.append(Check(
         "frozen-endpoints", spot_ok,
-        {"first": _num(rows[0].value), "last": _num(rows[-1].value),
-         "frozen": _numlist(frozen), "tol": p["frozen_tol"]}))
+        {"first": rows[0].value, "last": rows[-1].value,
+         "frozen": frozen, "tol": p["frozen_tol"]}))
 
     zero = constant_weight(0.0, 1, 1)
     a0 = AffineFiberMap.constant((0.0,), 1)
@@ -260,7 +265,7 @@ def _lemma1(p):
     for k in p["identity_ks"]:
         got = prekopa.twisted_marginal(zero, convex_localizer(k, a0), line, 0.3)
         want = -math.log1p(1.0 / k)
-        idents.append({"k": k, "value": _num(got), "target": _num(want)})
+        idents.append({"k": k, "value": got, "target": want})
         ident_ok = ident_ok and abs(got - want) <= p["identity_tol"]
     checks.append(Check("flat-identity", ident_ok,
                         {"rows": idents, "tol": p["identity_tol"]}))
@@ -271,7 +276,7 @@ def _lemma1(p):
     val = prekopa.twisted_marginal(constant_weight(0.0, 1, 1), psi, db, 0.0)
     checks.append(Check(
         "empty-neighborhood-blowup", val > p["dumbbell_threshold"],
-        {"value": _num(val), "threshold": p["dumbbell_threshold"]}))
+        {"value": val, "threshold": p["dumbbell_threshold"]}))
     return checks
 
 
@@ -288,10 +293,10 @@ def _min_principle(p):
     violation = us[1] - 0.5 * (us[0] + us[2])
     checks = [
         Check("penalized-infima", value_ok,
-              {"ts": _numlist(p["ts"]), "values": _numlist(us),
-               "expected": _numlist(expected), "tol": p["value_tol"]}),
+              {"ts": p["ts"], "values": us,
+               "expected": expected, "tol": p["value_tol"]}),
         Check("midpoint-violation", violation >= p["min_violation"],
-              {"violation": _num(violation), "min_violation": p["min_violation"]}),
+              {"violation": violation, "min_violation": p["min_violation"]}),
     ]
 
     box = [(-p["search_box"], p["search_box"])]
@@ -300,7 +305,7 @@ def _min_principle(p):
     for t in p["inf_ts"]:
         _, v = prekopa.infimum_over_fiber(w, line, t, search_box=box)
         want = max(t * t - 1.0, 0.0)
-        infs.append({"t": t, "value": _num(v), "target": _num(want)})
+        infs.append({"t": t, "value": v, "target": want})
         inf_ok = inf_ok and abs(v - want) <= p["inf_tol"]
     checks.append(Check("fiber-infimum-convex-envelope", inf_ok,
                         {"rows": infs, "tol": p["inf_tol"]}))
@@ -318,8 +323,8 @@ def _berndtsson_cex(p):
     errs = [abs(a - b) for a, b in zip(quad, closed)]
     checks.append(Check(
         "mass-closed-vs-quadrature", max(errs) <= p["mass_tol"],
-        {"z_abs": _numlist(p["z_abs"]), "quadrature": _numlist(quad),
-         "closed": _numlist(closed), "max_error": _num(max(errs)),
+        {"z_abs": p["z_abs"], "quadrature": quad,
+         "closed": closed, "max_error": max(errs),
          "tol": p["mass_tol"]}))
 
     mt = bergman.radial_moments(
@@ -328,7 +333,7 @@ def _berndtsson_cex(p):
     want = ("finite",) + ("divergent",) * p["moment_count"]
     checks.append(Check(
         "only-constants-survive", mt.statuses == want,
-        {"statuses": list(mt.statuses), "m0": _num(mt.values[0])}))
+        {"statuses": mt.statuses, "m0": mt.values[0]}))
 
     rng = np.random.default_rng(_SEED)
     pts = rng.uniform(-0.6, 0.6, size=(p["psh_centers"], 2))
@@ -337,19 +342,19 @@ def _berndtsson_cex(p):
     rep = bergman.psh_mean_value_check(u, centers, p["psh_radii"],
                                        n_angles=p["psh_angles"],
                                        tol=p["psh_tol"])
-    checks.append(Check("log-mass-submean", rep.verdict, rep.to_jsonable()))
+    checks.append(Check("log-mass-submean", rep.verdict, rep))
 
     rows = bergman.laplacian_check(eps, p["laplacian_zs"], h=p["laplacian_h"])
     lap_ok = all(r.error <= p["laplacian_tol"] for r in rows)
     checks.append(Check(
         "inner-laplacian-closed-form", lap_ok,
-        {"rows": [r.to_jsonable() for r in rows], "tol": p["laplacian_tol"]}))
+        {"rows": rows, "tol": p["laplacian_tol"]}))
 
     samples = np.linspace(0.0, p["positivity_max"], p["positivity_n"])
     vals = [bergman.berndtsson_inner_laplacian(float(z), eps) for z in samples]
     checks.append(Check(
         "inner-laplacian-positive", min(vals) > 0.0,
-        {"min": _num(min(vals)), "max": _num(max(vals)),
+        {"min": min(vals), "max": max(vals),
          "n": p["positivity_n"], "z_max": p["positivity_max"]}))
     return checks
 
@@ -365,14 +370,14 @@ def _lemma2(p):
     frozen = p["frozen_values"]
     frozen_ok = all(abs(r.value - f) <= p["frozen_tol"]
                     for r, f in zip(rows, frozen))
-    detail = {"rows": [r.to_jsonable() for r in rows]}
+    detail = {"rows": rows}
     return [
         Check("kernel-convergence",
               decreasing and errs[-1] < p["final_error"], detail),
         Check("finite-sharpness-upper-bound", upper_ok,
               {"upper_slack": p["upper_slack"]}),
         Check("frozen-values", frozen_ok,
-              {"frozen": _numlist(frozen), "tol": p["frozen_tol"]}),
+              {"frozen": frozen, "tol": p["frozen_tol"]}),
     ]
 
 
@@ -389,12 +394,12 @@ def _lemma3(p):
     final_gap = abs(rows[-1].value - limit)
     checks = [
         Check("kernel-bracket", bracket_ok,
-              {"rows": [r.to_jsonable() for r in rows], "tol": tol}),
+              {"rows": rows, "tol": tol}),
         Check("frozen-lower-bounds", frozen_ok,
-              {"frozen": _numlist(frozen), "tol": p["frozen_tol"]}),
+              {"frozen": frozen, "tol": p["frozen_tol"]}),
         Check("limit-disc-kernel", final_gap <= p["final_gap"],
-              {"value": _num(rows[-1].value), "limit": _num(limit),
-               "gap": _num(final_gap), "max_gap": p["final_gap"]}),
+              {"value": rows[-1].value, "limit": limit,
+               "gap": final_gap, "max_gap": p["final_gap"]}),
     ]
 
     small = bergman.lemma3_harness((p["ks"][0],), p["r"],
@@ -406,8 +411,8 @@ def _lemma3(p):
                 and small.value >= small.lower - tol)
     checks.append(Check(
         "shell-outside-small-domain", small_ok,
-        {"lower": _num(small.lower), "value": _num(small.value),
-         "upper": None, "expected_lower": _num(want)}))
+        {"lower": small.lower, "value": small.value,
+         "upper": None, "expected_lower": want}))
     return checks
 
 
@@ -423,14 +428,14 @@ def _midpoint_probe(p):
                                             p["dumbbell_p1"], ks)
     geo = midpoint_closure_check(db, p["dumbbell_p0"], p["dumbbell_p1"])
     checks.append(Check("dumbbell-violation", rep.verdict and not geo.in_closure,
-                        {"probe": rep.to_jsonable(),
+                        {"probe": rep,
                          "midpoint_in_closure": geo.in_closure}))
 
     ball = ball_domain((1, 1), radius=p["ball_radius"])
     rep2 = prekopa.midpoint_divergence_probe(zero, ball, p["ball_p0"],
                                              p["ball_p1"], ks)
     checks.append(Check("round-domain-clean", not rep2.verdict,
-                        {"probe": rep2.to_jsonable()}))
+                        {"probe": rep2}))
 
     pb = punctured_ball((1, 1), radius=p["ball_radius"])
     rep3 = prekopa.midpoint_divergence_probe(zero, pb, p["ball_p0"],
@@ -438,7 +443,7 @@ def _midpoint_probe(p):
     geo3 = midpoint_closure_check(pb, p["ball_p0"], p["ball_p1"])
     checks.append(Check(
         "puncture-invisible", (not rep3.verdict) and geo3.in_closure,
-        {"probe": rep3.to_jsonable(), "midpoint_in_closure": geo3.in_closure}))
+        {"probe": rep3, "midpoint_in_closure": geo3.in_closure}))
     return checks
 
 
@@ -452,13 +457,13 @@ def _disc_distance(p):
     graph = AnalyticDisc(base=(0.0, 0.5), fibers=((0.0, 0.0, 0.5),))
     rep = disc_distance_check(bd, graph, n_interior=n_i, n_boundary=n_b)
     checks.append(Check(
-        "graph-disc-gap", abs(rep.gap) <= p["gap_tol"], rep.to_jsonable()))
+        "graph-disc-gap", abs(rep.gap) <= p["gap_tol"], rep))
 
     const = AnalyticDisc(base=(0.0, p["const_base_slope"]),
                          fibers=((p["const_fiber"],),))
     rep2 = disc_distance_check(bd, const, n_interior=n_i, n_boundary=n_b)
     checks.append(Check("constant-fiber-gap", rep2.gap == 0.0,
-                        rep2.to_jsonable()))
+                        rep2))
 
     hart = hartogs_figure()
     witness = AnalyticDisc(base=(0.0, p["witness_slope"]),
@@ -466,7 +471,7 @@ def _disc_distance(p):
     rep3 = disc_distance_check(hart, witness, n_interior=n_i, n_boundary=n_b)
     checks.append(Check(
         "hartogs-witness-violation", rep3.gap < p["witness_gap_below"],
-        rep3.to_jsonable()))
+        rep3))
 
     escaper = AnalyticDisc(base=(0.0, 0.8), fibers=((p["escape_fiber"],),))
     try:
@@ -498,7 +503,7 @@ def _psh_delta(p):
                                            n_angles=n_angles, tol=p["tol"])
         worst = max(worst, rep.worst_deficit)
     checks.append(Check("bidisc-submean", worst <= p["tol"],
-                        {"worst_deficit": _num(worst), "tol": p["tol"],
+                        {"worst_deficit": worst, "tol": p["tol"],
                          "discs": len(passing)}))
 
     hart = hartogs_figure()
@@ -511,7 +516,7 @@ def _psh_delta(p):
         "hartogs-submean-violation",
         rep.worst_deficit > p["min_deficit"]
         and abs(rep.worst_deficit - expected) <= p["deficit_tol"],
-        {"deficit": _num(rep.worst_deficit), "expected": _num(expected),
+        {"deficit": rep.worst_deficit, "expected": expected,
          "min_deficit": p["min_deficit"], "tol": p["deficit_tol"]}))
     return checks
 

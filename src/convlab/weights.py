@@ -14,8 +14,8 @@ first, fiber point after it) together with the metadata the transforms need:
   recording why integrals over unbounded fibers converge.
 
 The catalog is closed: the cone penalties used for localization (a quadratic
-cone in the real case, a log cone in the complex case), the kernel-bound and
-disc-twist weights, the named counterexample weights, constants, and sums of
+cone in the real case, a log cone in the complex case), the log shell weight
+of the kernel bounds, the named counterexample weights, constants, and sums of
 these.  Constructors populate all metadata; nothing is inferred.
 """
 
@@ -32,9 +32,9 @@ from .geometry import AffineFiberMap
 from .numerics import BallVolume
 
 __all__ = [
-    "WeightField", "FixedSphereSeam", "MovingSphereSeam", "LocalizationSchedule",
-    "RadialProfile", "convex_localizer", "psh_localizer", "lemma3_weight",
-    "disc_twist_weight", "stock_weight", "constant_weight", "weight_from_fn",
+    "WeightField", "FixedSphereSeam", "MovingSphereSeam", "RadialProfile",
+    "convex_localizer", "psh_localizer", "lemma3_weight", "stock_weight",
+    "constant_weight", "weight_from_fn",
 ]
 
 _INF = math.inf
@@ -84,68 +84,25 @@ class FixedSphereSeam:
             return ()
         return ((ctr[0], ctr[1], math.sqrt(rad2)),)
 
-    def line_crossings(self, p0, direction):
-        """Parameters s with ``p0 + s*direction`` on the seam sphere."""
-        p0 = np.asarray(p0, dtype=float)
-        d = np.asarray(direction, dtype=float)
-        q0 = np.array([p0[a] - c for a, c in zip(self.axes, self.center)])
-        dv = np.array([d[a] for a in self.axes])
-        aa = float(dv @ dv)
-        bb = 2.0 * float(q0 @ dv)
-        cc = float(q0 @ q0) - self.radius * self.radius
-        if aa == 0.0:
-            return ()
-        disc = bb * bb - 4.0 * aa * cc
-        if disc <= 0.0:
-            return ()
-        s = math.sqrt(disc)
-        return ((-bb - s) / (2.0 * aa), (-bb + s) / (2.0 * aa))
-
 
 @dataclass(frozen=True)
 class MovingSphereSeam:
     """Kink locus ``|x - center_map(t)| = radius`` in the fiber, following the base."""
 
     center_map: AffineFiberMap
-    radius: object  # float, or callable(base point) -> float
-
-    def radius_at(self, t) -> float:
-        if callable(self.radius):
-            return float(self.radius(np.asarray(t, dtype=float)))
-        return float(self.radius)
+    radius: float
 
     def fiber_points(self, t, base_rdim):
         c = self.center_map.at(t)
         if c.size != 1:
             return ()
-        r = self.radius_at(t)
-        return (float(c[0]) - r, float(c[0]) + r)
+        return (float(c[0]) - self.radius, float(c[0]) + self.radius)
 
     def fiber_circles(self, t, base_rdim):
         c = self.center_map.at(t)
         if c.size != 2:
             return ()
-        return ((float(c[0]), float(c[1]), self.radius_at(t)),)
-
-    def line_crossings(self, p0, direction):
-        if callable(self.radius):
-            return ()  # radius varies along the line; no closed-form crossing
-        p0 = np.asarray(p0, dtype=float)
-        d = np.asarray(direction, dtype=float)
-        nb = self.center_map.base_rdim
-        amat = np.array(self.center_map.mat)
-        q0 = p0[nb:] - self.center_map.at(p0[:nb])
-        dv = d[nb:] - amat @ d[:nb]
-        aa = float(dv @ dv)
-        bb = 2.0 * float(q0 @ dv)
-        cc = float(q0 @ q0) - float(self.radius) ** 2
-        if aa == 0.0:
-            return ()
-        disc = bb * bb - 4.0 * aa * cc
-        if disc <= 0.0:
-            return ()
-        s = math.sqrt(disc)
-        return ((-bb - s) / (2.0 * aa), (-bb + s) / (2.0 * aa))
+        return ((float(c[0]), float(c[1]), self.radius),)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +168,6 @@ class WeightField:
             out.extend(s.fiber_circles(t, self.base_rdim))
         return tuple(out)
 
-    def line_seams(self, p0, direction) -> tuple:
-        out = []
-        for s in self.seams:
-            out.extend(s.line_crossings(p0, direction))
-        return tuple(out)
-
     def profile_at(self, t=()) -> Callable[[float], float]:
         """The radial profile r -> weight at distance r from the moving center."""
         if self.radial_fn is None:
@@ -235,7 +186,7 @@ class WeightField:
         radii = []
         for s in self.seams:
             if isinstance(s, MovingSphereSeam):
-                radii.append(s.radius_at(t))
+                radii.append(s.radius)
             elif isinstance(s, FixedSphereSeam):
                 axes, ctr, rad2 = s._fiber_reduction(t, self.base_rdim)
                 if rad2 > 0.0 and len(axes) == c.size and np.allclose(ctr, c):
@@ -327,49 +278,6 @@ def constant_weight(c: float, base_rdim: int, fiber_rdim: int) -> WeightField:
         raise InvalidParam("constant weight must be finite")
     return WeightField(fn=lambda p: c, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
                        lower_bound=c, constant=c, label=f"const({c:g})")
-
-
-# ---------------------------------------------------------------------------
-# Localization schedules
-
-
-@dataclass(frozen=True)
-class LocalizationSchedule:
-    """An increasing list of sharpness indices k with derived shell radii.
-
-    ``delta_k = k^((2n+1)/k - 1)`` marks, for the complex log-cone penalty in
-    fiber dimension n, the radius beyond which the penalty exceeds
-    ``log(sigma * k)``; ``k * delta_k`` decreases to 1, which is what makes the
-    inner-shell mass match the point value in the limit.
-    """
-
-    ks: tuple
-    n: int = 1
-
-    def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
-        if not ks or any(k < 1 for k in ks):
-            raise InvalidParam("schedule needs positive integer indices")
-        if any(a >= b for a, b in zip(ks, ks[1:])):
-            raise InvalidParam("schedule indices must be strictly increasing")
-        if self.n < 1:
-            raise InvalidParam("fiber dimension must be at least 1")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def deltas(self) -> tuple:
-        e = 2 * self.n + 1
-        return tuple(k ** (e / k - 1.0) for k in self.ks)
-
-    @property
-    def k_deltas(self) -> tuple:
-        e = 2 * self.n + 1
-        return tuple(k ** (e / k) for k in self.ks)
-
-    def k_delta_nonincreasing(self) -> bool:
-        kd = self.k_deltas
-        return all(a >= b for a, b in zip(kd, kd[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -491,45 +399,6 @@ def lemma3_weight(k: int, r: float) -> WeightField:
         radial_center=AffineFiberMap.constant((0.0, 0.0), 0),
         radial_fn=lambda t, s: cone(float(s)),
         label=f"logshell(k={k},r={r:g})",
-    )
-
-
-def disc_twist_weight(k: int, gamma: AffineFiberMap, g_coeffs, n: int = 1) -> WeightField:
-    """Nonnegative log penalty ``k * max(log|z - gamma(tau)| + Re g(tau), 0)``.
-
-    Vanishes on the moving disc ``|z - gamma(tau)| <= e^{-Re g(tau)}`` whose
-    radius is steered by the pluriharmonic term; requires ``k >= 2n + 1`` so
-    the penalty decays fast enough on plane fibers.
-    """
-    k = int(k)
-    if k < 2 * n + 1:
-        raise InvalidParam(f"need k >= {2 * n + 1} for fiber dimension {n}")
-    if gamma.fiber_rdim != 2 * n:
-        raise InvalidParam("center map does not match the fiber dimension")
-    if gamma.base_rdim != 2:
-        raise InvalidParam("disc twist expects a one-dimensional complex base")
-    coeffs = tuple(complex(c) for c in g_coeffs)
-    if not coeffs:
-        raise InvalidParam("need at least one polynomial coefficient")
-    kf = float(k)
-
-    def re_g(t) -> float:
-        tau = complex(t[0], t[1])
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * tau + c
-        return acc.real
-
-    def fn(p):
-        s = float(np.linalg.norm(p[2:] - gamma.at(p[:2])))
-        if s <= 0.0:
-            return 0.0
-        return kf * max(math.log(s) + re_g(p[:2]), 0.0)
-
-    return WeightField(
-        fn=fn, base_rdim=2, fiber_rdim=2 * n, lower_bound=0.0,
-        seams=(MovingSphereSeam(gamma, lambda t: math.exp(-re_g(t))),),
-        label=f"disctwist(k={k})",
     )
 
 

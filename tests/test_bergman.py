@@ -201,6 +201,20 @@ class TestMeanValueCheck:
         with pytest.raises(InvalidParam):
             psh_mean_value_check(lambda z: abs(z) ** 2, [0j], [0.1], tol=tol)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_radius_is_rejected(self, rho):
+        # -|z|^2 is superharmonic: a NaN radius used to certify it submean
+        with pytest.raises(InvalidParam, match="radii"):
+            psh_mean_value_check(lambda z: -(abs(z) ** 2), [0j], [rho], n_angles=8)
+
+    @pytest.mark.parametrize("u", [
+        lambda z: math.nan if z.real > 0.25 else -(abs(z) ** 2),  # part of the circle
+        lambda z: math.nan if z == 0 else -(abs(z) ** 2),  # the center
+    ])
+    def test_nan_probe_is_a_numerical_failure(self, u):
+        with pytest.raises(NonConvergent, match=r"center 0j, radius 0\.5"):
+            psh_mean_value_check(u, [0j], [0.5], n_angles=8)
+
 
 class TestHarnesses:
     def test_lemma2_rows(self):

@@ -18,15 +18,11 @@ from convlab.geometry import (
     boundary_distance,
     box_domain,
     disc_distance_check,
-    disc_region,
     dist_to_complement,
     dist_to_set,
-    domain_from_json,
-    domain_to_json,
     dumbbell,
     fiber,
     fiber_distance,
-    full_space,
     hartogs_figure,
     midpoint_closure_check,
     punctured_ball,
@@ -145,10 +141,6 @@ class TestAnalyticDisc:
         assert d.base_at(1.0 + 0j) == 0.5 + 0j
         assert d.fiber_at(2.0 + 0j) == [2.0 + 0j]
         np.testing.assert_allclose(d.eval_real(1.0 + 0j), [0.5, 0.0, 0.5, 0.0])
-
-    def test_base_constant_flag(self):
-        assert AnalyticDisc(base=(0.3,), fibers=((0.0, 1.0),)).is_base_constant()
-        assert not AnalyticDisc(base=(0.0, 1.0), fibers=((0.5,),)).is_base_constant()
 
     def test_fiber_count(self):
         d = AnalyticDisc(base=(0.0, 1.0), fibers=((0.1,), (0.0, 0.2)))
@@ -295,29 +287,3 @@ class TestBatchedRules:
         assert type(mid.in_closure) is bool
         assert all(type(v) is float for v in mid.midpoint)
 
-
-class TestDomainJson:
-    @pytest.mark.parametrize(
-        "dom",
-        [
-            ball_domain(split=(1, 1), radius=0.7),
-            box_domain((0.0,), (1.0,), split=(0, 1)),
-            full_space(split=(0, 2)),
-            punctured_ball(split=(0, 2)),
-            bidisc(),
-            hartogs_figure(0.5),
-            dumbbell(),
-            disc_region(2.0, center=1.0 + 0.5j),
-        ],
-    )
-    def test_round_trip(self, dom):
-        assert domain_from_json(domain_to_json(dom)) == dom
-
-    def test_custom_csg_round_trip(self):
-        dom = vesica()
-        assert domain_from_json(domain_to_json(dom)) == dom
-
-    @pytest.mark.parametrize("text", ["not json", "{}", '{"csg": 1, "bogus": 2}'])
-    def test_bad_descriptors(self, text):
-        with pytest.raises(InvalidParam):
-            domain_from_json(text)

@@ -12,7 +12,6 @@ from convlab.numerics import QuadConfig
 from convlab.prekopa import (
     convexity_check,
     dent_marginal_closed,
-    directional_marginal,
     infimum_over_fiber,
     localization_rows,
     marginal_transform,
@@ -105,47 +104,6 @@ class TestDentMarginal:
         rep = convexity_check(crv.ts, crv.values, tol=1e-7)
         assert rep.verdict
         assert rep.checked > 0
-
-
-class TestDirectionalMarginal:
-    def test_axis_frame_matches_gaussian(self):
-        v = directional_marginal(quadratic_weight(), (1, 0), (0, 1), 0.0)
-        np.testing.assert_allclose(v, -LOG_SQRT_PI, atol=1e-12)
-
-    @pytest.mark.parametrize("t", [0.05, 0.15, 0.4])
-    def test_axis_frame_matches_fiber_marginal(self, t):
-        w = stock_weight("prekopa_cex", 0.1)
-        np.testing.assert_allclose(
-            directional_marginal(w, (1, 0), (0, 1), t),
-            marginal_transform(w, STRIP, t),
-            atol=1e-10,
-        )
-
-    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3])
-    def test_rotation_invariance_for_radial_weight(self, theta):
-        w = stock_weight("prekopa_cex", 0.1)
-        e1 = (math.cos(theta), math.sin(theta))
-        e2 = (-math.sin(theta), math.cos(theta))
-        np.testing.assert_allclose(
-            directional_marginal(w, e1, e2, 0.15),
-            directional_marginal(w, (1, 0), (0, 1), 0.15),
-            atol=1e-9,
-        )
-
-    def test_sheared_frame_still_integrates(self):
-        # non-orthogonal frames are allowed; for the pure Gaussian the value
-        # only depends on |e2| and dist(line, origin), both checkable by hand
-        v = directional_marginal(quadratic_weight(), (1, 0), (1, 1), 0.0)
-        np.testing.assert_allclose(v, -0.5 * math.log(math.pi / 2), atol=1e-12)
-
-    def test_parallel_directions_rejected(self):
-        with pytest.raises(InvalidParam):
-            directional_marginal(quadratic_weight(), (1, 1), (2, 2), 0.0)
-
-    def test_weight_must_live_on_the_plane(self):
-        w = constant_weight(0.0, base_rdim=2, fiber_rdim=2)
-        with pytest.raises(InvalidParam):
-            directional_marginal(w, (1, 0), (0, 1), 0.0)
 
 
 class TestMeasureZeroInsensitivity:

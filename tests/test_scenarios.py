@@ -1,12 +1,14 @@
 """Scenario registry, defaults handling, report determinism, and the CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from convlab.cli import main
 from convlab.errors import InvalidParam, UnknownScenario
+from convlab.prekopa import ConvexityReport
 from convlab.scenarios import (
     DEFAULTS_VERSION,
     Check,
@@ -78,6 +80,10 @@ class TestRegistry:
         assert failed and "violation" in failed[0].name
 
 
+def _no_bare_constant(name):
+    raise AssertionError(f"report JSON holds a bare {name}")
+
+
 class TestReports:
     def test_json_is_deterministic_without_wall_time(self):
         a = run_scenario("min-principle").to_json(with_wall_time=False)
@@ -99,11 +105,18 @@ class TestReports:
     def test_numpy_scalars_serialize(self):
         check = Check("numpy-verdict", np.float64(0.5) > 0.0, {"value": np.float64(0.25)})
         assert type(check.passed) is bool
-        report = RunReport(scenario="x", params={"n": 3}, checks=(check,),
+        probe = ConvexityReport(checked=np.int64(3), skipped=0, worst_violation=math.inf,
+                                witness=(-math.inf, 0.5, math.nan), tol=1e-9,
+                                verdict=False)
+        report = RunReport(scenario="x", params={"n": 3},
+                           checks=(check, Check("report", False, {"probe": probe})),
                            passed=check.passed, wall_time=0.0)
-        doc = json.loads(report.to_json())
+        doc = json.loads(report.to_json(), parse_constant=_no_bare_constant)
         assert doc["checks"][0] == {"name": "numpy-verdict", "passed": True,
                                     "detail": {"value": 0.25}}
+        assert doc["checks"][1]["detail"] == {"probe": {
+            "checked": 3, "skipped": 0, "worst_violation": "inf",
+            "witness": ["-inf", 0.5, "nan"], "tol": 1e-9, "verdict": False}}
 
 
 class TestDefaults:
@@ -290,6 +303,10 @@ class TestCliTools:
     def test_check_psh_rejects_nan_tol(self, capsys):
         assert main(["check-psh", "--centers", "1", "--tol", "nan"]) == 3
         assert _one_line_error(capsys)
+
+    def test_check_psh_rejects_a_nan_radius(self, capsys):
+        assert main(["check-psh", "--centers", "1", "--radii", "nan"]) == 3
+        assert "radii" in capsys.readouterr().err
 
     def test_check_convex_rejects_nan_tol(self, tmp_path, capsys):
         path = tmp_path / "curve.csv"

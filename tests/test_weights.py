@@ -6,12 +6,10 @@ import pytest
 from convlab.errors import InvalidParam, UnknownName
 from convlab.geometry import AffineFiberMap
 from convlab.weights import (
-    LocalizationSchedule,
     RadialProfile,
     WeightField,
     constant_weight,
     convex_localizer,
-    disc_twist_weight,
     lemma3_weight,
     stock_weight,
     psh_localizer,
@@ -70,22 +68,6 @@ class TestPshLocalizer:
         assert psi.fiber_circle_seams(()) == ((0.0, 0.0, 0.125),)
 
 
-class TestLocalizationSchedule:
-    def test_first_delta_is_one(self):
-        # k^{(2n+1)/k - 1} equals 1 at k = 2n + 1
-        sched = LocalizationSchedule(ks=(3, 5, 8), n=1)
-        np.testing.assert_allclose(sched.deltas[0], 1.0)
-
-    def test_k_delta_decays_from_three(self):
-        sched = LocalizationSchedule(ks=(3, 4, 5, 8, 16, 64, 256), n=1)
-        assert sched.k_delta_nonincreasing()
-        kd = sched.k_deltas
-        assert all(a >= b for a, b in zip(kd, kd[1:]))
-
-    def test_small_k_breaks_monotonicity(self):
-        assert not LocalizationSchedule(ks=(2, 3, 4), n=1).k_delta_nonincreasing()
-
-
 class TestStockWeights:
     def test_dent_weight_values(self):
         dent = stock_weight("prekopa_cex", 0.1)
@@ -96,10 +78,6 @@ class TestStockWeights:
     def test_dent_seam_disappears_outside(self):
         dent = stock_weight("prekopa_cex", 0.1)
         assert dent.fiber_point_seams((0.3,)) == ()
-
-    def test_dent_line_seams(self):
-        dent = stock_weight("prekopa_cex", 0.1)
-        np.testing.assert_allclose(dent.line_seams((-1.0, 0.0), (1.0, 0.0)), (0.9, 1.1))
 
     def test_radial_dome_weight(self):
         bc = stock_weight("berndtsson_cex", 0.3)
@@ -128,14 +106,6 @@ class TestStockWeights:
         assert w.at((), (0.25, 0.0)) == 0.0
         np.testing.assert_allclose(w.at((), (1.0, 0.0)), 10.0 * math.log(2.0), rtol=1e-14)
         assert w.seam_radii_at(()) == (0.5,)
-
-    def test_disc_twist_guard(self):
-        gamma = AffineFiberMap.complex_affine(0.0)
-        with pytest.raises(InvalidParam):
-            disc_twist_weight(2, gamma, (1.0,))
-        tw = disc_twist_weight(5, gamma, (0.0, 1.0))
-        assert tw.lower_bound == 0.0
-        assert tw.at((0.0, 0.0), (0.1, 0.0)) == 0.0
 
 
 class TestWeightAlgebra:
