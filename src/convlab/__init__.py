@@ -15,8 +15,8 @@ from .errors import (ConvlabError, DiscEscapesDomain, DivergentIntegral,
                      NonConvergent, OutOfDomain, PointOutsideDomain, Unbounded,
                      UnknownName, UnknownScenario, ZeroKernel)
 from .numerics import (BallVolume, MinConfig, QuadConfig, integrate_1d,
-                       integrate_fiber, kahan_total, minimize_over_fiber,
-                       skirt_ladder)
+                       integrate_fiber, integrate_radial_2d, kahan_total,
+                       minimize_over_fiber, second_difference, skirt_ladder)
 from .geometry import (AffineFiberMap, AnalyticDisc, Ball, Box, Complement,
                        Domain, Empty, FiberDomain, Full, Intersection, Union,
                        ball_domain, bidisc, boundary_distance, box_domain,

@@ -18,8 +18,10 @@ from convlab.numerics import (
     QuadConfig,
     integrate_1d,
     integrate_fiber,
+    integrate_radial_2d,
     kahan_total,
     minimize_over_fiber,
+    second_difference,
     skirt_ladder,
 )
 
@@ -289,6 +291,17 @@ class TestIntegrateFiber:
         assert _bits(integrate_fiber(tensor, fd, circle_seams=seams)) == _bits(first)
 
 
+class TestIntegrateRadial2d:
+    def test_gaussian_plane(self):
+        val = integrate_radial_2d(lambda r: math.exp(-r * r))
+        np.testing.assert_allclose(val, math.pi, rtol=1e-11)
+
+    def test_piecewise_profile_with_seam(self):
+        g = lambda r: 1.0 if r <= 1.0 else math.exp(-(r - 1.0))
+        val = integrate_radial_2d(g, seam_radii=(1.0,))
+        np.testing.assert_allclose(val, 5.0 * math.pi, rtol=1e-11)
+
+
 class TestMinimizeOverFiber:
     def test_interior_minimum(self):
         dom = box_domain((-1.0,), (2.0,), split=(0, 1))
@@ -320,6 +333,16 @@ class TestMinimizeOverFiber:
         arg, val = minimize_over_fiber(f, fd, cfg=MinConfig(grid_points=65))
         np.testing.assert_allclose(arg, [0.2, -0.1], atol=1e-7)
         assert val < 1e-13
+
+
+class TestSecondDifference:
+    def test_parabola(self):
+        d2 = second_difference(lambda x: x * x, 0.3, 1e-4)
+        np.testing.assert_allclose(d2, 2e-8, rtol=1e-6)
+
+    def test_affine_vanishes(self):
+        d2 = second_difference(lambda x: 3.0 * x - 1.0, 0.5, 1e-4)
+        assert abs(d2) < 1e-15
 
 
 class TestQuadConfig:
