@@ -19,6 +19,14 @@ moment-divergence audit ("which monomials carry finite mass at all"), the
 log-kernel curve along a base variable with its closed-form twin, mean-value
 audits for subharmonicity, and a five-point Laplacian check against a closed
 form.
+
+The mean-value audit evaluates its function as an array map: one call on all
+centers and one call per probe circle, each on a complex array of points and
+returning real values of the same shape.  The log dent closed forms are
+elementwise in ``|z|`` (a float in gives a float out), so composed with
+``abs`` they are such a map.  A function that can only take one point at a
+time is wrapped by its caller in a loop over the points (``np.vectorize``
+does it); that per-point adapter is the only scalar loop of the audit.
 """
 
 from __future__ import annotations
@@ -240,23 +248,43 @@ def berndtsson_profile(z: complex, eps: float) -> RadialProfile:
     )
 
 
-def berndtsson_m0_closed(z_abs: float, eps: float) -> float:
-    """Closed-form mass of the log dent fiber: derived by the substitution
-    u = r^2, which makes the integrand an exact power of (1 + |c + u|)."""
+def _log_dent_mass(z_abs, eps: float) -> np.ndarray:
+    """Both branches of the log dent fiber mass, elementwise over ``z_abs``."""
     if not (0.0 < eps < 1.0):
         raise InvalidParam("needs eps in (0, 1)")
-    z_abs = abs(float(z_abs))
-    if not math.isfinite(z_abs * z_abs):
+    za = np.abs(np.asarray(z_abs, dtype=float))
+    with np.errstate(over="ignore"):
+        zz = za * za
+    if not np.isfinite(zz).all():
         raise InvalidParam("base point must have a finite |z|^2")
-    if z_abs >= eps:
-        return 2.0 * math.pi / math.sqrt(1.0 - eps * eps + z_abs * z_abs)
-    return 4.0 * math.pi - 2.0 * math.pi / math.sqrt(1.0 + eps * eps - z_abs * z_abs)
+    outer = za >= eps
+    # each branch's radicand is positive on its own side of |z| = eps, so
+    # choosing it first leaves no unused branch to evaluate
+    s = 2.0 * math.pi / np.sqrt(np.where(outer, 1.0 - eps * eps + zz,
+                                          1.0 + eps * eps - zz))
+    return np.where(outer, s, 4.0 * math.pi - s)
 
 
-def berndtsson_phi_closed(z_abs: float, eps: float) -> float:
+def _like(z_abs, value: np.ndarray):
+    """A Python float for a scalar ``z_abs``, else the array itself."""
+    return float(value) if np.ndim(z_abs) == 0 else value
+
+
+def berndtsson_m0_closed(z_abs, eps: float):
+    """Closed-form mass of the log dent fiber: derived by the substitution
+    u = r^2, which makes the integrand an exact power of (1 + |c + u|).
+
+    Elementwise: a float ``z_abs`` gives a float, an array gives an array of
+    its shape.  A non-finite ``|z|^2`` anywhere raises InvalidParam."""
+    return _like(z_abs, _log_dent_mass(z_abs, eps))
+
+
+def berndtsson_phi_closed(z_abs, eps: float):
     """Closed form of the log-kernel curve ``-log B(z) = log m_0(z)`` ... with
-    the sign convention that the curve is minus the log of the fiber mass."""
-    return -math.log(berndtsson_m0_closed(z_abs, eps))
+    the sign convention that the curve is minus the log of the fiber mass.
+
+    Elementwise, like ``berndtsson_m0_closed``."""
+    return _like(z_abs, -np.log(_log_dent_mass(z_abs, eps)))
 
 
 def berndtsson_phi_curve(eps: float, z_abs_list, cfg: QuadConfig | None = None) -> list:
@@ -343,9 +371,24 @@ class PshReport:
     verdict: bool
 
 
-def psh_mean_value_check(u: Callable[[complex], float], centers, radii,
+def _on_points(u: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
+    """``u`` at every point of the complex array ``z``, checked for shape."""
+    v = np.asarray(u(z))
+    if v.shape != z.shape:
+        raise InvalidParam(f"u must map an array of points to values of the same "
+                           f"shape: got {v.shape} for {z.shape}")
+    return v
+
+
+def psh_mean_value_check(u: Callable[[np.ndarray], np.ndarray], centers, radii,
                          n_angles: int = 1024, tol: float = 0.0) -> PshReport:
     """Sub-mean-value audit: ``u(c) <= circle average`` for every (c, radius).
+
+    ``u`` is an array map: it takes a complex array of points and returns the
+    real values there, in the same shape (InvalidParam otherwise).  It is
+    called once on all centers and once per (center, radius) circle on
+    ``c + radius * angles``; a function of one point at a time is wrapped in
+    a loop over the points by its caller (``np.vectorize`` does it).
 
     The worst deficit ``u(c) - average`` over all probes is reported; a
     positive deficit beyond tol is a certified subharmonicity failure at the
@@ -358,20 +401,20 @@ def psh_mean_value_check(u: Callable[[complex], float], centers, radii,
         raise InvalidParam("need at least 8 angles")
     if not math.isfinite(tol):
         raise InvalidParam("tol must be finite")
-    centers, radii = list(centers), [float(rho) for rho in radii]
+    centers, radii = [complex(c) for c in centers], [float(rho) for rho in radii]
     if not centers or not radii:
         raise InvalidParam("need at least one center and one radius")
     if not all(math.isfinite(rho) and rho > 0.0 for rho in radii):
         raise InvalidParam("probe radii must be positive and finite")
     angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    at_centers = _on_points(u, np.array(centers, dtype=complex))
     worst = -math.inf
     witness = None
     checked = 0
-    for c in centers:
-        c = complex(c)
-        uc = float(u(c))
+    for c, uc in zip(centers, at_centers):
+        uc = float(uc)
         for rho in radii:
-            mean = float(np.mean([u(c + rho * a) for a in angles]))
+            mean = float(np.mean(_on_points(u, c + rho * angles)))
             deficit = uc - mean
             if math.isnan(deficit):
                 # a NaN deficit never compares above the worst one, so the

@@ -3,7 +3,9 @@
 Exit codes are part of the contract: 0 when everything asked for passed,
 1 when a check ran to completion and failed, 2 when a numerical routine gave
 up (divergent integral, exhausted panels, singular gram matrix, ...), and
-3 for bad invocations -- unknown scenarios, malformed arguments, bad files.
+3 for bad invocations -- unknown scenarios, malformed arguments, bad files,
+and sizes (``--n``, ``--angles``, ...) too large to allocate, which end in one
+``error:`` line rather than a traceback.
 """
 
 from __future__ import annotations
@@ -203,6 +205,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except ConvlabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -6,8 +6,6 @@ reduces to a handful of numerical primitives collected here:
 * ``integrate_1d`` -- adaptive Gauss--Kronrod (7/15) panels with interval
   bisection, caller-registered breakpoints, and improper tails handled by
   doubling windows with an empirical Cauchy test.
-* ``integrate_radial_2d`` -- plane integrals of radial profiles via
-  ``2*pi * int r g(r) dr``.
 * ``integrate_fiber`` -- integration over one- and two-dimensional fiber
   regions described by interval decompositions (tensor quadrature with exact
   per-abscissa slicing; no rejection masks).
@@ -67,10 +65,8 @@ __all__ = [
     "MinConfig",
     "BallVolume",
     "integrate_1d",
-    "integrate_radial_2d",
     "integrate_fiber",
     "minimize_over_fiber",
-    "second_difference",
     "kahan_total",
     "skirt_ladder",
     "DEFAULT_QUAD",
@@ -451,18 +447,6 @@ def integrate_1d(f, a: float, b: float, cfg: QuadConfig | None = None, breakpoin
     return kahan_total(p[1] for p in pieces)
 
 
-def integrate_radial_2d(g, cfg: QuadConfig | None = None, seam_radii=()):
-    """Plane integral of a radial profile: 2*pi * int_0^inf g(r) r dr.
-
-    ``seam_radii`` registers radii where g has kinks.  DivergentIntegral is
-    raised when the tail never settles (the plane integral diverges).
-    """
-    cfg = cfg or DEFAULT_QUAD
-    radii = [float(r) for r in seam_radii if r > 0.0 and math.isfinite(r)]
-    inner = integrate_1d(lambda r: g(r) * r, 0.0, math.inf, cfg, breakpoints=radii)
-    return 2.0 * math.pi * inner
-
-
 def _circle_crossings(x: float, circles) -> list[float]:
     out = []
     for (cx, cy, r) in circles:
@@ -658,19 +642,3 @@ def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None)
         ])
     return best_pt, best_val
 
-
-def second_difference(f, t: float, h: float, domain: tuple[float, float] | None = None) -> float:
-    """Central second difference f(t-h) - 2 f(t) + f(t+h).
-
-    When ``domain`` is given, all three sample points must lie inside it;
-    otherwise OutOfDomain is raised.
-    """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise InvalidParam("h must be positive and finite")
-    if domain is not None:
-        lo, hi = domain
-        if not (lo <= t - h and t + h <= hi):
-            raise OutOfDomain(
-                f"stencil [{t - h}, {t + h}] leaves the declared domain [{lo}, {hi}]"
-            )
-    return f(t - h) - 2.0 * f(t) + f(t + h)

@@ -7,7 +7,10 @@ numeric evidence.  The registry is closed -- exactly the ten scenarios below
 is reproducible from the package alone.  ``CONVLAB_DEFAULTS`` points the
 loader at an alternative defaults file; its ``version`` field must match what
 this module expects, which keeps stale parameter files from silently driving
-new code.
+new code.  Such a file, and the overrides passed to ``run_scenario``, must give
+each parameter the JSON type of its packaged default: an int stays an int, a
+float may be written as an int, a bool is never a number, and a list is
+checked element by element.
 
 Reports serialize deterministically: two runs of the same scenario produce
 byte-identical JSON except for the ``wall_time`` field.  Scenarios put raw
@@ -106,6 +109,35 @@ class RunReport:
 # Defaults
 
 
+def _packaged_defaults() -> dict:
+    return json.loads(
+        resources.files("convlab").joinpath("defaults.json").read_text())
+
+
+def _fits(default, value) -> bool:
+    """Whether ``value`` has the JSON type of ``default``: an int must be an
+    int, a float may be an int or a float, a bool is never a number, and each
+    element of a list must fit an element of the default list."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            any(_fits(d, v) for d in default) for v in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _check_types(name: str, params: dict, packaged: dict) -> None:
+    """Reject a parameter of scenario ``name`` whose JSON type differs from
+    that of its packaged default."""
+    for key, value in params.items():
+        if not _fits(packaged[key], value):
+            raise InvalidParam(
+                f"{name} parameter {key} = {value!r} does not have the JSON "
+                f"type of its default {packaged[key]!r}")
+
+
 def load_defaults() -> dict:
     """Scenario parameter defaults, from the packaged file or CONVLAB_DEFAULTS."""
     path = os.environ.get("CONVLAB_DEFAULTS")
@@ -118,8 +150,7 @@ def load_defaults() -> dict:
         except ValueError as exc:  # malformed JSON or text encoding
             raise InvalidParam(f"defaults file {path} is not valid JSON: {exc}") from exc
     else:
-        data = json.loads(
-            resources.files("convlab").joinpath("defaults.json").read_text())
+        data = _packaged_defaults()
     if not isinstance(data, dict):
         raise InvalidParam(
             f"defaults file must hold a JSON object, not {type(data).__name__}")
@@ -132,6 +163,16 @@ def load_defaults() -> dict:
         raise InvalidParam("defaults file does not cover exactly the registered scenarios")
     if not all(isinstance(v, dict) for v in scen.values()):
         raise InvalidParam("defaults file gives a scenario's parameters as a non-object")
+    if path:
+        packaged = _packaged_defaults()["scenarios"]
+        for name, params in scen.items():
+            missing = set(packaged[name]) - set(params)
+            unknown = set(params) - set(packaged[name])
+            if missing or unknown:
+                raise InvalidParam(
+                    f"defaults file gives {name} the wrong parameters: missing "
+                    f"{sorted(missing)}, unknown {sorted(unknown)}")
+            _check_types(name, params, packaged[name])
     return data
 
 
@@ -163,6 +204,7 @@ def run_scenario(name: str, overrides: dict | None = None) -> RunReport:
         unknown = set(overrides) - set(params)
         if unknown:
             raise InvalidParam(f"unknown parameters for {name}: {sorted(unknown)}")
+        _check_types(name, overrides, _packaged_defaults()["scenarios"][name])
         params.update(overrides)
     start = time.perf_counter()
     checks = tuple(fn(params))
@@ -522,9 +564,9 @@ def _psh_delta(p):
 
 
 def _disc_log_distance(domain, disc):
-    """-log of the fiber boundary distance along an analytic disc."""
-    def u(w: complex) -> float:
-        tau = disc.base_at(w)
-        z = disc.fiber_at(w)
-        return -math.log(fiber_distance(domain, tau, z))
-    return u
+    """-log of the fiber boundary distance along an analytic disc, as an array
+    map for ``psh_mean_value_check``.  The fiber changes with every point, so
+    this is a loop over the points."""
+    def at(w: complex) -> float:
+        return -math.log(fiber_distance(domain, disc.base_at(w), disc.fiber_at(w)))
+    return np.vectorize(at, otypes=[float])

@@ -148,7 +148,7 @@ def test_c05_disc_twist_kernel_mass(capsys):
     ok &= worst <= 1e-08
     elapsed = time.perf_counter() - t0
     _emit(capsys, 5, ok,
-          "disc-twist fiber mass matches both branches to 1e-08, higher "
+          "log dent fiber mass matches both branches to 1e-08, higher "
           "moments diverge, log-mass sub-mean at 1e-07, inner laplacian "
           f"positive and matches closed form to 1e-05 (curve error {worst:.1e})",
           elapsed)

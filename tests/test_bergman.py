@@ -208,12 +208,90 @@ class TestMeanValueCheck:
             psh_mean_value_check(lambda z: -(abs(z) ** 2), [0j], [rho], n_angles=8)
 
     @pytest.mark.parametrize("u", [
-        lambda z: math.nan if z.real > 0.25 else -(abs(z) ** 2),  # part of the circle
-        lambda z: math.nan if z == 0 else -(abs(z) ** 2),  # the center
+        lambda z: np.where(z.real > 0.25, np.nan, -abs(z) ** 2),  # part of the circle
+        lambda z: np.where(z == 0, np.nan, -abs(z) ** 2),  # the center
     ])
     def test_nan_probe_is_a_numerical_failure(self, u):
         with pytest.raises(NonConvergent, match=r"center 0j, radius 0\.5"):
             psh_mean_value_check(u, [0j], [0.5], n_angles=8)
+
+    def test_u_must_keep_the_shape_of_the_points(self):
+        with pytest.raises(InvalidParam, match="shape"):
+            psh_mean_value_check(lambda z: 1.0, [0j], [0.5], n_angles=8)
+
+    def test_closed_form_audit_matches_the_per_point_loop(self):
+        centers = [complex(a, b) for a, b in
+                   np.random.default_rng(7).uniform(-0.6, 0.6, size=(6, 2))]
+        radii, n_angles = [0.05, 0.1], 512
+        rep = psh_mean_value_check(lambda z: berndtsson_phi_closed(abs(z), EPS),
+                                   centers, radii, n_angles=n_angles)
+        checked, worst, witness = _per_point_audit(
+            lambda z: -math.log(_m0_by_math(abs(z), EPS)), centers, radii, n_angles)
+        assert (rep.checked, rep.witness) == (checked, witness)
+        assert abs(rep.worst_deficit - worst) <= 1e-15
+
+    def test_circle_points_are_the_per_point_ones(self):
+        seen = []
+
+        def u(z):
+            seen.append(z.copy())
+            return -abs(z) ** 2
+
+        c, rho, n_angles = 0.1 - 0.2j, 0.3, 64
+        psh_mean_value_check(u, [c], [rho], n_angles=n_angles)
+        angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+        assert seen[0].tolist() == [c]
+        assert seen[1].tolist() == [c + rho * a for a in angles]
+
+
+def _m0_by_math(z_abs, eps):
+    """The log dent fiber mass written with ``math``, one point at a time."""
+    z_abs = abs(float(z_abs))
+    if z_abs >= eps:
+        return 2.0 * math.pi / math.sqrt(1.0 - eps * eps + z_abs * z_abs)
+    return 4.0 * math.pi - 2.0 * math.pi / math.sqrt(1.0 + eps * eps - z_abs * z_abs)
+
+
+def _per_point_audit(u, centers, radii, n_angles):
+    """The sub-mean audit as a loop calling ``u`` at one point at a time."""
+    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    worst, witness, checked = -math.inf, None, 0
+    for c in centers:
+        uc = float(u(c))
+        for rho in radii:
+            deficit = uc - float(np.mean([u(c + rho * a) for a in angles]))
+            checked += 1
+            if deficit > worst:
+                worst, witness = deficit, (c.real, c.imag, rho)
+    return checked, worst, witness
+
+
+class TestClosedFormsOnArrays:
+    # 0 and 0.1 lie inside the dent, EPS on its edge, 1.2 > sqrt(1 + EPS^2)
+    Z = np.array([[0.0, 0.1, EPS, 0.6], [1.2, -2.0, 50.0, 1e100]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_both_branches_match_the_math_formulas(self):
+        m0 = berndtsson_m0_closed(self.Z, EPS)
+        phi = berndtsson_phi_closed(self.Z, EPS)
+        assert m0.shape == phi.shape == self.Z.shape
+        want = np.array([[_m0_by_math(z, EPS) for z in row] for row in self.Z])
+        np.testing.assert_allclose(m0, want, rtol=1e-15)
+        np.testing.assert_allclose(phi, [[-math.log(m) for m in row] for row in want],
+                                   rtol=1e-15)
+
+    def test_a_float_gives_a_float(self):
+        for closed in (berndtsson_m0_closed, berndtsson_phi_closed):
+            assert type(closed(0.1, EPS)) is float
+            assert type(closed(np.float64(0.6), EPS)) is float
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_a_non_finite_square_anywhere_is_rejected_without_warning(self, bad):
+        z = np.array([0.0, 0.6, bad, 1.2])
+        for closed in (berndtsson_m0_closed, berndtsson_phi_closed):
+            with pytest.raises(InvalidParam):
+                closed(z, EPS)
 
 
 class TestHarnesses:

@@ -156,6 +156,45 @@ class TestDefaults:
         with pytest.raises(InvalidParam):
             load_defaults()
 
+    @pytest.mark.parametrize("scenario,key,value", [
+        ("prekopa-cex", "grid_n", "501"),
+        ("lemma3", "ks", [10, 30, 1.5]),
+        ("prekopa-cex", "grid_n", True),  # a bool is never a number
+        ("min-principle", "value_tol", False),
+        ("berndtsson-cex", "psh_radii", 0.05),
+    ])
+    def test_parameter_of_the_wrong_json_type_exits_three(
+            self, tmp_path, monkeypatch, capsys, scenario, key, value):
+        def mutate(sc):
+            sc[scenario][key] = value
+        write_defaults(tmp_path, monkeypatch, mutate)
+        with pytest.raises(InvalidParam, match=key):
+            load_defaults()
+        assert main(["run", scenario]) == 3
+        assert _one_line_error(capsys)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda sc: sc["lemma3"].pop("degree"),
+        lambda sc: sc["lemma3"].update(degre=8),
+    ])
+    def test_missing_or_unknown_parameter_rejected(self, tmp_path, monkeypatch, mutate):
+        write_defaults(tmp_path, monkeypatch, mutate)
+        with pytest.raises(InvalidParam, match="degre"):
+            load_defaults()
+
+    def test_a_float_may_be_written_as_an_int(self, tmp_path, monkeypatch):
+        def mutate(sc):
+            sc["min-principle"]["value_tol"] = 1
+            sc["lemma1"]["frozen_values"] = [1, 0.5]
+        write_defaults(tmp_path, monkeypatch, mutate)
+        assert load_defaults()["scenarios"]["min-principle"]["value_tol"] == 1
+
+    @pytest.mark.parametrize("overrides", [{"k": 64.0}, {"k": "64"}, {"k": True},
+                                           {"ts": [0.0, "0.4", 0.8]}])
+    def test_override_of_the_wrong_json_type_rejected(self, overrides):
+        with pytest.raises(InvalidParam, match="does not have the JSON type"):
+            run_scenario("min-principle", overrides)
+
 
 class TestCliRun:
     def test_list(self, capsys):
@@ -312,6 +351,16 @@ class TestCliTools:
         path = tmp_path / "curve.csv"
         path.write_text("t,value\n0,0\n1,1\n2,4\n")
         assert main(["check-convex", str(path), "--tol", "nan"]) == 3
+        assert _one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["check-psh", "--centers", "1", "--angles", "1000000000000000000"],
+        ["marginal", "--n", "1000000000000000000"],
+    ])
+    def test_a_size_too_large_to_allocate_exits_three(self, argv, capsys):
+        # 10^18 eight-byte numbers exceed the address space: allocation fails at
+        # once, without touching memory
+        assert main(argv) == 3
         assert _one_line_error(capsys)
 
     def test_bergman_rejects_nan_base_point(self, capsys):
