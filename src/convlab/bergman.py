@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -380,6 +381,15 @@ def _on_points(u: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarr
     return v
 
 
+@lru_cache(maxsize=8)
+def _circle(n_angles: int) -> np.ndarray:
+    """The ``n_angles`` equally spaced points of the unit circle from 1,
+    shared between calls and read-only."""
+    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    angles.flags.writeable = False
+    return angles
+
+
 def psh_mean_value_check(u: Callable[[np.ndarray], np.ndarray], centers, radii,
                          n_angles: int = 1024, tol: float = 0.0) -> PshReport:
     """Sub-mean-value audit: ``u(c) <= circle average`` for every (c, radius).
@@ -406,7 +416,7 @@ def psh_mean_value_check(u: Callable[[np.ndarray], np.ndarray], centers, radii,
         raise InvalidParam("need at least one center and one radius")
     if not all(math.isfinite(rho) and rho > 0.0 for rho in radii):
         raise InvalidParam("probe radii must be positive and finite")
-    angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    angles = _circle(n_angles)
     at_centers = _on_points(u, np.array(centers, dtype=complex))
     worst = -math.inf
     witness = None

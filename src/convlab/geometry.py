@@ -20,23 +20,40 @@ Three consumers drive the design:
 * the disc criterion wants deterministic sampling of closed analytic discs
   with the boundary samples a literal subset of the disc samples.
 
-Points are real coordinate vectors.  ``Node.member``, ``Node.closed_member``,
-``dist_to_complement`` and ``dist_to_set`` take either one point, shape
-``(rdim,)``, or a coordinate-major batch of N points, shape ``(rdim, N)``:
-``p[a]`` is then coordinate ``a`` of every point at once.  They answer per
-point -- a numpy scalar for one point, an ``(N,)`` array for a batch -- and a
-batch column gets exactly the bits that the same point gets alone.  Exact
-flags broadcast against the values: a plain ``True``/``False`` where the flag
-is the same for every point.  The ``Domain`` and ``FiberDomain`` methods and
-the probes built on them take one point and return Python scalars.
+Each node class holds its own rules as methods: ``member`` and
+``closed_member``; ``slice_first`` and ``bounds``; ``intervals``, the
+open-interval decomposition of a one-dimensional node; ``critical_points``,
+the abscissae where a slice can change shape; ``dist_to_complement``; and
+``dist_outside``, the distance to the closure from a point outside it.  The
+module functions ``node_intervals``, ``_critical_points``,
+``dist_to_complement`` and ``dist_to_set`` are the entry points and also the
+recursion step: a union, intersection or complement reaches each child
+through them, one call per node visited.  ``dist_to_set`` answers ``0.0``
+inside the closure and asks ``dist_outside`` elsewhere.
+
+Points are real coordinate vectors.  The rules take one point -- an
+``(rdim,)`` array or a list of Python floats -- or a coordinate-major batch of
+N points, shape ``(rdim, N)``: ``p[a]`` is then coordinate ``a`` of every
+point at once.  They answer per point: a scalar for one point, an ``(N,)``
+array for a batch.  The same code serves both; on scalars it uses
+``math.sqrt`` and comparisons where a batch uses ``np.sqrt``,
+``np.minimum`` and ``np.maximum``, with the same bits, NaNs and signed zeros
+included, so a batch column gets exactly the bits that the same point gets
+alone.  Exact flags broadcast against the values: a plain ``True``/``False``
+where the flag is the same for every point.
+
+The ``Domain`` and ``FiberDomain`` methods and the probes built on them
+(``boundary_distance``, ``fiber_distance``, ``midpoint_closure_check``) take
+one point, pack it as a list of Python floats (a complex coordinate becomes
+its real and imaginary parts, in that order) and return Python scalars: a
+``bool`` for membership, a ``float`` for a distance.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -63,15 +80,49 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _CHUNK = 4096
 
 
+# Elementwise helpers.  For one point a rule sees floats (Python or numpy) and
+# bools and takes the scalar branch, which gives the bits of the numpy call.
+
+
+def _is_batch(p) -> bool:
+    return getattr(p, "ndim", 1) > 1
+
+
 def _fill(p, value):
-    """``value`` at every point of ``p``: a numpy scalar, or an (N,) array."""
-    return np.full(p.shape[1:], value)[()]
+    """``value`` at every point of ``p``: an (N,) array for a batch."""
+    return np.full(p.shape[1:], value) if _is_batch(p) else value
+
+
+def _all(flags) -> bool:
+    return flags if type(flags) is bool else flags.all()
+
+
+def _sqrt(x):
+    """np.sqrt of a sum of squares (never negative)."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _minimum(a, b):
+    """np.minimum: ``a`` when it is smaller or NaN, else ``b`` (ties give ``b``)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a if a < b or a != a else b
+    return np.minimum(a, b)
+
+
+def _maximum(a, b):
+    """np.maximum: ``a`` when it is larger or NaN, else ``b`` (ties give ``b``)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a if a > b or a != a else b
+    return np.maximum(a, b)
 
 
 def _sum_squares(xs):
     """x0*x0 + x1*x1 + ..., left to right.  Not ``x ** 2``: a numpy scalar's
     power goes through ``pow``, which can miss the array square by an ulp."""
-    return reduce(operator.add, (x * x for x in xs))
+    total = 0.0
+    for x in xs:
+        total = total + x * x
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +141,29 @@ class Node:
     def axes_set(self) -> frozenset:
         raise NotImplementedError
 
-    def slice_first(self, t: np.ndarray, nb: int) -> "Node":
+    def slice_first(self, t, nb: int) -> "Node":
         """Fix the first ``nb`` coordinates to ``t``; remaining axes shift down."""
         raise NotImplementedError
 
     def bounds(self, dim: int):
         raise NotImplementedError
 
+    def intervals(self) -> list:
+        """Open-interval decomposition, for a one-dimensional node."""
+        raise InvalidParam(f"cannot decompose node of type {type(self).__name__}")
 
-def _shift_axes(axes, nb):
-    return tuple(a - nb for a in axes)
+    def critical_points(self, axis: int) -> list:
+        """Abscissae along ``axis`` where the slice structure can change."""
+        return []
+
+    def dist_to_complement(self, p):
+        """(signed distance from p to the complement, exact flag)."""
+        raise InvalidParam(f"no distance rule for {type(self).__name__}")
+
+    def dist_outside(self, p):
+        """(distance from p to the closure, exact flag), where p is outside
+        the closure; ``dist_to_set`` masks the points inside."""
+        raise InvalidParam(f"no distance rule for {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +179,16 @@ class Ball(Node):
             raise InvalidParam("ball needs at least one axis")
         if self.radius < 0.0:
             raise InvalidParam("ball radius must be nonnegative")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
+        object.__setattr__(self, "axes", tuple(map(int, self.axes)))
 
     def _dist2(self, p):
-        return _sum_squares(p[a] - c for a, c in zip(self.axes, self.center))
+        d2 = 0.0  # _sum_squares, inlined: it runs once per ball per query
+        for a, c in zip(self.axes, self.center):
+            d = p[a] - c
+            d2 = d2 + d * d
+        return d2
 
     def member(self, p):
         return self._dist2(p) < self.radius * self.radius
@@ -132,19 +200,21 @@ class Ball(Node):
         return frozenset(self.axes)
 
     def slice_first(self, t, nb):
-        base = [(a, c) for a, c in zip(self.axes, self.center) if a < nb]
-        fib = [(a, c) for a, c in zip(self.axes, self.center) if a >= nb]
-        if not fib:
-            return Full() if self.member_partial(t, base) else Empty()
-        off2 = sum((t[a] - c) ** 2 for a, c in base)
-        rad2 = self.radius * self.radius - off2
+        off2 = 0
+        fib_axes, fib_center = [], []
+        for a, c in zip(self.axes, self.center):
+            if a < nb:
+                off2 = off2 + (t[a] - c) ** 2
+            else:
+                fib_axes.append(a - nb)
+                fib_center.append(c)
+        r2 = self.radius * self.radius
+        if not fib_axes:
+            return Full() if off2 < r2 else Empty()
+        rad2 = r2 - off2
         if rad2 <= 0.0:
             return Empty()
-        return Ball(tuple(c for _, c in fib), math.sqrt(rad2),
-                    _shift_axes((a for a, _ in fib), nb))
-
-    def member_partial(self, t, base):
-        return sum((t[a] - c) ** 2 for a, c in base) < self.radius * self.radius
+        return Ball(tuple(fib_center), math.sqrt(rad2), tuple(fib_axes))
 
     def bounds(self, dim):
         lo = np.full(dim, -_INF)
@@ -153,6 +223,25 @@ class Ball(Node):
             lo[a] = c - self.radius
             hi[a] = c + self.radius
         return lo, hi
+
+    def intervals(self):
+        (c,) = self.center
+        if self.radius <= 0.0:
+            return []
+        return [(c - self.radius, c + self.radius)]
+
+    def critical_points(self, axis):
+        out = []
+        for a, c in zip(self.axes, self.center):
+            if a == axis:
+                out.extend((c - self.radius, c + self.radius, c))
+        return out
+
+    def dist_to_complement(self, p):
+        return self.radius - _sqrt(self._dist2(p)), True
+
+    def dist_outside(self, p):
+        return _maximum(_sqrt(self._dist2(p)) - self.radius, 0.0), True
 
 
 @dataclass(frozen=True)
@@ -171,12 +260,16 @@ class Box(Node):
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
 
     def member(self, p):
-        return reduce(operator.and_, ((l < p[a]) & (p[a] < h)
-                                      for a, l, h in zip(self.axes, self.lo, self.hi)))
+        out = True
+        for a, l, h in zip(self.axes, self.lo, self.hi):
+            out = out & (l < p[a]) & (p[a] < h)
+        return out
 
     def closed_member(self, p):
-        return reduce(operator.and_, ((l <= p[a]) & (p[a] <= h)
-                                      for a, l, h in zip(self.axes, self.lo, self.hi)))
+        out = True
+        for a, l, h in zip(self.axes, self.lo, self.hi):
+            out = out & (l <= p[a]) & (p[a] <= h)
+        return out
 
     def axes_set(self):
         return frozenset(self.axes)
@@ -203,6 +296,27 @@ class Box(Node):
             hi[a] = h
         return lo, hi
 
+    def intervals(self):
+        (l,), (h,) = self.lo, self.hi
+        return [(l, h)] if h > l else []
+
+    def critical_points(self, axis):
+        out = []
+        for a, l, h in zip(self.axes, self.lo, self.hi):
+            if a == axis:
+                out.extend((l, h))
+        return out
+
+    def dist_to_complement(self, p):
+        v = _INF
+        for a, l, h in zip(self.axes, self.lo, self.hi):
+            v = _minimum(v, _minimum(p[a] - l, h - p[a]))
+        return v, True
+
+    def dist_outside(self, p):
+        return _sqrt(_sum_squares([_maximum(_maximum(l - p[a], p[a] - h), 0.0)
+                                   for a, l, h in zip(self.axes, self.lo, self.hi)])), True
+
 
 @dataclass(frozen=True)
 class Full(Node):
@@ -220,6 +334,12 @@ class Full(Node):
 
     def bounds(self, dim):
         return np.full(dim, -_INF), np.full(dim, _INF)
+
+    def intervals(self):
+        return [(-_INF, _INF)]
+
+    def dist_to_complement(self, p):
+        return _fill(p, _INF), True
 
 
 @dataclass(frozen=True)
@@ -239,6 +359,15 @@ class Empty(Node):
     def bounds(self, dim):
         return np.full(dim, _INF), np.full(dim, -_INF)
 
+    def intervals(self):
+        return []
+
+    def dist_to_complement(self, p):
+        return _fill(p, 0.0), True
+
+    def dist_outside(self, p):
+        return _fill(p, _INF), True
+
 
 @dataclass(frozen=True)
 class Union(Node):
@@ -250,13 +379,29 @@ class Union(Node):
             raise InvalidParam("union needs at least one part")
 
     def member(self, p):
-        return reduce(operator.or_, (q.member(p) for q in self.parts))
+        out = False
+        for q in self.parts:
+            out = out | q.member(p)
+        return out
 
     def closed_member(self, p):
-        return reduce(operator.or_, (q.closed_member(p) for q in self.parts))
+        out = False
+        for q in self.parts:
+            out = out | q.closed_member(p)
+        return out
 
     def axes_set(self):
         return frozenset().union(*(q.axes_set() for q in self.parts))
+
+    def critical_points(self, axis):
+        out = []
+        for q in self.parts:
+            out.extend(_critical_points(q, axis))
+        return out
+
+    @cached_property
+    def _groups(self):
+        return _axis_groups(self.parts)
 
     def slice_first(self, t, nb):
         out = []
@@ -276,6 +421,36 @@ class Union(Node):
         los, his = zip(*(q.bounds(dim) for q in self.parts))
         return np.minimum.reduce(los), np.maximum.reduce(his)
 
+    def intervals(self):
+        parts = []
+        for q in self.parts:
+            parts.extend(node_intervals(q))
+        return _merge_open(parts)
+
+    def dist_to_complement(self, p):
+        """Exact by Pythagoras across disjoint axis groups; within a shared
+        group the max of the parts, a lower bound flagged inexact."""
+        vals, exact = [], True
+        for g in self._groups:
+            if len(g) == 1:
+                v, e = dist_to_complement(g[0], p)
+            else:
+                v, e = -_INF, False
+                for q in g:
+                    v = _maximum(v, dist_to_complement(q, p)[0])
+            vals.append(v)
+            exact = exact & e
+        if len(vals) == 1:
+            return vals[0], exact
+        return _sqrt(_sum_squares([_maximum(v, 0.0) for v in vals])), exact
+
+    def dist_outside(self, p):
+        v, e = _INF, True
+        for q in self.parts:
+            qv, qe = dist_to_set(q, p)
+            v, e = _minimum(v, qv), e & qe
+        return v, e
+
 
 @dataclass(frozen=True)
 class Intersection(Node):
@@ -287,13 +462,29 @@ class Intersection(Node):
             raise InvalidParam("intersection needs at least one part")
 
     def member(self, p):
-        return reduce(operator.and_, (q.member(p) for q in self.parts))
+        out = True
+        for q in self.parts:
+            out = out & q.member(p)
+        return out
 
     def closed_member(self, p):
-        return reduce(operator.and_, (q.closed_member(p) for q in self.parts))
+        out = True
+        for q in self.parts:
+            out = out & q.closed_member(p)
+        return out
 
     def axes_set(self):
         return frozenset().union(*(q.axes_set() for q in self.parts))
+
+    def critical_points(self, axis):
+        out = []
+        for q in self.parts:
+            out.extend(_critical_points(q, axis))
+        return out
+
+    @cached_property
+    def _groups(self):
+        return _axis_groups(self.parts)
 
     def slice_first(self, t, nb):
         out = []
@@ -313,6 +504,36 @@ class Intersection(Node):
         los, his = zip(*(q.bounds(dim) for q in self.parts))
         return np.maximum.reduce(los), np.minimum.reduce(his)
 
+    def intervals(self):
+        acc = [(-_INF, _INF)]
+        for q in self.parts:
+            acc = _intersect_lists(acc, node_intervals(q))
+        return acc
+
+    def dist_to_complement(self, p):
+        v, e = _INF, True
+        for q in self.parts:
+            qv, qe = dist_to_complement(q, p)
+            v, e = _minimum(v, qv), e & qe
+        return v, e
+
+    def dist_outside(self, p):
+        """Exact by Pythagoras across disjoint axis groups; within a shared
+        group the max of the parts, a lower bound flagged inexact."""
+        vals, exact = [], True
+        for g in self._groups:
+            if len(g) == 1:
+                v, e = dist_to_set(g[0], p)
+            else:
+                v, e = -_INF, False
+                for q in g:
+                    v = _maximum(v, dist_to_set(q, p)[0])
+            vals.append(v)
+            exact = exact & e
+        if len(vals) == 1:
+            return vals[0], exact
+        return _sqrt(_sum_squares(vals)), exact
+
 
 @dataclass(frozen=True)
 class Complement(Node):
@@ -321,10 +542,10 @@ class Complement(Node):
     part: Node
 
     def member(self, p):
-        return np.logical_not(self.part.closed_member(p))
+        return self.part.closed_member(p) ^ True  # logical not, scalar or array
 
     def closed_member(self, p):
-        return np.logical_not(self.part.member(p))
+        return self.part.member(p) ^ True
 
     def axes_set(self):
         return self.part.axes_set()
@@ -339,6 +560,19 @@ class Complement(Node):
 
     def bounds(self, dim):
         return np.full(dim, -_INF), np.full(dim, _INF)
+
+    def intervals(self):
+        return _complement_of_closure(node_intervals(self.part))
+
+    def critical_points(self, axis):
+        return _critical_points(self.part, axis)
+
+    def dist_to_complement(self, p):
+        return dist_to_set(self.part, p)
+
+    def dist_outside(self, p):
+        v, e = dist_to_complement(self.part, p)
+        return _maximum(v, 0.0), e
 
 
 # ---------------------------------------------------------------------------
@@ -381,55 +615,12 @@ def _complement_of_closure(ivs):
 
 def node_intervals(node: Node) -> list:
     """Open-interval decomposition of a one-dimensional CSG node."""
-    if isinstance(node, Full):
-        return [(-_INF, _INF)]
-    if isinstance(node, Empty):
-        return []
-    if isinstance(node, Ball):
-        (c,) = node.center
-        if node.radius <= 0.0:
-            return []
-        return [(c - node.radius, c + node.radius)]
-    if isinstance(node, Box):
-        (l,), (h,) = node.lo, node.hi
-        return [(l, h)] if h > l else []
-    if isinstance(node, Union):
-        parts = []
-        for q in node.parts:
-            parts.extend(node_intervals(q))
-        return _merge_open(parts)
-    if isinstance(node, Intersection):
-        acc = [(-_INF, _INF)]
-        for q in node.parts:
-            acc = _intersect_lists(acc, node_intervals(q))
-        return acc
-    if isinstance(node, Complement):
-        return _complement_of_closure(node_intervals(node.part))
-    raise InvalidParam(f"cannot decompose node of type {type(node).__name__}")
+    return node.intervals()
 
 
 def _critical_points(node: Node, axis: int) -> list:
     """Abscissae along ``axis`` where the slice structure of ``node`` can change."""
-    if isinstance(node, Ball):
-        out = []
-        for a, c in zip(node.axes, node.center):
-            if a == axis:
-                out.extend((c - node.radius, c + node.radius, c))
-        return out
-    if isinstance(node, Box):
-        out = []
-        for a, l, h in zip(node.axes, node.lo, node.hi):
-            if a == axis:
-                out.extend((l, h))
-        return out
-    if isinstance(node, (Union, Intersection)):
-        out = []
-        for q in node.parts:
-            out.extend(_critical_points(q, axis))
-        return out
-    if isinstance(node, Complement):
-        return _critical_points(node.part, axis)
-    return []
+    return node.critical_points(axis)
 
 
 # ---------------------------------------------------------------------------
@@ -455,82 +646,28 @@ def _axis_groups(parts):
     return [g[1] for g in groups]
 
 
-def dist_to_complement(node: Node, p: np.ndarray):
+def dist_to_complement(node: Node, p):
     """(signed distance from p to the complement of node, exact flag).
 
     Nonnegative when p is in the node; the sign is meaningful to the
-    combiners. Intersections combine exactly by min; unions combine exactly by
-    Pythagoras across disjoint axis groups, and fall back to a max lower bound
-    (flagged inexact) within a shared group.  ``p`` is one point or an
-    (rdim, N) batch.
+    combiners.  ``p`` is one point or an (rdim, N) batch.
     """
-    if isinstance(node, Full):
-        return _fill(p, _INF), True
-    if isinstance(node, Empty):
-        return _fill(p, 0.0), True
-    if isinstance(node, Ball):
-        return node.radius - np.sqrt(node._dist2(p)), True
-    if isinstance(node, Box):
-        return reduce(np.minimum, (np.minimum(p[a] - l, h - p[a])
-                                   for a, l, h in zip(node.axes, node.lo, node.hi))), True
-    if isinstance(node, Intersection):
-        vals, flags = zip(*(dist_to_complement(q, p) for q in node.parts))
-        return reduce(np.minimum, vals), reduce(operator.and_, flags)
-    if isinstance(node, Union):
-        vals, exact = [], True
-        for g in _axis_groups(node.parts):
-            if len(g) == 1:
-                v, e = dist_to_complement(g[0], p)
-            else:
-                v = reduce(np.maximum, (dist_to_complement(q, p)[0] for q in g))
-                e = False
-            vals.append(v)
-            exact = exact & e
-        if len(vals) == 1:
-            return vals[0], exact
-        return np.sqrt(_sum_squares(np.maximum(v, 0.0) for v in vals)), exact
-    if isinstance(node, Complement):
-        return dist_to_set(node.part, p)
-    raise InvalidParam(f"no distance rule for {type(node).__name__}")
+    return node.dist_to_complement(p)
 
 
-def dist_to_set(node: Node, p: np.ndarray):
+def dist_to_set(node: Node, p):
     """(distance from p to the closure of node, exact flag).  Zero inside.
 
     Points inside the closure get ``0.0`` and an exact flag; when every point
     is inside, the tree below is not visited at all.
     """
     inside = node.closed_member(p)
-    if inside.all():
+    if _all(inside):
         return _fill(p, 0.0), True
-    if isinstance(node, Empty):
-        v, e = _fill(p, _INF), True
-    elif isinstance(node, Ball):
-        v, e = np.maximum(np.sqrt(node._dist2(p)) - node.radius, 0.0), True
-    elif isinstance(node, Box):
-        v = np.sqrt(_sum_squares(np.maximum(np.maximum(l - p[a], p[a] - h), 0.0)
-                                 for a, l, h in zip(node.axes, node.lo, node.hi)))
-        e = True
-    elif isinstance(node, Union):
-        vals, flags = zip(*(dist_to_set(q, p) for q in node.parts))
-        v, e = reduce(np.minimum, vals), reduce(operator.and_, flags)
-    elif isinstance(node, Intersection):
-        vals, e = [], True
-        for g in _axis_groups(node.parts):
-            if len(g) == 1:
-                gv, ge = dist_to_set(g[0], p)
-            else:
-                gv = reduce(np.maximum, (dist_to_set(q, p)[0] for q in g))
-                ge = False
-            vals.append(gv)
-            e = e & ge
-        v = vals[0] if len(vals) == 1 else np.sqrt(_sum_squares(vals))
-    elif isinstance(node, Complement):
-        v, e = dist_to_complement(node.part, p)
-        v = np.maximum(v, 0.0)
-    else:
-        raise InvalidParam(f"no distance rule for {type(node).__name__}")
-    return np.where(inside, 0.0, v)[()], inside | e
+    v, e = node.dist_outside(p)
+    if not _is_batch(p):
+        return v, e
+    return np.where(inside, 0.0, v), inside | e
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +676,11 @@ def dist_to_set(node: Node, p: np.ndarray):
 
 def _as_real_point(p, kind: str, rdim: int) -> np.ndarray:
     arr = np.asarray(p)
-    if kind == "complex" and np.iscomplexobj(arr):
-        arr = arr.ravel()
+    if kind == "complex" and arr.dtype.kind == "c":
         if 2 * arr.size != rdim:
             raise InvalidParam(f"expected {rdim // 2} complex coordinates, got {arr.size}")
-        out = np.empty(rdim)
-        out[0::2] = arr.real
-        out[1::2] = arr.imag
-        return out
+        # interleaved (re, im) pairs, in a copy the caller cannot alias
+        return arr.astype(complex).ravel().view(float)
     arr = np.asarray(arr, dtype=float).ravel()
     if arr.size != rdim:
         raise InvalidParam(f"expected a real point of dimension {rdim}, got {arr.size}")
@@ -592,10 +726,10 @@ class Domain:
         return _as_real_point(p, self.kind, self.rdim)
 
     def member(self, p) -> bool:
-        return bool(self.csg.member(self.point(p)))
+        return bool(self.csg.member(self.point(p).tolist()))
 
     def closed_member(self, p) -> bool:
-        return bool(self.csg.closed_member(self.point(p)))
+        return bool(self.csg.closed_member(self.point(p).tolist()))
 
     def bounds(self):
         return self.csg.bounds(self.rdim)
@@ -617,13 +751,14 @@ class FiberDomain:
     node: Node
     dim: int
 
+    def _point(self, x) -> list:
+        return self.t.tolist() + _as_real_point(x, self.parent.kind, self.dim).tolist()
+
     def member(self, x) -> bool:
-        x = _as_real_point(x, self.parent.kind, self.dim)
-        return bool(self.parent.csg.member(np.concatenate([self.t, x])))
+        return bool(self.parent.csg.member(self._point(x)))
 
     def closed_member(self, x) -> bool:
-        x = _as_real_point(x, self.parent.kind, self.dim)
-        return bool(self.parent.csg.closed_member(np.concatenate([self.t, x])))
+        return bool(self.parent.csg.closed_member(self._point(x)))
 
     def quad_intervals(self) -> list:
         if self.dim != 1:
@@ -633,7 +768,7 @@ class FiberDomain:
     def slice_intervals(self, x: float) -> list:
         if self.dim != 2:
             raise InvalidParam("slice_intervals applies to two-dimensional fibers")
-        return node_intervals(self.node.slice_first(np.array([float(x)]), 1))
+        return node_intervals(self.node.slice_first([float(x)], 1))
 
     def critical_xs(self) -> list:
         return sorted(set(_critical_points(self.node, 0)))
@@ -648,7 +783,7 @@ class FiberDomain:
 
 def fiber(domain: Domain, t) -> FiberDomain:
     t_arr = _as_real_point(t, domain.kind, domain.base_rdim)
-    node = domain.csg.slice_first(t_arr, domain.base_rdim)
+    node = domain.csg.slice_first(t_arr.tolist(), domain.base_rdim)
     return FiberDomain(domain, t_arr, node, domain.fiber_rdim)
 
 
@@ -679,7 +814,7 @@ def _ray_exit_upper_bound(node: Node, p: np.ndarray, lower: float) -> float:
         lam = max(lower, 1e-9)
         cap = 1e9
         inside = lam
-        while node.member(p + lam * d):
+        while node.member((p + lam * d).tolist()):
             inside = lam
             lam *= 2.0
             if lam > cap:
@@ -689,7 +824,7 @@ def _ray_exit_upper_bound(node: Node, p: np.ndarray, lower: float) -> float:
         outside = lam
         for _ in range(80):
             mid = 0.5 * (inside + outside)
-            if node.member(p + mid * d):
+            if node.member((p + mid * d).tolist()):
                 inside = mid
             else:
                 outside = mid
@@ -706,9 +841,10 @@ def boundary_distance(domain: Domain, p) -> DistanceInfo:
     points.
     """
     q = domain.point(p)
-    if not domain.csg.member(q):
-        raise PointOutsideDomain(f"point {q.tolist()} is not in the domain")
-    v, exact = dist_to_complement(domain.csg, q)
+    x = q.tolist()
+    if not domain.csg.member(x):
+        raise PointOutsideDomain(f"point {x} is not in the domain")
+    v, exact = dist_to_complement(domain.csg, x)
     if exact:
         return DistanceInfo(float(v), True, 0.0)
     lower = max(float(v), 0.0)
@@ -938,10 +1074,10 @@ def midpoint_closure_check(domain: Domain, p0, p1) -> MidpointReport:
     a = domain.point(p0)
     b = domain.point(p1)
     for name, q in (("p0", a), ("p1", b)):
-        if not domain.csg.member(q):
+        if not domain.csg.member(q.tolist()):
             raise PointOutsideDomain(f"{name} = {q.tolist()} is not in the domain")
-    mid = 0.5 * (a + b)
-    return MidpointReport(tuple(float(v) for v in mid), bool(domain.csg.closed_member(mid)))
+    mid = (0.5 * (a + b)).tolist()
+    return MidpointReport(tuple(mid), bool(domain.csg.closed_member(mid)))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,35 @@ def _check_types(name: str, params: dict, packaged: dict) -> None:
                 f"type of its default {packaged[key]!r}")
 
 
+# List parameters that a scenario reads at fixed positions, and list pairs
+# that it zips; every other list must simply not be empty.
+_LIST_LENGTHS = {
+    "lemma1": {"frozen_values": 2},
+    "min-principle": {"ts": 3, "expected": 3},
+    "midpoint-probe": {"dumbbell_p0": 2, "dumbbell_p1": 2, "ball_p0": 2, "ball_p1": 2},
+}
+_SAME_LENGTHS = {"lemma2": ("ks", "frozen_values"), "lemma3": ("ks", "frozen_lower")}
+
+
+def _check_lengths(name: str, params: dict) -> None:
+    """Reject an empty list parameter of scenario ``name``, a list of the
+    wrong length where the scenario reads fixed positions, and a zipped pair
+    of unequal lengths."""
+    fixed = _LIST_LENGTHS.get(name, {})
+    for key, value in params.items():
+        if not isinstance(value, list):
+            continue
+        want = fixed.get(key)
+        if not value or (want is not None and len(value) != want):
+            need = "at least one value" if want is None else f"{want} values"
+            raise InvalidParam(f"{name} parameter {key} needs {need}, got {len(value)}")
+    if name in _SAME_LENGTHS:
+        a, b = _SAME_LENGTHS[name]
+        if len(params[a]) != len(params[b]):
+            raise InvalidParam(f"{name} parameters {a} and {b} need as many values "
+                               f"each, got {len(params[a])} and {len(params[b])}")
+
+
 def load_defaults() -> dict:
     """Scenario parameter defaults, from the packaged file or CONVLAB_DEFAULTS."""
     path = os.environ.get("CONVLAB_DEFAULTS")
@@ -173,6 +202,7 @@ def load_defaults() -> dict:
                     f"defaults file gives {name} the wrong parameters: missing "
                     f"{sorted(missing)}, unknown {sorted(unknown)}")
             _check_types(name, params, packaged[name])
+            _check_lengths(name, params)
     return data
 
 
@@ -206,6 +236,7 @@ def run_scenario(name: str, overrides: dict | None = None) -> RunReport:
             raise InvalidParam(f"unknown parameters for {name}: {sorted(unknown)}")
         _check_types(name, overrides, _packaged_defaults()["scenarios"][name])
         params.update(overrides)
+        _check_lengths(name, params)
     start = time.perf_counter()
     checks = tuple(fn(params))
     wall = time.perf_counter() - start

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from convlab import bergman
 from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, NonConvergent,
                             ZeroKernel)
 from convlab.geometry import AffineFiberMap, bidisc, disc_region, hartogs_figure, plane_region
@@ -242,6 +243,15 @@ class TestMeanValueCheck:
         angles = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
         assert seen[0].tolist() == [c]
         assert seen[1].tolist() == [c + rho * a for a in angles]
+
+    def test_circle_table_is_shared_and_read_only(self):
+        table = bergman._circle(512)
+        assert bergman._circle(512) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        want = np.exp(2j * math.pi * np.arange(512) / 512)
+        assert table.tobytes() == want.tobytes()
 
 
 def _m0_by_math(z_abs, eps):

@@ -254,14 +254,16 @@ class TestBatchedRules:
         for got in batch.values():
             assert np.shape(got[0]) == (n,)
         for j in range(n):
-            single = rule_answers(node, pts[:, j])
-            for rule, got in batch.items():
-                for b, s in zip(got, single[rule]):
-                    x = np.broadcast_to(b, (n,))[j]
-                    assert np.ndim(s) == 0
-                    # equal, and with the same sign, zeros included
-                    assert x == s, (rule, pts[:, j])
-                    assert math.copysign(1.0, x) == math.copysign(1.0, s), (rule, pts[:, j])
+            # one point as an (rdim,) array and as a list of Python floats
+            for point in (pts[:, j], pts[:, j].tolist()):
+                single = rule_answers(node, point)
+                for rule, got in batch.items():
+                    for b, s in zip(got, single[rule]):
+                        x = np.broadcast_to(b, (n,))[j]
+                        assert np.ndim(s) == 0
+                        # equal, and with the same sign, zeros included
+                        assert x == s, (rule, point)
+                        assert math.copysign(1.0, x) == math.copysign(1.0, s), (rule, point)
 
     @pytest.mark.parametrize("name", sorted(STOCK))
     @settings(max_examples=20, deadline=None)
@@ -276,6 +278,56 @@ class TestBatchedRules:
         assert np.all(gap >= 0.0)
         assert np.all(gap[node.closed_member(pts)] == 0.0)
 
+    def test_scalar_branches_give_the_numpy_bits(self):
+        # ties, signed zeros, infinities and NaNs, as Python and numpy floats
+        vals = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+        for a in vals:
+            for b in vals:
+                for mine, ref in ((geometry._minimum, np.minimum),
+                                  (geometry._maximum, np.maximum)):
+                    want = ref(np.array([a] * 9), np.array([b] * 9))[4].tobytes()
+                    for x, y in ((a, b), (np.float64(a), np.float64(b))):
+                        assert np.float64(mine(x, y)).tobytes() == want, (ref, a, b)
+            if not a < 0.0:
+                want = np.sqrt(np.array([a] * 9))[4].tobytes()
+                assert np.float64(geometry._sqrt(a)).tobytes() == want, a
+
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_slice_membership_equals_membership(self, name, seed):
+        # continuous draws: see test_slice_on_a_seam_keeps_the_closed_part
+        dom = STOCK[name]
+        nb = dom.base_rdim
+        pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(dom.rdim, 48))
+        for j in range(pts.shape[1]):
+            node = dom.csg.slice_first(pts[:nb, j].tolist(), nb)
+            assert node.member(pts[nb:, j]) == dom.csg.member(pts[:, j]), pts[:, j]
+
+    @pytest.mark.xfail(strict=True, reason="slice_first slices the open part of a "
+                       "complemented set, so a base point on its boundary loses it")
+    @pytest.mark.parametrize("name,point", [
+        ("punctured_ball", (0.0, 0.0)),
+        ("hartogs_figure", (0.5, 0.0, 0.5, 0.0)),
+    ])
+    def test_slice_on_a_seam_keeps_the_closed_part(self, name, point):
+        dom = STOCK[name]
+        node = dom.csg.slice_first(list(point[:dom.base_rdim]), dom.base_rdim)
+        assert node.member(list(point[dom.base_rdim:])) == dom.member(point)
+
+    def test_complex_points_pack_as_interleaved_pairs(self):
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        for p in (z, z.T, z.astype(np.complex64)):
+            got = geometry._as_real_point(p, "complex", 12)
+            flat = p.ravel()
+            want = np.empty(12)
+            want[0::2] = flat.real
+            want[1::2] = flat.imag
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, p)
+        assert geometry._as_real_point(0.3 - 0.2j, "complex", 2).tolist() == [0.3, -0.2]
+
     def test_reports_hold_python_scalars(self):
         info = boundary_distance(bidisc(), (0.3 + 0j, 0.1j))
         assert type(info.value) is float and type(info.exact) is bool
@@ -286,4 +338,8 @@ class TestBatchedRules:
         mid = midpoint_closure_check(ball_domain(split=(1, 1)), (-0.5, 0.2), (0.5, 0.2))
         assert type(mid.in_closure) is bool
         assert all(type(v) is float for v in mid.midpoint)
+        hf = hartogs_figure()
+        assert type(fiber_distance(hf, 0.8 + 0j, 0.6j)) is float
+        assert type(hf.member((0.8 + 0j, 0.6j))) is bool
+        assert type(fiber(hf, 0.8 + 0j).member(0.6j)) is bool
 

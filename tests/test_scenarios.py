@@ -195,6 +195,38 @@ class TestDefaults:
         with pytest.raises(InvalidParam, match="does not have the JSON type"):
             run_scenario("min-principle", overrides)
 
+    @pytest.mark.parametrize("scenario,overrides", [
+        ("min-principle", {"ts": []}),
+        ("min-principle", {"ts": [0.0, 0.4]}),
+        ("min-principle", {"expected": [1.0, 0.84, 0.36, 0.0]}),
+        ("lemma1", {"frozen_values": [0.875460923604]}),
+        ("midpoint-probe", {"ball_p1": [0.5]}),
+        ("midpoint-probe", {"ks": []}),
+        ("lemma2", {"ks": [16, 32, 64]}),
+        ("lemma3", {"frozen_lower": [1.01938803268867]}),
+        ("psh-delta", {"radii": []}),
+    ])
+    def test_override_of_the_wrong_length_rejected(self, scenario, overrides):
+        with pytest.raises(InvalidParam, match="value"):
+            run_scenario(scenario, overrides)
+
+    @pytest.mark.parametrize("scenario,key,value", [
+        ("min-principle", "ts", []),
+        ("lemma1", "frozen_values", [0.9, 0.9, 0.9]),
+        ("midpoint-probe", "dumbbell_p0", [-1.0, 0.25, 0.0]),
+        ("lemma3", "ks", [10, 30]),
+        ("berndtsson-cex", "z_abs", []),
+    ])
+    def test_defaults_list_of_the_wrong_length_exits_three(
+            self, tmp_path, monkeypatch, capsys, scenario, key, value):
+        def mutate(sc):
+            sc[scenario][key] = value
+        write_defaults(tmp_path, monkeypatch, mutate)
+        with pytest.raises(InvalidParam, match=key):
+            load_defaults()
+        assert main(["run", scenario]) == 3
+        assert _one_line_error(capsys)
+
 
 class TestCliRun:
     def test_list(self, capsys):
