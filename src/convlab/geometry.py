@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -184,11 +183,7 @@ class Ball(Node):
         object.__setattr__(self, "axes", tuple(map(int, self.axes)))
 
     def _dist2(self, p):
-        d2 = 0.0  # _sum_squares, inlined: it runs once per ball per query
-        for a, c in zip(self.axes, self.center):
-            d = p[a] - c
-            d2 = d2 + d * d
-        return d2
+        return _sum_squares([p[a] - c for a, c in zip(self.axes, self.center)])
 
     def member(self, p):
         return self._dist2(p) < self.radius * self.radius
@@ -370,14 +365,28 @@ class Empty(Node):
 
 
 @dataclass(frozen=True)
-class Union(Node):
+class _Compound(Node):
+    """What a union and an intersection share: the parts and their axes."""
+
     parts: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
-            raise InvalidParam("union needs at least one part")
+            raise InvalidParam(f"{type(self).__name__.lower()} needs at least one part")
 
+    def axes_set(self):
+        return frozenset().union(*(q.axes_set() for q in self.parts))
+
+    def critical_points(self, axis):
+        out = []
+        for q in self.parts:
+            out.extend(_critical_points(q, axis))
+        return out
+
+
+@dataclass(frozen=True)
+class Union(_Compound):
     def member(self, p):
         out = False
         for q in self.parts:
@@ -389,19 +398,6 @@ class Union(Node):
         for q in self.parts:
             out = out | q.closed_member(p)
         return out
-
-    def axes_set(self):
-        return frozenset().union(*(q.axes_set() for q in self.parts))
-
-    def critical_points(self, axis):
-        out = []
-        for q in self.parts:
-            out.extend(_critical_points(q, axis))
-        return out
-
-    @cached_property
-    def _groups(self):
-        return _axis_groups(self.parts)
 
     def slice_first(self, t, nb):
         out = []
@@ -431,7 +427,7 @@ class Union(Node):
         """Exact by Pythagoras across disjoint axis groups; within a shared
         group the max of the parts, a lower bound flagged inexact."""
         vals, exact = [], True
-        for g in self._groups:
+        for g in _axis_groups(self.parts):
             if len(g) == 1:
                 v, e = dist_to_complement(g[0], p)
             else:
@@ -453,14 +449,7 @@ class Union(Node):
 
 
 @dataclass(frozen=True)
-class Intersection(Node):
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise InvalidParam("intersection needs at least one part")
-
+class Intersection(_Compound):
     def member(self, p):
         out = True
         for q in self.parts:
@@ -472,19 +461,6 @@ class Intersection(Node):
         for q in self.parts:
             out = out & q.closed_member(p)
         return out
-
-    def axes_set(self):
-        return frozenset().union(*(q.axes_set() for q in self.parts))
-
-    def critical_points(self, axis):
-        out = []
-        for q in self.parts:
-            out.extend(_critical_points(q, axis))
-        return out
-
-    @cached_property
-    def _groups(self):
-        return _axis_groups(self.parts)
 
     def slice_first(self, t, nb):
         out = []
@@ -521,7 +497,7 @@ class Intersection(Node):
         """Exact by Pythagoras across disjoint axis groups; within a shared
         group the max of the parts, a lower bound flagged inexact."""
         vals, exact = [], True
-        for g in self._groups:
+        for g in _axis_groups(self.parts):
             if len(g) == 1:
                 v, e = dist_to_set(g[0], p)
             else:
