@@ -162,10 +162,6 @@ class GramKernel:
     cond: float
     label: str = ""
 
-    @property
-    def degree(self) -> int:
-        return self.matrix.shape[0] - 1
-
     def value(self, z: complex | None = None) -> float:
         """Kernel diagonal ``B(z)`` for the truncated basis (a lower bound)."""
         z = self.center if z is None else complex(z)
@@ -187,24 +183,20 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
         raise InvalidParam("need degree >= 0")
     if domain.kind != "complex" or domain.fiber_rdim != 2:
         raise InvalidParam("gram route needs a one-dimensional complex fiber")
-    if (w.base_rdim, w.fiber_rdim) != (domain.base_rdim, domain.fiber_rdim):
-        raise InvalidParam("weight split does not match the domain split")
-    t = np.asarray(t, dtype=float).ravel()
-    if t.size != domain.base_rdim:
-        raise InvalidParam(f"expected a packed base point of {domain.base_rdim} reals")
     fib = fiber(domain, t)
+    weight = w.on_fiber(fib)
     c = complex(center)
     js = np.arange(degree + 1)
 
     def tensor(x: np.ndarray):
-        v = w.fn(np.concatenate([t, x]) if t.size else x)
+        v = weight(x)
         if v == math.inf:
             return np.zeros((degree + 1, degree + 1), dtype=complex)
         b = (complex(x[0], x[1]) - c) ** js
         return b[:, None] * b.conj() * math.exp(-v)
 
     gram = integrate_fiber(tensor, fib, cfg,
-                           circle_seams=w.fiber_circle_seams(t))
+                           circle_seams=w.fiber_circle_seams(fib.t))
     gram = np.asarray(gram, dtype=complex)
     gram = 0.5 * (gram + gram.conj().T)
     try:
@@ -305,23 +297,25 @@ def berndtsson_phi_curve(eps: float, z_abs_list, cfg: QuadConfig | None = None) 
     return out
 
 
-def berndtsson_inner_laplacian(z_abs: float, eps: float) -> float:
+def berndtsson_inner_laplacian(z_abs, eps: float):
     """Closed-form Laplacian (d^2/dz dzbar) of the inner-branch log-kernel curve.
 
     Valid for |z| < eps, where the curve is ``-log(2 - 1/sqrt(1+eps^2-|z|^2))``
     up to an additive constant.  Strict positivity of this expression on the
     whole dent is what rules out any harmonic repair of the curve.
-    """
+
+    Elementwise, like ``berndtsson_m0_closed``; any ``|z| >= eps`` raises
+    InvalidParam."""
     if not (0.0 < eps < 1.0):
         raise InvalidParam("needs eps in (0, 1)")
-    za = abs(float(z_abs))
-    if za >= eps:
+    za = np.abs(np.asarray(z_abs, dtype=float))
+    if (za >= eps).any():
         raise InvalidParam("closed form only holds strictly inside the dent")
     q = 1.0 + eps * eps - za * za
-    s = math.sqrt(q)
+    s = np.sqrt(q)
     num = (2.0 + 2.0 * eps * eps + za * za) * s - (1.0 + eps * eps)
-    den = 2.0 * q * q * (2.0 * s - 1.0) ** 2
-    return num / den
+    d = 2.0 * s - 1.0
+    return _like(z_abs, num / (2.0 * q * q * (d * d)))
 
 
 @dataclass(frozen=True)
@@ -463,18 +457,16 @@ def lemma2_harness(profile: RadialProfile, ks,
     ``exp(max of the profile on the penalty's flat disc of radius 1/k)``.
     """
     target = math.exp(profile(0.0))
+    origin = AffineFiberMap.constant((0.0, 0.0), 0)
     rows = []
     for k in ks:
         k = int(k)
         if k < 3:
             raise InvalidParam("need k >= 3 for integrable plane penalties")
-        lb = math.log(math.pi) - 2.0 * math.log(k)
-
-        def cone(r: float, kf=float(k), lb=lb) -> float:
-            return kf * math.log(kf * r) + lb if r * kf > 1.0 else lb
+        cone = psh_localizer(k, origin).radial_fn
 
         combined = RadialProfile(
-            fn=lambda r, cone=cone: profile.fn(r) + cone(r),
+            fn=lambda r, cone=cone: profile.fn(r) + cone((), r),
             cutoff=profile.cutoff,
             seam_radii=tuple(profile.seam_radii) + (1.0 / k,),
             label=profile.label,
@@ -536,12 +528,6 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
 # Kernel curves along the base
 
 
-def _pack_base(domain: Domain, t) -> np.ndarray:
-    if domain.kind == "complex" and isinstance(t, complex):
-        return np.array([t.real, t.imag], dtype=float)
-    return np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-
-
 def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
                  taus, method: str = "radial", degree: int = 8,
                  cfg: QuadConfig | None = None) -> list:
@@ -559,7 +545,7 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
     combined = w + psi
     out = []
     for tau in taus:
-        t = _pack_base(domain, tau)
+        t = domain.base_point(tau)
         if method == "radial":
             if combined.radial_fn is None:
                 raise MethodUnavailable(

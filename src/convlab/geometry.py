@@ -47,6 +47,12 @@ The ``Domain`` and ``FiberDomain`` methods and the probes built on them
 one point, pack it as a list of Python floats (a complex coordinate becomes
 its real and imaginary parts, in that order) and return Python scalars: a
 ``bool`` for membership, a ``float`` for a distance.
+
+A base point is packed in one place, ``Domain.base_point``, which also
+checks its size.  ``fiber`` slices the domain there and keeps the packed
+point as ``FiberDomain.t``; the fiberwise transforms of ``prekopa`` and
+``bergman`` read it from the fiber and restrict their weight to it with
+``WeightField.on_fiber``.
 """
 
 from __future__ import annotations
@@ -701,6 +707,11 @@ class Domain:
     def point(self, p) -> np.ndarray:
         return _as_real_point(p, self.kind, self.rdim)
 
+    def base_point(self, t) -> np.ndarray:
+        """The base coordinates of ``t``, packed as reals: the one place a
+        base point is checked for size and packed."""
+        return _as_real_point(t, self.kind, self.base_rdim)
+
     def member(self, p) -> bool:
         return bool(self.csg.member(self.point(p).tolist()))
 
@@ -709,9 +720,6 @@ class Domain:
 
     def bounds(self):
         return self.csg.bounds(self.rdim)
-
-    def fiber(self, t) -> "FiberDomain":
-        return fiber(self, t)
 
 
 @dataclass(frozen=True)
@@ -752,13 +760,9 @@ class FiberDomain:
     def bounds(self):
         return self.node.bounds(self.dim)
 
-    def as_domain(self) -> Domain:
-        n = self.dim // self.parent.mult
-        return Domain(self.node, (0, n), self.parent.kind)
-
 
 def fiber(domain: Domain, t) -> FiberDomain:
-    t_arr = _as_real_point(t, domain.kind, domain.base_rdim)
+    t_arr = domain.base_point(t)
     node = domain.csg.slice_first(t_arr.tolist(), domain.base_rdim)
     return FiberDomain(domain, t_arr, node, domain.fiber_rdim)
 
@@ -808,6 +812,21 @@ def _ray_exit_upper_bound(node: Node, p: np.ndarray, lower: float) -> float:
     return best
 
 
+def _distance_in(node: Node, q: np.ndarray) -> DistanceInfo:
+    """Distance from the packed point ``q`` of ``node`` to its complement."""
+    x = q.tolist()
+    if not node.member(x):
+        raise PointOutsideDomain(f"point {x} is not in the domain")
+    v, exact = dist_to_complement(node, x)
+    if exact:
+        return DistanceInfo(float(v), True, 0.0)
+    lower = max(float(v), 0.0)
+    upper = _ray_exit_upper_bound(node, q, lower)
+    if math.isinf(upper):
+        return DistanceInfo(lower, False, _INF)
+    return DistanceInfo(float(upper), False, float(upper - lower))
+
+
 def boundary_distance(domain: Domain, p) -> DistanceInfo:
     """Distance from an interior point to the domain's complement.
 
@@ -816,30 +835,21 @@ def boundary_distance(domain: Domain, p) -> DistanceInfo:
     to the recursive lower bound.  Raises PointOutsideDomain for outside
     points.
     """
-    q = domain.point(p)
-    x = q.tolist()
-    if not domain.csg.member(x):
-        raise PointOutsideDomain(f"point {x} is not in the domain")
-    v, exact = dist_to_complement(domain.csg, x)
-    if exact:
-        return DistanceInfo(float(v), True, 0.0)
-    lower = max(float(v), 0.0)
-    upper = _ray_exit_upper_bound(domain.csg, q, lower)
-    if math.isinf(upper):
-        return DistanceInfo(lower, False, _INF)
-    return DistanceInfo(float(upper), False, float(upper - lower))
+    return _distance_in(domain.csg, domain.point(p))
 
 
 def fiber_distance(domain: Domain, t, x) -> float:
-    """Distance from x to the complement of the fiber over t (within the fiber)."""
+    """Distance from x to the complement of the fiber over t (within the fiber).
+
+    The point is tested against the domain itself, then measured on the
+    sliced node as ``boundary_distance`` measures on a domain."""
     fd = fiber(domain, t)
-    x_arr = _as_real_point(x, domain.kind, fd.dim)
-    if not fd.member(x_arr):
+    q = _as_real_point(x, domain.kind, fd.dim)
+    if not domain.csg.member(fd.t.tolist() + q.tolist()):
         raise PointOutsideDomain(
-            f"fiber point {x_arr.tolist()} is not in the slice over {fd.t.tolist()}"
+            f"fiber point {q.tolist()} is not in the slice over {fd.t.tolist()}"
         )
-    info = boundary_distance(fd.as_domain(), x_arr)
-    return info.value
+    return _distance_in(fd.node, q).value
 
 
 # ---------------------------------------------------------------------------

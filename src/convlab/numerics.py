@@ -46,6 +46,7 @@ doubling-window test.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -538,10 +539,6 @@ def integrate_fiber(f, fiber, cfg: QuadConfig | None = None,
     return integrate_1d(mapped, s_lo, s_hi, cfg, breakpoints=range(len(edges)))
 
 
-def _axis_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None):
     """Deterministic grid minimization of ``f`` over a fiber region.
 
@@ -571,30 +568,21 @@ def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None)
     if np.any(lo > hi):
         raise OutOfDomain("search box does not meet the fiber")
 
-    axes = [_axis_grid(lo[i], hi[i], cfg.grid_points) for i in range(dim)]
+    axes = [np.linspace(lo[i], hi[i], cfg.grid_points) for i in range(dim)]
 
     def scan(axes_list):
         """Evaluate on the tensor grid; returns (best_point, best_val, best_index)."""
         best_val = math.inf
         best_pt = None
         best_idx = None
-        if dim == 1:
-            for i, x in enumerate(axes_list[0]):
-                p = np.array([x])
-                if not fiber.member(p):
-                    continue
-                v = float(f(p))
-                if v < best_val:
-                    best_val, best_pt, best_idx = v, p, (i,)
-        else:
-            for i, x in enumerate(axes_list[0]):
-                for j, y in enumerate(axes_list[1]):
-                    p = np.array([x, y])
-                    if not fiber.member(p):
-                        continue
-                    v = float(f(p))
-                    if v < best_val:
-                        best_val, best_pt, best_idx = v, p, (i, j)
+        indices = itertools.product(*(range(len(ax)) for ax in axes_list))
+        for idx, coords in zip(indices, itertools.product(*axes_list)):
+            p = np.array(coords)
+            if not fiber.member(p):
+                continue
+            v = float(f(p))
+            if v < best_val:
+                best_val, best_pt, best_idx = v, p, idx
         return best_pt, best_val, best_idx
 
     best_pt, best_val, best_idx = scan(axes)
@@ -630,7 +618,7 @@ def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None)
         for i in range(dim):
             a = max(lo[i], center[i] - spacing[i])
             b = min(hi[i], center[i] + spacing[i])
-            new_axes.append(_axis_grid(a, b, cfg.grid_points))
+            new_axes.append(np.linspace(a, b, cfg.grid_points))
         pt, val, _ = scan(new_axes)
         if pt is not None and val < best_val:
             best_val = val

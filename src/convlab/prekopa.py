@@ -43,21 +43,6 @@ __all__ = [
 ]
 
 
-def _check_split(w: WeightField, domain: Domain) -> None:
-    if (w.base_rdim, w.fiber_rdim) != (domain.base_rdim, domain.fiber_rdim):
-        raise InvalidParam(
-            f"weight split ({w.base_rdim},{w.fiber_rdim}) does not match "
-            f"domain split ({domain.base_rdim},{domain.fiber_rdim})"
-        )
-
-
-def _base_point(domain: Domain, t) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-    if t.size != domain.base_rdim:
-        raise InvalidParam(f"expected a base point of dimension {domain.base_rdim}")
-    return t
-
-
 def marginal_transform(w: WeightField, domain: Domain, t,
                        cfg: QuadConfig | None = None) -> float:
     """-log of the fiber mass of ``e^{-w}`` over the slice of the domain at t.
@@ -66,22 +51,21 @@ def marginal_transform(w: WeightField, domain: Domain, t,
     The weight's registered seams become quadrature breakpoints, so kinked
     integrands are still integrated at full accuracy.
     """
-    _check_split(w, domain)
-    t = _base_point(domain, t)
     fib = fiber(domain, t)
+    weight = w.on_fiber(fib)
 
     def density(x: np.ndarray) -> float:
-        v = w.fn(np.concatenate([t, x]))
+        v = weight(x)
         return 0.0 if v == math.inf else float(np.exp(-v))
 
     point_seams = ()
     if fib.dim == 1:
         rate = w.envelope[0] if w.envelope is not None else None
-        point_seams = skirt_ladder(w.fiber_point_seams(t), rate)
+        point_seams = skirt_ladder(w.fiber_point_seams(fib.t), rate)
     mass = integrate_fiber(
         density, fib, cfg,
         point_seams=point_seams,
-        circle_seams=w.fiber_circle_seams(t) if fib.dim == 2 else (),
+        circle_seams=w.fiber_circle_seams(fib.t) if fib.dim == 2 else (),
     )
     if mass <= 0.0:
         return math.inf
@@ -121,7 +105,7 @@ def localization_rows(w: WeightField, domain: Domain, a: AffineFiberMap,
     value ``w(t, a(t))``, and the absolute gap.  The gap is expected to shrink
     like 1/k when a(t) lies in the open fiber.
     """
-    t_arr = _base_point(domain, t)
+    t_arr = domain.base_point(t)
     target = w.at(t_arr, a.at(t_arr))
     rows = []
     for k in ks:
@@ -142,11 +126,8 @@ def infimum_over_fiber(w: WeightField, domain: Domain, t,
 
     Returns (argmin, value).  Unbounded fibers need an explicit search box.
     """
-    _check_split(w, domain)
-    t = _base_point(domain, t)
     fib = fiber(domain, t)
-    return minimize_over_fiber(lambda x: w.fn(np.concatenate([t, x])),
-                               fib, cfg, search_box=search_box)
+    return minimize_over_fiber(w.on_fiber(fib), fib, cfg, search_box=search_box)
 
 
 def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
@@ -161,15 +142,15 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
     """
     if k <= 0.0:
         raise InvalidParam("penalty slope k must be positive")
-    _check_split(w, domain)
-    t = _base_point(domain, t)
     fib = fiber(domain, t)
+    t = fib.t
+    weight = w.on_fiber(fib)
     c = a.at(t)
     if c.size != domain.fiber_rdim:
         raise InvalidParam("anchor map does not match the fiber dimension")
 
     def g(x: np.ndarray) -> float:
-        v = w.fn(np.concatenate([t, x]))
+        v = weight(x)
         return v if v == math.inf else v + k * float(np.linalg.norm(x - c))
 
     lo, hi = fib.bounds()
@@ -224,14 +205,10 @@ def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
     what happens when the segment between two fiber components leaves the
     domain.
     """
-    _check_split(w, domain)
     nb, nf = domain.base_rdim, domain.fiber_rdim
-    p0 = np.asarray(p0, dtype=float).ravel()
-    p1 = np.asarray(p1, dtype=float).ravel()
-    if p0.size != nb + nf or p1.size != nb + nf:
-        raise InvalidParam(f"probe points must pack {nb + nf} reals")
+    p0, p1 = domain.point(p0), domain.point(p1)
     for p in (p0, p1):
-        if not domain.csg.closed_member(p):
+        if not domain.closed_member(p):
             raise PointOutsideDomain("probe point is outside the closed domain")
     t0, x0 = p0[:nb], p0[nb:]
     t1, x1 = p1[:nb], p1[nb:]

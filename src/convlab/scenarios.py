@@ -424,10 +424,11 @@ def _berndtsson_cex(p):
         {"rows": rows, "tol": p["laplacian_tol"]}))
 
     samples = np.linspace(0.0, p["positivity_max"], p["positivity_n"])
-    vals = [bergman.berndtsson_inner_laplacian(float(z), eps) for z in samples]
+    vals = bergman.berndtsson_inner_laplacian(samples, eps)
+    low, high = float(vals.min()), float(vals.max())
     checks.append(Check(
-        "inner-laplacian-positive", min(vals) > 0.0,
-        {"min": min(vals), "max": max(vals),
+        "inner-laplacian-positive", low > 0.0,
+        {"min": low, "max": high,
          "n": p["positivity_n"], "z_max": p["positivity_max"]}))
     return checks
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParam, UnknownName
-from .geometry import AffineFiberMap
+from .geometry import AffineFiberMap, FiberDomain
 from .numerics import BallVolume
 
 __all__ = [
@@ -150,9 +150,23 @@ class WeightField:
         return float(self.fn(p))
 
     def at(self, t, x) -> float:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self(np.concatenate([t, x]))
+        return self(np.hstack([t, x]))
+
+    def on_fiber(self, fib: FiberDomain) -> Callable[[np.ndarray], float]:
+        """The weight restricted to the fiber ``fib`` over its base point t:
+        ``x -> fn(t, x)``, or ``fn`` itself when the base is empty.
+
+        Raises InvalidParam when the weight's split is not the domain's."""
+        dom = fib.parent
+        if (self.base_rdim, self.fiber_rdim) != (dom.base_rdim, dom.fiber_rdim):
+            raise InvalidParam(
+                f"weight split ({self.base_rdim},{self.fiber_rdim}) does not match "
+                f"domain split ({dom.base_rdim},{dom.fiber_rdim})"
+            )
+        fn, t = self.fn, fib.t
+        if not t.size:
+            return fn
+        return lambda x: fn(np.concatenate((t, x)))
 
     def fiber_point_seams(self, t) -> tuple:
         t = np.asarray(t, dtype=float).ravel()
@@ -167,15 +181,6 @@ class WeightField:
         for s in self.seams:
             out.extend(s.fiber_circles(t, self.base_rdim))
         return tuple(out)
-
-    def profile_at(self, t=()) -> Callable[[float], float]:
-        """The radial profile r -> weight at distance r from the moving center."""
-        if self.radial_fn is None:
-            raise InvalidParam("weight carries no radial structure")
-        t = np.asarray(t, dtype=float).ravel()
-        if t.size != self.base_rdim:
-            raise InvalidParam(f"expected base point of dimension {self.base_rdim}")
-        return lambda r: self.radial_fn(t, float(r))
 
     def seam_radii_at(self, t=()) -> tuple:
         """Radii of the registered seams as distances from the radial center."""
@@ -331,15 +336,17 @@ def convex_localizer(k: int, a: AffineFiberMap, n: int | None = None) -> WeightF
     kk = float(k * k)
     inv_k = 1.0 / k
 
-    def fn(p):
-        r = float(np.linalg.norm(p[nb:] - a.at(p[:nb])))
+    def cone(r):
         return kk * max(r - inv_k, 0.0) + lb
+
+    def fn(p):
+        return cone(float(np.linalg.norm(p[nb:] - a.at(p[:nb]))))
 
     return WeightField(
         fn=fn, base_rdim=nb, fiber_rdim=n, lower_bound=lb,
         seams=(MovingSphereSeam(a, inv_k),),
         radial_center=a,
-        radial_fn=lambda t, r: kk * max(r - inv_k, 0.0) + lb,
+        radial_fn=lambda t, r: cone(r),
         envelope=(kk, inv_k - lb / kk),
         label=f"cone2(k={k})",
     )
@@ -416,12 +423,16 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
         if eps is None or not (0.0 < eps < 1.0):
             raise InvalidParam("prekopa_cex needs eps in (0, 1)")
         e2 = float(eps) ** 2
+
+        def dent(t, r):
+            return abs(t[0] * t[0] + r * r - e2)
+
         return WeightField(
-            fn=lambda p: abs(p[0] * p[0] + p[1] * p[1] - e2),
+            fn=lambda p: dent(p, p[1]),
             base_rdim=1, fiber_rdim=1, lower_bound=0.0,
             seams=(FixedSphereSeam((0.0, 0.0), float(eps), (0, 1)),),
             radial_center=AffineFiberMap.constant((0.0,), 1),
-            radial_fn=lambda t, r: abs(t[0] * t[0] + r * r - e2),
+            radial_fn=dent,
             envelope=(1.0, 1.0 + float(eps)),
             label=f"dent2(eps={eps:g})",
         )
@@ -430,25 +441,27 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
             raise InvalidParam("berndtsson_cex needs eps in (0, 1)")
         e2 = float(eps) ** 2
 
-        def fn(p):
-            q = float(p @ p)
+        def log_dent(q):
             return 1.5 * math.log1p(abs(q - e2))
 
         return WeightField(
-            fn=fn, base_rdim=2, fiber_rdim=2, lower_bound=0.0,
+            fn=lambda p: log_dent(float(p @ p)),
+            base_rdim=2, fiber_rdim=2, lower_bound=0.0,
             seams=(FixedSphereSeam((0.0, 0.0, 0.0, 0.0), float(eps), (0, 1, 2, 3)),),
             radial_center=AffineFiberMap.constant((0.0, 0.0), 2),
-            radial_fn=lambda t, r: 1.5 * math.log1p(
-                abs(t[0] * t[0] + t[1] * t[1] + r * r - e2)),
+            radial_fn=lambda t, r: log_dent(t[0] * t[0] + t[1] * t[1] + r * r),
             label=f"logdent(eps={eps:g})",
         )
     if name == "minprinciple_cex":
+        def dent(t, r):
+            return abs(t[0] * t[0] + r * r - 1.0)
+
         return WeightField(
-            fn=lambda p: abs(p[0] * p[0] + p[1] * p[1] - 1.0),
+            fn=lambda p: dent(p, p[1]),
             base_rdim=1, fiber_rdim=1, lower_bound=0.0,
             seams=(FixedSphereSeam((0.0, 0.0), 1.0, (0, 1)),),
             radial_center=AffineFiberMap.constant((0.0,), 1),
-            radial_fn=lambda t, r: abs(t[0] * t[0] + r * r - 1.0),
+            radial_fn=dent,
             envelope=(1.0, 2.0),
             label="dent1",
         )

@@ -8,7 +8,8 @@ import pytest
 from convlab import bergman
 from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, NonConvergent,
                             ZeroKernel)
-from convlab.geometry import AffineFiberMap, bidisc, disc_region, hartogs_figure, plane_region
+from convlab.geometry import (AffineFiberMap, bidisc, disc_region, full_space, hartogs_figure,
+                              plane_region)
 from convlab.weights import RadialProfile, constant_weight, lemma3_weight
 from convlab.bergman import (
     bergman_gram,
@@ -111,6 +112,16 @@ class TestKernelValues:
     def test_concentrated_weight_is_rejected(self):
         with pytest.raises(IllConditioned):
             gram_kernel(lemma3_weight(100, 0.1), disc_region(1.0), degree=8)
+
+    def test_weight_of_another_split_rejected(self):
+        # (0, 2) against the bidisc's packed (2, 2)
+        with pytest.raises(InvalidParam):
+            gram_kernel(constant_weight(0.0, 0, 2), bidisc(), (0.0, 0.0), degree=2)
+
+    @pytest.mark.parametrize("t", [(0.0,), (0.0, 0.0, 0.0)])
+    def test_base_point_of_the_wrong_size_rejected(self, t):
+        with pytest.raises(InvalidParam):
+            gram_kernel(constant_weight(0.0, 2, 2), bidisc(), t, degree=2)
 
 
 class TestDomeWeight:
@@ -371,6 +382,11 @@ class TestKernelCurve:
                 [(0.2, 0.0)],
                 method="radial",
             )
+
+    def test_complex_tau_is_its_packed_pair(self):
+        args = (constant_weight(0.0, 2, 2), full_space((1, 1), "complex"),
+                AffineFiberMap.complex_affine(0.1, 0.5), 8)
+        assert kernel_curve(*args, [0.2 - 0.1j]) == kernel_curve(*args, [(0.2, -0.1)])
 
     def test_unknown_method(self):
         with pytest.raises(MethodUnavailable):

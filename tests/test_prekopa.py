@@ -231,3 +231,41 @@ class TestMidpointProbe:
             constant_weight(0.0, 1, 1), dom, (-0.5, 0.2), (0.5, 0.2), ks=(8, 16)
         )
         assert not rep.verdict
+
+
+class TestFiberChecks:
+    """Every fiberwise transform checks the weight's split against the domain
+    and the size of the base point."""
+
+    BALL = ball_domain(split=(1, 1), radius=1.0)
+    TRANSFORMS = ["marginal_transform", "infimum_over_fiber", "min_principle_transform",
+                  "midpoint_divergence_probe"]
+
+    @staticmethod
+    def calls(w, t):
+        """One call per transform, over the ball at base point ``t``."""
+        dom = TestFiberChecks.BALL
+        p1 = (0.5, 0.0) if np.size(t) == 1 else (0.5, 0.0, 0.0)
+        return {
+            "marginal_transform": lambda: marginal_transform(w, dom, t),
+            "infimum_over_fiber": lambda: infimum_over_fiber(w, dom, t),
+            "min_principle_transform":
+                lambda: min_principle_transform(w, dom, ANCHOR_ZERO, 1.0, t),
+            "midpoint_divergence_probe":
+                lambda: midpoint_divergence_probe(w, dom, np.append(t, 0.0), p1, ks=(8,)),
+        }
+
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_weight_of_another_split_rejected(self, name):
+        w = weight_from_fn(lambda p: 0.0, 0, 2, lower_bound=0.0)  # (0, 2), not (1, 1)
+        with pytest.raises(InvalidParam):
+            self.calls(w, -0.5)[name]()
+
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_base_point_of_the_wrong_size_rejected(self, name):
+        with pytest.raises(InvalidParam):
+            self.calls(quadratic_weight(), (-0.5, 0.0))[name]()
+
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_the_same_calls_run_with_a_matching_weight(self, name):
+        self.calls(quadratic_weight(), -0.5)[name]()

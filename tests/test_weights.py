@@ -168,7 +168,27 @@ class TestRadialProfile:
         rp = RadialProfile(fn=lambda r: r, cutoff=1.0, seam_radii=(0.5, 1.5, -0.2, 0.0), label="x")
         assert rp.seam_radii == (0.5,)
 
-    def test_profile_at_matches_the_field(self):
-        w = lemma3_weight(10, 0.5)
-        prof = w.profile_at(())
-        np.testing.assert_allclose(prof(1.0), w.at((), (1.0, 0.0)), rtol=1e-15)
+    # Every radial catalog weight, and whether fn and radial_fn compute the
+    # same expression from the same distance (then they agree bit for bit).
+    # logshell measures with np.hypot and berndtsson_cex sums p @ p, where the
+    # test takes np.linalg.norm.
+    RADIAL_CATALOG = {
+        "cone2": (convex_localizer(8, MOVING), True),
+        "logcone": (psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)), True),
+        "logshell": (lemma3_weight(10, 0.5), False),
+        "prekopa_cex": (stock_weight("prekopa_cex", eps=0.3), True),
+        "berndtsson_cex": (stock_weight("berndtsson_cex", eps=0.3), False),
+        "minprinciple_cex": (stock_weight("minprinciple_cex"), True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RADIAL_CATALOG))
+    def test_fn_matches_radial_fn(self, name):
+        w, exact = self.RADIAL_CATALOG[name]
+        rng = np.random.default_rng(7)
+        for p in rng.uniform(-1.2, 1.2, size=(64, w.rdim)):
+            t, x = p[:w.base_rdim], p[w.base_rdim:]
+            r = float(np.linalg.norm(x - w.radial_center.at(t)))
+            if exact:
+                assert w.fn(p) == w.radial_fn(t, r)
+            else:
+                np.testing.assert_allclose(w.fn(p), w.radial_fn(t, r), rtol=1e-14, atol=1e-15)
