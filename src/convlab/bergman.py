@@ -1,9 +1,9 @@
-"""Weighted reproducing kernels on plane regions, by two independent routes.
+"""Weighted reproducing kernels on plane regions, by two routes.
 
 For a weight ``w`` on a region of the complex plane, the space of holomorphic
 functions with finite ``int |f|^2 e^{-w}`` has a reproducing kernel; its
 diagonal ``B(z)`` is the largest value of ``|f(z)|^2`` over unit-norm
-competitors.  The lab computes it two ways that share no code:
+competitors.  The lab computes it two ways:
 
 * **radial route** -- when the weight and region are rotation invariant the
   monomials are orthogonal, every moment is a one-dimensional integral, and
@@ -11,6 +11,11 @@ competitors.  The lab computes it two ways that share no code:
 * **gram route** -- on an arbitrary bounded region, assemble the Gram matrix
   of the monomial basis by two-dimensional quadrature and evaluate
   ``B(z) = b(z)^H G^{-1} b(z)``.
+
+The two routes build different integrals but run on the same GK15 core of
+``numerics``.  The closed forms of the log dent family (the fiber mass, the
+log-kernel curve and its inner Laplacian) call no quadrature at all, so they
+are independent of that core and check it.
 
 Truncation makes both routes converge to the kernel from below (adding basis
 functions enlarges the competitor space), so finite-degree values are honest
@@ -42,7 +47,7 @@ from .errors import (DivergentIntegral, IllConditioned, InvalidParam,
                      MethodUnavailable, NonConvergent, ZeroKernel)
 from .geometry import (AffineFiberMap, Ball, Domain, Full, boundary_distance,
                        disc_region, fiber)
-from .numerics import QuadConfig, integrate_1d, integrate_fiber, skirt_ladder
+from .numerics import integrate_1d, integrate_fiber, skirt_ladder
 from .weights import RadialProfile, WeightField, lemma3_weight, psh_localizer
 
 __all__ = [
@@ -68,7 +73,6 @@ class MomentTable:
 
     values: tuple
     statuses: tuple  # "finite" | "divergent"
-    label: str = ""
 
     def __post_init__(self):
         if len(self.values) != len(self.statuses):
@@ -89,8 +93,7 @@ class MomentTable:
         return "\n".join(lines) + "\n"
 
 
-def radial_moments(profile: RadialProfile, max_index: int,
-                   cfg: QuadConfig | None = None) -> MomentTable:
+def radial_moments(profile: RadialProfile, max_index: int) -> MomentTable:
     """Moments of a radial weight: ``m_j = 2 pi int r^{2j+1} e^{-profile(r)} dr``.
 
     On a bounded disc every moment is finite and all are computed in one
@@ -106,25 +109,22 @@ def radial_moments(profile: RadialProfile, max_index: int,
     if math.isfinite(profile.cutoff):
         def vec(r: float):
             return 2.0 * math.pi * r ** (2 * js + 1) * math.exp(-profile.fn(r))
-        vals = integrate_1d(vec, 0.0, profile.cutoff, cfg, breakpoints=seams)
+        vals = integrate_1d(vec, 0.0, profile.cutoff, breakpoints=seams)
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         return MomentTable(values=tuple(float(v) for v in vals),
-                           statuses=("finite",) * (max_index + 1),
-                           label=profile.label)
+                           statuses=("finite",) * (max_index + 1))
 
     values, statuses = [], []
     for j in js:
         def one(r: float, jj=int(j)):
             return 2.0 * math.pi * r ** (2 * jj + 1) * math.exp(-profile.fn(r))
         try:
-            values.append(float(integrate_1d(one, 0.0, math.inf, cfg,
-                                             breakpoints=seams)))
+            values.append(float(integrate_1d(one, 0.0, math.inf, breakpoints=seams)))
             statuses.append("finite")
         except DivergentIntegral:
             values.append(math.inf)
             statuses.append("divergent")
-    return MomentTable(values=tuple(values), statuses=tuple(statuses),
-                       label=profile.label)
+    return MomentTable(values=tuple(values), statuses=tuple(statuses))
 
 
 def bergman_radial(moments: MomentTable, rho: float = 0.0) -> float:
@@ -160,7 +160,6 @@ class GramKernel:
     matrix: np.ndarray
     center: complex
     cond: float
-    label: str = ""
 
     def value(self, z: complex | None = None) -> float:
         """Kernel diagonal ``B(z)`` for the truncated basis (a lower bound)."""
@@ -171,7 +170,7 @@ class GramKernel:
 
 
 def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
-                degree: int = 8, cfg: QuadConfig | None = None) -> GramKernel:
+                degree: int = 8) -> GramKernel:
     """Assemble the monomial Gram matrix over the fiber of ``domain`` at t.
 
     The integrand is the full rank-one tensor ``b(z) b(z)^H e^{-w(t,z)}``
@@ -195,8 +194,7 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
         b = (complex(x[0], x[1]) - c) ** js
         return b[:, None] * b.conj() * math.exp(-v)
 
-    gram = integrate_fiber(tensor, fib, cfg,
-                           circle_seams=w.fiber_circle_seams(fib.t))
+    gram = integrate_fiber(tensor, fib, circle_seams=w.fiber_circle_seams(fib.t))
     gram = np.asarray(gram, dtype=complex)
     gram = 0.5 * (gram + gram.conj().T)
     try:
@@ -208,13 +206,13 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     if cond > _COND_LIMIT:
         raise IllConditioned(f"gram matrix condition number {cond:.3e} exceeds "
                              f"{_COND_LIMIT:.0e}")
-    return GramKernel(matrix=gram, center=c, cond=cond, label=w.label)
+    return GramKernel(matrix=gram, center=c, cond=cond)
 
 
 def bergman_gram(w: WeightField, domain: Domain, t=(), at: complex = 0j,
-                 degree: int = 8, cfg: QuadConfig | None = None) -> float:
+                 degree: int = 8) -> float:
     """Kernel diagonal at ``at`` by the gram route (basis shifted to ``at``)."""
-    return gram_kernel(w, domain, t, center=at, degree=degree, cfg=cfg).value(at)
+    return gram_kernel(w, domain, t, center=at, degree=degree).value(at)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,6 @@ def berndtsson_profile(z: complex, eps: float) -> RadialProfile:
     return RadialProfile(
         fn=lambda r: 1.5 * math.log1p(abs(c + r * r)),
         cutoff=math.inf, seam_radii=seams,
-        label=f"logdent(|z|={z_abs:g})",
     )
 
 
@@ -280,7 +277,7 @@ def berndtsson_phi_closed(z_abs, eps: float):
     return _like(z_abs, -np.log(_log_dent_mass(z_abs, eps)))
 
 
-def berndtsson_phi_curve(eps: float, z_abs_list, cfg: QuadConfig | None = None) -> list:
+def berndtsson_phi_curve(eps: float, z_abs_list) -> list:
     """Quadrature route for the log-kernel curve: ``-log m_0`` per base point.
 
     Shares no arithmetic with the closed form; agreement of the two is one of
@@ -288,7 +285,7 @@ def berndtsson_phi_curve(eps: float, z_abs_list, cfg: QuadConfig | None = None) 
     """
     out = []
     for za in z_abs_list:
-        mt = radial_moments(berndtsson_profile(complex(abs(float(za)), 0.0), eps), 0, cfg)
+        mt = radial_moments(berndtsson_profile(complex(abs(float(za)), 0.0), eps), 0)
         if not mt.finite(0):
             raise DivergentIntegral("fiber mass diverged; no curve value")
         if not mt.values[0] > 0.0:
@@ -326,19 +323,19 @@ class LaplacianRow:
     error: float
 
 
-def laplacian_check(eps: float, z_abs_list, h: float = 1e-3,
-                    u: Callable[[complex], float] | None = None) -> list:
+def laplacian_check(eps: float, z_abs_list, h: float = 1e-3) -> list:
     """Five-point stencil Laplacian of the inner log-kernel branch vs closed form.
 
-    ``u`` defaults to the inner-branch curve itself; each probe point must
+    The stencil runs on the inner-branch curve itself; each probe point must
     keep the whole stencil strictly inside the dent.  Rows carry the stencil
     value, the closed form, and their gap -- O(h^2) when both are right.
     """
     if h <= 0.0:
         raise InvalidParam("stencil step must be positive")
-    if u is None:
-        def u(z: complex) -> float:
-            return -math.log(2.0 - 1.0 / math.sqrt(1.0 + eps * eps - abs(z) ** 2))
+
+    def u(z: complex) -> float:
+        return -math.log(2.0 - 1.0 / math.sqrt(1.0 + eps * eps - abs(z) ** 2))
+
     rows = []
     for za in z_abs_list:
         za = abs(float(za))
@@ -447,8 +444,7 @@ class Lemma2Row:
     upper: float
 
 
-def lemma2_harness(profile: RadialProfile, ks,
-                   cfg: QuadConfig | None = None) -> list:
+def lemma2_harness(profile: RadialProfile, ks) -> list:
     """Localized kernel values at the center of a radial weight, per sharpness.
 
     For each k the log-cone penalty of sharpness k is added to the profile and
@@ -469,9 +465,8 @@ def lemma2_harness(profile: RadialProfile, ks,
             fn=lambda r, cone=cone: profile.fn(r) + cone((), r),
             cutoff=profile.cutoff,
             seam_radii=tuple(profile.seam_radii) + (1.0 / k,),
-            label=profile.label,
         )
-        mt = radial_moments(combined, 0, cfg)
+        mt = radial_moments(combined, 0)
         if not mt.finite(0):
             raise DivergentIntegral("localized mass diverged")
         value = 1.0 / mt.values[0]
@@ -491,7 +486,7 @@ class Lemma3Row:
 
 
 def lemma3_harness(ks, r: float, domain: Domain | None = None,
-                   degree: int = 8, cfg: QuadConfig | None = None) -> list:
+                   degree: int = 8) -> list:
     """Kernel bounds for the log shell weight on a plane region.
 
     For each sharpness k the kernel diagonal at 0 under ``e^{-shell_k}`` is
@@ -515,10 +510,9 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
         def density(x: np.ndarray, w=w) -> float:
             return math.exp(-w.fn(x))
 
-        mass = integrate_fiber(density, fib, cfg,
-                               circle_seams=w.fiber_circle_seams(()))
+        mass = integrate_fiber(density, fib, circle_seams=w.fiber_circle_seams(()))
         lower = 1.0 / mass
-        value = bergman_gram(w, domain, degree=degree, cfg=cfg)
+        value = bergman_gram(w, domain, degree=degree)
         upper = 1.0 / (math.pi * r * r) if (ball_fits and k > 2) else None
         rows.append(Lemma3Row(k=k, lower=lower, value=value, upper=upper))
     return rows
@@ -529,15 +523,15 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
 
 
 def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
-                 taus, method: str = "radial", degree: int = 8,
-                 cfg: QuadConfig | None = None) -> list:
+                 taus, method: str = "radial", degree: int = 8) -> list:
     """Localized kernel diagonal ``B(a(tau))`` along the base, per tau.
 
     Adds the log-cone penalty of sharpness k about the moving center and
     evaluates the kernel at the center by the requested route.  The radial
     route needs the combined weight to be rotation invariant about a(tau) and
-    the fiber to be a full plane or a disc centered there; anything else
-    raises MethodUnavailable so a silently wrong fast path cannot exist.
+    the fiber to be a full plane or a disc whose center equals a(tau) exactly;
+    anything else raises MethodUnavailable so a silently wrong fast path
+    cannot exist.
     """
     if domain.kind != "complex" or domain.fiber_rdim != 2:
         raise InvalidParam("kernel curves need one-dimensional complex fibers")
@@ -555,7 +549,7 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
             if isinstance(node, Full):
                 cutoff = math.inf
             elif (isinstance(node, Ball) and tuple(node.axes) == (0, 1)
-                  and np.allclose(node.center, center)):
+                  and np.array_equal(node.center, center)):
                 cutoff = node.radius
             else:
                 raise MethodUnavailable(
@@ -565,14 +559,14 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
                 cutoff=cutoff,
                 seam_radii=combined.seam_radii_at(t),
             )
-            mt = radial_moments(prof, 0, cfg)
+            mt = radial_moments(prof, 0)
             if not mt.finite(0):
                 raise DivergentIntegral("localized mass diverged")
             out.append(1.0 / mt.values[0])
         elif method == "gram":
             c = a.at(t)
             out.append(bergman_gram(combined, domain, t,
-                                    at=complex(c[0], c[1]), degree=degree, cfg=cfg))
+                                    at=complex(c[0], c[1]), degree=degree))
         else:
             raise MethodUnavailable(f"no kernel route named {method!r}")
     return out

@@ -24,12 +24,13 @@ Each node class holds its own rules as methods: ``member`` and
 ``closed_member``; ``slice_first`` and ``bounds``; ``intervals``, the
 open-interval decomposition of a one-dimensional node; ``critical_points``,
 the abscissae where a slice can change shape; ``dist_to_complement``; and
-``dist_outside``, the distance to the closure from a point outside it.  The
-module functions ``node_intervals``, ``_critical_points``,
-``dist_to_complement`` and ``dist_to_set`` are the entry points and also the
-recursion step: a union, intersection or complement reaches each child
-through them, one call per node visited.  ``dist_to_set`` answers ``0.0``
-inside the closure and asks ``dist_outside`` elsewhere.
+``dist_outside``, the distance to the closure from a point outside it.  A
+compound node reaches each child's ``intervals`` and ``critical_points``
+directly.  The distance rules go through the module functions
+``dist_to_complement`` and ``dist_to_set``, which are the entry points and
+also the recursion step: a union, intersection or complement reaches each
+child through them, one call per node visited.  ``dist_to_set`` answers
+``0.0`` inside the closure and asks ``dist_outside`` elsewhere.
 
 Points are real coordinate vectors.  The rules take one point -- an
 ``(rdim,)`` array or a list of Python floats -- or a coordinate-major batch of
@@ -387,7 +388,7 @@ class _Compound(Node):
     def critical_points(self, axis):
         out = []
         for q in self.parts:
-            out.extend(_critical_points(q, axis))
+            out.extend(q.critical_points(axis))
         return out
 
 
@@ -426,7 +427,7 @@ class Union(_Compound):
     def intervals(self):
         parts = []
         for q in self.parts:
-            parts.extend(node_intervals(q))
+            parts.extend(q.intervals())
         return _merge_open(parts)
 
     def dist_to_complement(self, p):
@@ -489,7 +490,7 @@ class Intersection(_Compound):
     def intervals(self):
         acc = [(-_INF, _INF)]
         for q in self.parts:
-            acc = _intersect_lists(acc, node_intervals(q))
+            acc = _intersect_lists(acc, q.intervals())
         return acc
 
     def dist_to_complement(self, p):
@@ -544,10 +545,10 @@ class Complement(Node):
         return np.full(dim, -_INF), np.full(dim, _INF)
 
     def intervals(self):
-        return _complement_of_closure(node_intervals(self.part))
+        return _complement_of_closure(self.part.intervals())
 
     def critical_points(self, axis):
-        return _critical_points(self.part, axis)
+        return self.part.critical_points(axis)
 
     def dist_to_complement(self, p):
         return dist_to_set(self.part, p)
@@ -593,16 +594,6 @@ def _complement_of_closure(ivs):
     if prev < _INF:
         out.append((prev, _INF))
     return out
-
-
-def node_intervals(node: Node) -> list:
-    """Open-interval decomposition of a one-dimensional CSG node."""
-    return node.intervals()
-
-
-def _critical_points(node: Node, axis: int) -> list:
-    """Abscissae along ``axis`` where the slice structure of ``node`` can change."""
-    return node.critical_points(axis)
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +709,6 @@ class Domain:
     def closed_member(self, p) -> bool:
         return bool(self.csg.closed_member(self.point(p).tolist()))
 
-    def bounds(self):
-        return self.csg.bounds(self.rdim)
-
 
 @dataclass(frozen=True)
 class FiberDomain:
@@ -747,15 +735,15 @@ class FiberDomain:
     def quad_intervals(self) -> list:
         if self.dim != 1:
             raise InvalidParam("quad_intervals applies to one-dimensional fibers")
-        return node_intervals(self.node)
+        return self.node.intervals()
 
     def slice_intervals(self, x: float) -> list:
         if self.dim != 2:
             raise InvalidParam("slice_intervals applies to two-dimensional fibers")
-        return node_intervals(self.node.slice_first([float(x)], 1))
+        return self.node.slice_first([float(x)], 1).intervals()
 
     def critical_xs(self) -> list:
-        return sorted(set(_critical_points(self.node, 0)))
+        return sorted(set(self.node.critical_points(0)))
 
     def bounds(self):
         return self.node.bounds(self.dim)

@@ -458,8 +458,7 @@ def _circle_crossings(x: float, circles) -> list[float]:
     return out
 
 
-def integrate_fiber(f, fiber, cfg: QuadConfig | None = None,
-                    point_seams=(), circle_seams=()):
+def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
     """Integrate ``f`` over a fiber region of dimension 1 or 2.
 
     ``fiber`` must expose ``dim``, ``quad_intervals()`` (dimension 1),
@@ -467,7 +466,7 @@ def integrate_fiber(f, fiber, cfg: QuadConfig | None = None,
     ``bounds()``.  ``f`` takes an ndarray point of length ``dim``.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are (cx, cy, radius) kink circles (dimension 2).
-    An empty fiber integrates to 0.
+    An empty fiber integrates to 0.  The tolerances are ``DEFAULT_QUAD``'s.
 
     In dimension 2 the outer integral runs over s, one unit per segment
     between sorted edges e_0 < ... < e_n (the finite x-extremes of the region,
@@ -478,7 +477,7 @@ def integrate_fiber(f, fiber, cfg: QuadConfig | None = None,
     there.  An unbounded end continues the first or last edge by the
     identity; a plane with no finite edge is integrated in x itself.
     """
-    cfg = cfg or DEFAULT_QUAD
+    cfg = DEFAULT_QUAD
     dim = fiber.dim
     if dim == 1:
         intervals = fiber.quad_intervals()

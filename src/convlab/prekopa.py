@@ -30,8 +30,8 @@ from .errors import InvalidParam, PointOutsideDomain
 from .geometry import AffineFiberMap, Domain, fiber
 # integrate_1d is unused here but stays importable as prekopa.integrate_1d:
 # perfbench/test_perfbench.py checks that the layer tracer wraps it.
-from .numerics import (MinConfig, QuadConfig, integrate_1d, integrate_fiber,
-                       minimize_over_fiber, skirt_ladder)
+from .numerics import (integrate_1d, integrate_fiber, minimize_over_fiber,
+                       skirt_ladder)
 from .weights import WeightField, convex_localizer
 
 __all__ = [
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-def marginal_transform(w: WeightField, domain: Domain, t,
-                       cfg: QuadConfig | None = None) -> float:
+def marginal_transform(w: WeightField, domain: Domain, t) -> float:
     """-log of the fiber mass of ``e^{-w}`` over the slice of the domain at t.
 
     Returns ``+inf`` when the fiber is empty or its mass underflows to zero.
@@ -63,7 +62,7 @@ def marginal_transform(w: WeightField, domain: Domain, t,
         rate = w.envelope[0] if w.envelope is not None else None
         point_seams = skirt_ladder(w.fiber_point_seams(fib.t), rate)
     mass = integrate_fiber(
-        density, fib, cfg,
+        density, fib,
         point_seams=point_seams,
         circle_seams=w.fiber_circle_seams(fib.t) if fib.dim == 2 else (),
     )
@@ -72,8 +71,7 @@ def marginal_transform(w: WeightField, domain: Domain, t,
     return -math.log(mass)
 
 
-def twisted_marginal(w: WeightField, twist: WeightField, domain: Domain, t,
-                     cfg: QuadConfig | None = None) -> float:
+def twisted_marginal(w: WeightField, twist: WeightField, domain: Domain, t) -> float:
     """Marginal transform of ``w + twist``.
 
     The twist must carry a certified global lower bound: that is what keeps
@@ -82,7 +80,7 @@ def twisted_marginal(w: WeightField, twist: WeightField, domain: Domain, t,
     """
     if twist.lower_bound is None:
         raise InvalidParam("twist weight carries no certified lower bound")
-    return marginal_transform(w + twist, domain, t, cfg)
+    return marginal_transform(w + twist, domain, t)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +96,7 @@ class LocalizationRow:
 
 
 def localization_rows(w: WeightField, domain: Domain, a: AffineFiberMap,
-                      ks, t, cfg: QuadConfig | None = None) -> list:
+                      ks, t) -> list:
     """Twisted marginals with sharpening cone penalties centered on a(t).
 
     Each row holds the sharpness index, the twisted marginal at t, the target
@@ -110,7 +108,7 @@ def localization_rows(w: WeightField, domain: Domain, a: AffineFiberMap,
     rows = []
     for k in ks:
         psi = convex_localizer(int(k), a)
-        val = twisted_marginal(w, psi, domain, t_arr, cfg)
+        val = twisted_marginal(w, psi, domain, t_arr)
         rows.append(LocalizationRow(k=int(k), value=val, target=target,
                                     error=abs(val - target)))
     return rows
@@ -120,18 +118,17 @@ def localization_rows(w: WeightField, domain: Domain, a: AffineFiberMap,
 # Minimum principle
 
 
-def infimum_over_fiber(w: WeightField, domain: Domain, t,
-                       cfg: MinConfig | None = None, search_box=None):
+def infimum_over_fiber(w: WeightField, domain: Domain, t, search_box=None):
     """Numerical infimum of ``w(t, .)`` over the closed fiber at t.
 
     Returns (argmin, value).  Unbounded fibers need an explicit search box.
     """
     fib = fiber(domain, t)
-    return minimize_over_fiber(w.on_fiber(fib), fib, cfg, search_box=search_box)
+    return minimize_over_fiber(w.on_fiber(fib), fib, search_box=search_box)
 
 
 def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
-                            k: float, t, cfg: MinConfig | None = None) -> float:
+                            k: float, t) -> float:
     """Infimal convolution ``inf_x [ w(t,x) + k |x - a(t)| ]`` over the fiber.
 
     This is the degenerate endpoint of the localization family: penalties
@@ -165,7 +162,7 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
         radius = (anchor - w.lower_bound) / k + 1.0
         box = [(float(ci) - radius, float(ci) + radius) for ci in c]
 
-    _, val = minimize_over_fiber(g, fib, cfg, search_box=box)
+    _, val = minimize_over_fiber(g, fib, search_box=box)
     if fib.closed_member(c):
         val = min(val, w.at(t, c))
     return float(val)
@@ -192,8 +189,7 @@ class MidpointProbeReport:
 
 
 def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
-                              ks=(8, 16, 32, 64),
-                              cfg: QuadConfig | None = None) -> MidpointProbeReport:
+                              ks=(8, 16, 32, 64)) -> MidpointProbeReport:
     """Certify a midpoint convexity failure of twisted marginals.
 
     ``p0`` and ``p1`` are packed points of the total space.  The probe runs
@@ -225,9 +221,9 @@ def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
     rows = []
     for k in ks:
         psi = convex_localizer(int(k), center)
-        left = twisted_marginal(w, psi, domain, t0, cfg)
-        right = twisted_marginal(w, psi, domain, t1, cfg)
-        mid = twisted_marginal(w, psi, domain, tm, cfg)
+        left = twisted_marginal(w, psi, domain, t0)
+        right = twisted_marginal(w, psi, domain, t1)
+        mid = twisted_marginal(w, psi, domain, tm)
         if left == math.inf or right == math.inf:
             violation = -math.inf
         elif mid == math.inf:
@@ -309,7 +305,6 @@ class MarginalCurve:
 
     ts: tuple
     values: tuple
-    label: str = ""
 
     def convexity(self, tol: float = 1e-9) -> ConvexityReport:
         return convexity_check(self.ts, self.values, tol)
@@ -320,16 +315,9 @@ class MarginalCurve:
         return "\n".join(lines) + "\n"
 
 
-def sample_marginal_curve(w: WeightField, domain: Domain, ts,
-                          cfg: QuadConfig | None = None,
-                          twist: WeightField | None = None,
-                          label: str = "") -> MarginalCurve:
+def sample_marginal_curve(w: WeightField, domain: Domain, ts) -> MarginalCurve:
     ts = tuple(float(t) for t in np.asarray(ts, dtype=float).ravel())
-    if twist is None:
-        values = tuple(marginal_transform(w, domain, t, cfg) for t in ts)
-    else:
-        values = tuple(twisted_marginal(w, twist, domain, t, cfg) for t in ts)
-    return MarginalCurve(ts=ts, values=values, label=label)
+    return MarginalCurve(ts=ts, values=tuple(marginal_transform(w, domain, t) for t in ts))
 
 
 # ---------------------------------------------------------------------------

@@ -313,8 +313,7 @@ def _twisted_nonconvex(p):
            "cone-twisted marginals collapse to the weight value on the moving center")
 def _lemma1(p):
     line = full_space((1, 1))
-    sq = weight_from_fn(lambda q: q[1] * q[1], 1, 1, lower_bound=0.0,
-                        label="square")
+    sq = weight_from_fn(lambda q: q[1] * q[1], 1, 1, lower_bound=0.0)
     amap = AffineFiberMap.through(0.0, (0.0,), 1.0, (1.0,))
     rows = prekopa.localization_rows(sq, line, amap, p["ks"], p["t"])
     errs = [r.error for r in rows]
@@ -436,7 +435,7 @@ def _berndtsson_cex(p):
 @_scenario("lemma2",
            "log-cone-localized kernels converge to e^{weight} at the center")
 def _lemma2(p):
-    prof = RadialProfile(fn=lambda r: r * r, cutoff=math.inf, label="square")
+    prof = RadialProfile(fn=lambda r: r * r, cutoff=math.inf)
     rows = bergman.lemma2_harness(prof, p["ks"])
     errs = [r.error for r in rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))

@@ -127,7 +127,6 @@ class WeightField:
     radial_fn: Optional[Callable[[np.ndarray, float], float]] = None
     envelope: Optional[tuple] = None  # (rate, radius) about radial_center
     constant: Optional[float] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.base_rdim < 0 or self.fiber_rdim < 1:
@@ -194,7 +193,7 @@ class WeightField:
                 radii.append(s.radius)
             elif isinstance(s, FixedSphereSeam):
                 axes, ctr, rad2 = s._fiber_reduction(t, self.base_rdim)
-                if rad2 > 0.0 and len(axes) == c.size and np.allclose(ctr, c):
+                if rad2 > 0.0 and np.array_equal(ctr, c):
                     radii.append(math.sqrt(rad2))
         return tuple(r for r in radii if r > 0.0)
 
@@ -221,12 +220,11 @@ class WeightField:
 
         center, radial = _combine_radial(self, other)
         env = _combine_envelopes(self, other, center)
-        label = "+".join(s for s in (self.label, other.label) if s)
         return WeightField(
             fn=added, base_rdim=self.base_rdim, fiber_rdim=self.fiber_rdim,
             lower_bound=lb, seams=self.seams + other.seams,
             radial_center=center, radial_fn=radial, envelope=env,
-            constant=const, label=label,
+            constant=const,
         )
 
 
@@ -269,12 +267,12 @@ def _combine_envelopes(a: WeightField, b: WeightField, center):
 
 
 def weight_from_fn(fn, base_rdim: int, fiber_rdim: int, *, lower_bound=None,
-                   seams=(), radial_center=None, radial_fn=None, envelope=None,
-                   label="") -> WeightField:
+                   seams=(), radial_center=None, radial_fn=None,
+                   envelope=None) -> WeightField:
     return WeightField(fn=fn, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
                        lower_bound=lower_bound, seams=tuple(seams),
                        radial_center=radial_center, radial_fn=radial_fn,
-                       envelope=envelope, label=label)
+                       envelope=envelope)
 
 
 def constant_weight(c: float, base_rdim: int, fiber_rdim: int) -> WeightField:
@@ -282,7 +280,7 @@ def constant_weight(c: float, base_rdim: int, fiber_rdim: int) -> WeightField:
     if not math.isfinite(c):
         raise InvalidParam("constant weight must be finite")
     return WeightField(fn=lambda p: c, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
-                       lower_bound=c, constant=c, label=f"const({c:g})")
+                       lower_bound=c, constant=c)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +298,6 @@ class RadialProfile:
     fn: Callable[[float], float]
     cutoff: float = _INF
     seam_radii: tuple = ()
-    label: str = ""
 
     def __post_init__(self):
         if self.cutoff <= 0.0:
@@ -316,7 +313,7 @@ class RadialProfile:
 # The weight catalog
 
 
-def convex_localizer(k: int, a: AffineFiberMap, n: int | None = None) -> WeightField:
+def convex_localizer(k: int, a: AffineFiberMap) -> WeightField:
     """Quadratic cone penalty of sharpness k about the moving point a(t).
 
     Value ``k^2 * max(|x - a(t)| - 1/k, 0) + log(sigma_n / k^n)``: flat at its
@@ -327,10 +324,7 @@ def convex_localizer(k: int, a: AffineFiberMap, n: int | None = None) -> WeightF
     k = int(k)
     if k < 1:
         raise InvalidParam("sharpness index k must be a positive integer")
-    if n is None:
-        n = a.fiber_rdim
-    if n != a.fiber_rdim:
-        raise InvalidParam(f"center map has fiber dimension {a.fiber_rdim}, not {n}")
+    n = a.fiber_rdim
     lb = math.log(BallVolume.of(n)) - n * math.log(k)
     nb = a.base_rdim
     kk = float(k * k)
@@ -348,24 +342,24 @@ def convex_localizer(k: int, a: AffineFiberMap, n: int | None = None) -> WeightF
         radial_center=a,
         radial_fn=lambda t, r: cone(r),
         envelope=(kk, inv_k - lb / kk),
-        label=f"cone2(k={k})",
     )
 
 
-def psh_localizer(k: int, a: AffineFiberMap, n: int = 1) -> WeightField:
+def psh_localizer(k: int, a: AffineFiberMap) -> WeightField:
     """Log cone penalty of sharpness k about the moving point a(tau).
 
-    Value ``k * max(log(k |z - a(tau)|), 0) + log(sigma_2n / k^2n)`` on complex
-    fibers (2n packed reals): flat at its lower bound on the disc of radius
-    1/k, then growing like k log.  The growth makes ``e^{-penalty}`` decay as
-    ``|z|^{-k}``, integrable on the plane once k exceeds the fiber dimension.
+    Value ``k * max(log(k |z - a(tau)|), 0) + log(sigma_2 / k^2)`` on a
+    one-dimensional complex fiber (2 packed reals): flat at its lower bound on
+    the disc of radius 1/k, then growing like k log.  The growth makes
+    ``e^{-penalty}`` decay as ``|z|^{-k}``, integrable on the plane once k
+    exceeds 2.
     """
     k = int(k)
     if k < 1:
         raise InvalidParam("sharpness index k must be a positive integer")
-    if a.fiber_rdim != 2 * n:
-        raise InvalidParam(f"center map has {a.fiber_rdim} packed fiber reals, expected {2 * n}")
-    lb = math.log(BallVolume.of(2 * n)) - 2 * n * math.log(k)
+    if a.fiber_rdim != 2:
+        raise InvalidParam(f"center map has {a.fiber_rdim} packed fiber reals, expected 2")
+    lb = math.log(BallVolume.of(2)) - 2 * math.log(k)
     nb = a.base_rdim
     kf = float(k)
 
@@ -377,11 +371,10 @@ def psh_localizer(k: int, a: AffineFiberMap, n: int = 1) -> WeightField:
         return cone(r)
 
     return WeightField(
-        fn=fn, base_rdim=nb, fiber_rdim=2 * n, lower_bound=lb,
+        fn=fn, base_rdim=nb, fiber_rdim=2, lower_bound=lb,
         seams=(MovingSphereSeam(a, 1.0 / k),),
         radial_center=a,
         radial_fn=lambda t, r: cone(float(r)),
-        label=f"logcone(k={k})",
     )
 
 
@@ -405,7 +398,6 @@ def lemma3_weight(k: int, r: float) -> WeightField:
         seams=(FixedSphereSeam((0.0, 0.0), rf, (0, 1)),),
         radial_center=AffineFiberMap.constant((0.0, 0.0), 0),
         radial_fn=lambda t, s: cone(float(s)),
-        label=f"logshell(k={k},r={r:g})",
     )
 
 
@@ -434,7 +426,6 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
             radial_center=AffineFiberMap.constant((0.0,), 1),
             radial_fn=dent,
             envelope=(1.0, 1.0 + float(eps)),
-            label=f"dent2(eps={eps:g})",
         )
     if name == "berndtsson_cex":
         if eps is None or not (0.0 < eps < 1.0):
@@ -450,7 +441,6 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
             seams=(FixedSphereSeam((0.0, 0.0, 0.0, 0.0), float(eps), (0, 1, 2, 3)),),
             radial_center=AffineFiberMap.constant((0.0, 0.0), 2),
             radial_fn=lambda t, r: log_dent(t[0] * t[0] + t[1] * t[1] + r * r),
-            label=f"logdent(eps={eps:g})",
         )
     if name == "minprinciple_cex":
         def dent(t, r):
@@ -463,6 +453,5 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
             radial_center=AffineFiberMap.constant((0.0,), 1),
             radial_fn=dent,
             envelope=(1.0, 2.0),
-            label="dent1",
         )
     raise UnknownName(f"no weight named {name!r} in the catalog")

@@ -1,6 +1,7 @@
 """Weighted kernel diagnostics: moment tables, Gram kernels, dome weight."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from convlab import bergman
 from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, NonConvergent,
                             ZeroKernel)
-from convlab.geometry import (AffineFiberMap, bidisc, disc_region, full_space, hartogs_figure,
-                              plane_region)
+from convlab.geometry import (AffineFiberMap, Ball, Domain, Intersection, bidisc, disc_region,
+                              full_space, hartogs_figure, plane_region)
+from convlab.prekopa import dent_marginal_closed
 from convlab.weights import RadialProfile, constant_weight, lemma3_weight
 from convlab.bergman import (
     bergman_gram,
@@ -28,7 +30,7 @@ from convlab.bergman import (
     radial_moments,
 )
 
-FLAT_DISC = RadialProfile(fn=lambda r: 0.0, cutoff=1.0, seam_radii=(), label="flat")
+FLAT_DISC = RadialProfile(fn=lambda r: 0.0, cutoff=1.0, seam_radii=())
 EPS = 0.3
 
 # closed-form values, frozen from independent high-precision evaluation
@@ -55,7 +57,7 @@ class TestRadialMoments:
         assert all(s == "finite" for s in mt.statuses)
 
     def test_flat_plane_diverges(self):
-        plane = RadialProfile(fn=lambda r: 0.0, cutoff=math.inf, seam_radii=(), label="")
+        plane = RadialProfile(fn=lambda r: 0.0, cutoff=math.inf, seam_radii=())
         mt = radial_moments(plane, 2)
         assert all(s == "divergent" for s in mt.statuses)
         with pytest.raises(ZeroKernel):
@@ -68,7 +70,6 @@ class TestRadialMoments:
             fn=lambda r: 10.0 * max(math.log(r), 0.0),
             cutoff=math.inf,
             seam_radii=(1.0,),
-            label="cone",
         )
         mt = radial_moments(cone, 5)
         assert [mt.finite(j) for j in range(6)] == [True, True, True, True, False, False]
@@ -317,7 +318,7 @@ class TestClosedFormsOnArrays:
 
 class TestHarnesses:
     def test_lemma2_rows(self):
-        sq = RadialProfile(fn=lambda r: r * r, cutoff=math.inf, seam_radii=(), label="sq")
+        sq = RadialProfile(fn=lambda r: r * r, cutoff=math.inf, seam_radii=())
         rows = lemma2_harness(sq, (16, 32))
         np.testing.assert_allclose(rows[0].value, 0.876995242923816, rtol=1e-9)
         assert rows[0].error > rows[1].error
@@ -327,7 +328,7 @@ class TestHarnesses:
             np.testing.assert_allclose(row.upper, math.exp(1.0 / row.k ** 2), rtol=1e-12)
 
     def test_lemma2_needs_k_at_least_three(self):
-        sq = RadialProfile(fn=lambda r: r * r, cutoff=math.inf, seam_radii=(), label="sq")
+        sq = RadialProfile(fn=lambda r: r * r, cutoff=math.inf, seam_radii=())
         with pytest.raises(InvalidParam):
             lemma2_harness(sq, (2,))
 
@@ -383,6 +384,22 @@ class TestKernelCurve:
                 method="radial",
             )
 
+    # the unit base disc times the fiber disc of radius 0.4 about 0.5
+    OFF_CENTER = Domain(Intersection((Ball((0.0, 0.0), 1.0, (0, 1)),
+                                      Ball((0.5, 0.0), 0.4, (2, 3)))), (1, 1), "complex")
+
+    def test_radial_takes_a_disc_centered_exactly_on_the_moving_center(self):
+        val = kernel_curve(constant_weight(0.0, 2, 2), self.OFF_CENTER,
+                           AffineFiberMap.complex_affine(0.5), 8, [(0.0, 0.0)])
+        np.testing.assert_allclose(val, [0.7501746636497928], rtol=1e-14)
+
+    def test_radial_rejects_a_disc_a_hair_off_the_moving_center(self):
+        # 3e-6 is inside np.allclose's default tolerance: the radial route
+        # must not treat this disc as centered
+        with pytest.raises(MethodUnavailable):
+            kernel_curve(constant_weight(0.0, 2, 2), self.OFF_CENTER,
+                         AffineFiberMap.complex_affine(0.5 + 3e-6), 8, [(0.0, 0.0)])
+
     def test_complex_tau_is_its_packed_pair(self):
         args = (constant_weight(0.0, 2, 2), full_space((1, 1), "complex"),
                 AffineFiberMap.complex_affine(0.1, 0.5), 8)
@@ -419,3 +436,36 @@ def test_overflowing_weight_on_some_nodes_is_non_convergent():
     # e^{800 r} overflows math.exp on part of the first panel only.
     with pytest.raises(NonConvergent):
         radial_moments(RadialProfile(fn=lambda r: -800.0 * r, cutoff=1.0), 3)
+
+
+def _numerics_reached(fn, *args) -> set:
+    """Names of the ``convlab.numerics`` functions that ``fn(*args)`` calls,
+    directly or at any depth."""
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "convlab.numerics":
+            reached.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return reached
+
+
+@pytest.mark.parametrize("closed, args", [
+    (dent_marginal_closed, (0.05, 0.1)),  # inside the dent
+    (dent_marginal_closed, (0.5, 0.1)),  # outside it
+    (berndtsson_m0_closed, (np.array([0.1, 0.6]), EPS)),  # both branches
+    (berndtsson_phi_closed, (np.array([0.1, 0.6]), EPS)),
+    (berndtsson_inner_laplacian, (np.array([0.0, 0.1]), EPS)),
+])
+def test_closed_forms_are_independent_of_the_quadrature(closed, args):
+    assert _numerics_reached(closed, *args) == set()
+
+
+def test_the_quadrature_route_is_seen_reaching_numerics():
+    assert "integrate_1d" in _numerics_reached(berndtsson_phi_curve, EPS, [0.1])

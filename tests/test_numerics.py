@@ -14,6 +14,7 @@ from convlab.numerics import (
     _KW,
     _NODES,
     _panel_rule,
+    DEFAULT_QUAD,
     MinConfig,
     QuadConfig,
     integrate_1d,
@@ -89,6 +90,49 @@ class TestIntegrate1d:
         F = lambda x: c0 * x + c1 * x * x / 2 + c2 * x ** 3 / 3
         val = integrate_1d(lambda x: c0 + c1 * x + c2 * x * x, lo, hi)
         np.testing.assert_allclose(val, F(hi) - F(lo), rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def _finite_integrals(draw):
+    """(lo, hi, f, breakpoints, split point): a smooth integrand, or a kinked
+    one whose kink is registered as its breakpoint."""
+    lo, width = draw(st.floats(-5, 5)), draw(st.floats(0.01, 6))
+    c0, c1 = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+    mid = lo + draw(st.floats(0.05, 0.95)) * width
+    if draw(st.booleans()):
+        kink = lo + draw(st.floats(0.0, 1.0)) * width
+        return lo, lo + width, lambda x: c0 * abs(x - kink) + math.cos(c1 * x), (kink,), mid
+    return lo, lo + width, lambda x: c0 * math.cos(c1 * x) + math.exp(-x * x), (), mid
+
+
+def _assert_same_integral(got, want):
+    """Equal within twice the tolerance ``integrate_1d`` works to."""
+    tol = 2.0 * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(want))
+    assert abs(got - want) <= tol
+
+
+class TestIntegrate1dProperties:
+    @given(_finite_integrals())
+    @settings(max_examples=60, deadline=None)
+    def test_additive_over_a_split_interval(self, case):
+        lo, hi, f, bps, mid = case
+        parts = (integrate_1d(f, lo, mid, breakpoints=bps)
+                 + integrate_1d(f, mid, hi, breakpoints=bps))
+        _assert_same_integral(parts, integrate_1d(f, lo, hi, breakpoints=bps))
+
+    @given(_finite_integrals())
+    @settings(max_examples=60, deadline=None)
+    def test_an_inserted_breakpoint_changes_nothing(self, case):
+        lo, hi, f, bps, mid = case
+        _assert_same_integral(integrate_1d(f, lo, hi, breakpoints=bps + (mid,)),
+                              integrate_1d(f, lo, hi, breakpoints=bps))
+
+    @given(_finite_integrals())
+    @settings(max_examples=60, deadline=None)
+    def test_reflection_symmetry(self, case):
+        lo, hi, f, bps, _ = case
+        mirrored = integrate_1d(lambda x: f(-x), -hi, -lo, breakpoints=[-p for p in bps])
+        _assert_same_integral(mirrored, integrate_1d(f, lo, hi, breakpoints=bps))
 
 
 def _tensordot_panel_rule(f, a, b):

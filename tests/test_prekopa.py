@@ -8,7 +8,6 @@ import pytest
 from convlab.errors import InvalidParam
 from convlab.geometry import (AffineFiberMap, ball_domain, dumbbell,
                               full_space, punctured_ball)
-from convlab.numerics import QuadConfig
 from convlab.prekopa import (
     convexity_check,
     dent_marginal_closed,
@@ -55,7 +54,7 @@ class TestForwardTransform:
 
     def test_curve_sampling_and_csv(self):
         w = quadratic_weight()
-        crv = sample_marginal_curve(w, STRIP, [0.0, 0.5, 1.0], label="sep")
+        crv = sample_marginal_curve(w, STRIP, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(
             crv.values, [t * t - LOG_SQRT_PI for t in (0.0, 0.5, 1.0)], rtol=1e-10
         )

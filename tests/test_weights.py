@@ -6,6 +6,7 @@ import pytest
 from convlab.errors import InvalidParam, UnknownName
 from convlab.geometry import AffineFiberMap
 from convlab.weights import (
+    FixedSphereSeam,
     RadialProfile,
     WeightField,
     constant_weight,
@@ -66,6 +67,10 @@ class TestPshLocalizer:
     def test_circle_seam_at_one_over_k(self):
         psi = psh_localizer(8, ORIGIN2)
         assert psi.fiber_circle_seams(()) == ((0.0, 0.0, 0.125),)
+
+    def test_center_map_needs_one_complex_fiber_coordinate(self):
+        with pytest.raises(InvalidParam, match="packed fiber reals"):
+            psh_localizer(8, AffineFiberMap.constant((0.0,), base_rdim=0))
 
 
 class TestStockWeights:
@@ -164,8 +169,19 @@ class TestWeightAlgebra:
 
 
 class TestRadialProfile:
+    def test_seam_radii_need_a_seam_centered_exactly_on_the_radial_center(self):
+        seam = FixedSphereSeam((0.0, 0.5), 0.3, (0, 1))
+
+        def centered_at(c):
+            return weight_from_fn(lambda p: 0.0, 1, 1, seams=(seam,),
+                                  radial_center=AffineFiberMap.constant((c,), 1),
+                                  radial_fn=lambda t, r: 0.0)
+
+        assert centered_at(0.5).seam_radii_at((0.1,)) == pytest.approx((math.sqrt(0.08),))
+        assert centered_at(0.5 + 3e-6).seam_radii_at((0.1,)) == ()
+
     def test_seams_outside_the_cutoff_are_dropped(self):
-        rp = RadialProfile(fn=lambda r: r, cutoff=1.0, seam_radii=(0.5, 1.5, -0.2, 0.0), label="x")
+        rp = RadialProfile(fn=lambda r: r, cutoff=1.0, seam_radii=(0.5, 1.5, -0.2, 0.0))
         assert rp.seam_radii == (0.5,)
 
     # Every radial catalog weight, and whether fn and radial_fn compute the
