@@ -14,9 +14,8 @@ from .errors import (ConvlabError, DiscEscapesDomain, DivergentIntegral,
                      IllConditioned, InvalidParam, MethodUnavailable,
                      NonConvergent, OutOfDomain, PointOutsideDomain, Unbounded,
                      UnknownName, UnknownScenario, ZeroKernel)
-from .numerics import (BallVolume, MinConfig, QuadConfig, integrate_1d,
-                       integrate_fiber, kahan_total, minimize_over_fiber,
-                       skirt_ladder)
+from .numerics import (BallVolume, integrate_1d, integrate_fiber, kahan_total,
+                       minimize_over_fiber, skirt_ladder)
 from .geometry import (AffineFiberMap, AnalyticDisc, Ball, Box, Complement,
                        Domain, Empty, FiberDomain, Full, Intersection, Union,
                        ball_domain, bidisc, boundary_distance, box_domain,

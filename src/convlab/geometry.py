@@ -30,7 +30,14 @@ directly.  The distance rules go through the module functions
 ``dist_to_complement`` and ``dist_to_set``, which are the entry points and
 also the recursion step: a union, intersection or complement reaches each
 child through them, one call per node visited.  ``dist_to_set`` answers
-``0.0`` inside the closure and asks ``dist_outside`` elsewhere.
+``0.0`` inside the closure and asks ``dist_outside`` elsewhere.  A union's
+``dist_to_complement`` and an intersection's ``dist_outside`` share one
+rule, ``_by_axis_groups``.
+
+``slice_first`` slices the open set, or with ``closed`` the closed version
+that ``closed_member`` tests (a ball cut on its rim leaves a radius-0 ball).
+A complement slices its part the other way, so a fiber over a base point on
+the boundary of a removed set keeps that set.
 
 Points are real coordinate vectors.  The rules take one point -- an
 ``(rdim,)`` array or a list of Python floats -- or a coordinate-major batch of
@@ -147,8 +154,12 @@ class Node:
     def axes_set(self) -> frozenset:
         raise NotImplementedError
 
-    def slice_first(self, t, nb: int) -> "Node":
-        """Fix the first ``nb`` coordinates to ``t``; remaining axes shift down."""
+    def slice_first(self, t, nb: int, closed: bool = False) -> "Node":
+        """Fix the first ``nb`` coordinates to ``t``; remaining axes shift down.
+
+        With ``closed`` the slice is of the closed version of the node, the
+        set ``closed_member`` tests.  A complement slices its part the other
+        way, so a base point on the boundary of the part keeps it."""
         raise NotImplementedError
 
     def bounds(self, dim: int):
@@ -201,7 +212,7 @@ class Ball(Node):
     def axes_set(self):
         return frozenset(self.axes)
 
-    def slice_first(self, t, nb):
+    def slice_first(self, t, nb, closed=False):
         off2 = 0
         fib_axes, fib_center = [], []
         for a, c in zip(self.axes, self.center):
@@ -212,9 +223,9 @@ class Ball(Node):
                 fib_center.append(c)
         r2 = self.radius * self.radius
         if not fib_axes:
-            return Full() if off2 < r2 else Empty()
+            return Full() if (off2 <= r2 if closed else off2 < r2) else Empty()
         rad2 = r2 - off2
-        if rad2 <= 0.0:
+        if rad2 < 0.0 or (rad2 == 0.0 and not closed):
             return Empty()
         return Ball(tuple(fib_center), math.sqrt(rad2), tuple(fib_axes))
 
@@ -276,11 +287,11 @@ class Box(Node):
     def axes_set(self):
         return frozenset(self.axes)
 
-    def slice_first(self, t, nb):
+    def slice_first(self, t, nb, closed=False):
         keep_axes, keep_lo, keep_hi = [], [], []
         for a, l, h in zip(self.axes, self.lo, self.hi):
             if a < nb:
-                if not (l < t[a] < h):
+                if not (l <= t[a] <= h if closed else l < t[a] < h):
                     return Empty()
             else:
                 keep_axes.append(a - nb)
@@ -331,7 +342,7 @@ class Full(Node):
     def axes_set(self):
         return frozenset()
 
-    def slice_first(self, t, nb):
+    def slice_first(self, t, nb, closed=False):
         return Full()
 
     def bounds(self, dim):
@@ -355,7 +366,7 @@ class Empty(Node):
     def axes_set(self):
         return frozenset()
 
-    def slice_first(self, t, nb):
+    def slice_first(self, t, nb, closed=False):
         return Empty()
 
     def bounds(self, dim):
@@ -406,10 +417,10 @@ class Union(_Compound):
             out = out | q.closed_member(p)
         return out
 
-    def slice_first(self, t, nb):
+    def slice_first(self, t, nb, closed=False):
         out = []
         for q in self.parts:
-            s = q.slice_first(t, nb)
+            s = q.slice_first(t, nb, closed)
             if isinstance(s, Full):
                 return Full()
             if not isinstance(s, Empty):
@@ -431,21 +442,7 @@ class Union(_Compound):
         return _merge_open(parts)
 
     def dist_to_complement(self, p):
-        """Exact by Pythagoras across disjoint axis groups; within a shared
-        group the max of the parts, a lower bound flagged inexact."""
-        vals, exact = [], True
-        for g in _axis_groups(self.parts):
-            if len(g) == 1:
-                v, e = dist_to_complement(g[0], p)
-            else:
-                v, e = -_INF, False
-                for q in g:
-                    v = _maximum(v, dist_to_complement(q, p)[0])
-            vals.append(v)
-            exact = exact & e
-        if len(vals) == 1:
-            return vals[0], exact
-        return _sqrt(_sum_squares([_maximum(v, 0.0) for v in vals])), exact
+        return _by_axis_groups(self.parts, p, dist_to_complement)
 
     def dist_outside(self, p):
         v, e = _INF, True
@@ -469,10 +466,10 @@ class Intersection(_Compound):
             out = out & q.closed_member(p)
         return out
 
-    def slice_first(self, t, nb):
+    def slice_first(self, t, nb, closed=False):
         out = []
         for q in self.parts:
-            s = q.slice_first(t, nb)
+            s = q.slice_first(t, nb, closed)
             if isinstance(s, Empty):
                 return Empty()
             if not isinstance(s, Full):
@@ -501,21 +498,7 @@ class Intersection(_Compound):
         return v, e
 
     def dist_outside(self, p):
-        """Exact by Pythagoras across disjoint axis groups; within a shared
-        group the max of the parts, a lower bound flagged inexact."""
-        vals, exact = [], True
-        for g in _axis_groups(self.parts):
-            if len(g) == 1:
-                v, e = dist_to_set(g[0], p)
-            else:
-                v, e = -_INF, False
-                for q in g:
-                    v = _maximum(v, dist_to_set(q, p)[0])
-            vals.append(v)
-            exact = exact & e
-        if len(vals) == 1:
-            return vals[0], exact
-        return _sqrt(_sum_squares(vals)), exact
+        return _by_axis_groups(self.parts, p, dist_to_set)
 
 
 @dataclass(frozen=True)
@@ -533,8 +516,8 @@ class Complement(Node):
     def axes_set(self):
         return self.part.axes_set()
 
-    def slice_first(self, t, nb):
-        s = self.part.slice_first(t, nb)
+    def slice_first(self, t, nb, closed=False):
+        s = self.part.slice_first(t, nb, not closed)
         if isinstance(s, Full):
             return Empty()
         if isinstance(s, Empty):
@@ -617,6 +600,28 @@ def _axis_groups(parts):
                 groups.remove(g)
             groups.append([merged_ax, merged_parts])
     return [g[1] for g in groups]
+
+
+def _by_axis_groups(parts, p, rule):
+    """Combine ``rule`` (``dist_to_complement`` or ``dist_to_set``) over
+    ``parts``: exact by Pythagoras across disjoint axis groups; within a
+    shared group the max of the parts, a lower bound flagged inexact.
+
+    Each group's value is clamped at 0 before it is squared; ``dist_to_set``
+    is never negative, so there the clamp keeps the bits."""
+    vals, exact = [], True
+    for g in _axis_groups(parts):
+        if len(g) == 1:
+            v, e = rule(g[0], p)
+        else:
+            v, e = -_INF, False
+            for q in g:
+                v = _maximum(v, rule(q, p)[0])
+        vals.append(v)
+        exact = exact & e
+    if len(vals) == 1:
+        return vals[0], exact
+    return _sqrt(_sum_squares([_maximum(v, 0.0) for v in vals])), exact
 
 
 def dist_to_complement(node: Node, p):

@@ -12,6 +12,10 @@ reduces to a handful of numerical primitives collected here:
 * ``minimize_over_fiber`` -- deterministic coarse-grid search with local
   refinement and lexicographic tie-breaking.
 
+There are no config objects: tolerances and budgets are private module
+constants.  The one value that varies inside the engine, the absolute
+tolerance, is ``integrate_1d``'s ``abs_tol`` keyword.
+
 Design constraints honored throughout: repeated calls with identical inputs
 produce bit-identical results (fixed evaluation order, compensated summation,
 no randomness, no parallelism), integrands may be scalar-, vector- or
@@ -48,7 +52,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,16 +65,12 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadConfig",
-    "MinConfig",
     "BallVolume",
     "integrate_1d",
     "integrate_fiber",
     "minimize_over_fiber",
     "kahan_total",
     "skirt_ladder",
-    "DEFAULT_QUAD",
-    "DEFAULT_MIN",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -112,63 +111,23 @@ _KW = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
 _GW = np.zeros(15)
 _GW[1::2] = list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3]))
 
+# Quadrature: the panel-error budget max(abs_tol, _REL_TOL * |I|) and the
+# panel cap of one adaptive pass.  An improper integral integrates a core of
+# half-width at least _TAIL_RADIUS, then doubles tail windows until one adds
+# at most abs_tol/4; increments that grow for _GROWTH_STREAK_LIMIT doublings
+# in a row can never pass that test and are declared divergent early.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_PANELS = 2000
+_TAIL_RADIUS = 8.0
 _MAX_TAIL_DOUBLINGS = 60
 _GROWTH_STREAK_LIMIT = 8
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and budgets for the quadrature engine.
-
-    ``abs_tol``/``rel_tol`` bound the total panel-error estimate.
-    ``max_subdiv`` caps the number of panels per adaptive pass and the number
-    of tail doublings.  ``tail_radius`` is the initial truncation radius for
-    improper integrals; the radius doubles until the increment falls below
-    ``abs_tol/4``.  ``tail_growth_bound`` is the largest increment ratio the
-    tail test tolerates before declaring divergence early (increments that
-    keep growing faster than this for several consecutive doublings can never
-    pass the Cauchy test).
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdiv: int = 2000
-    tail_radius: float = 8.0
-    tail_growth_bound: float = 1.0
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise InvalidParam("abs_tol must be positive and finite")
-        if not (self.rel_tol >= 0.0 and math.isfinite(self.rel_tol)):
-            raise InvalidParam("rel_tol must be nonnegative and finite")
-        if self.max_subdiv < 8:
-            raise InvalidParam("max_subdiv must be at least 8")
-        if not (self.tail_radius > 0.0 and math.isfinite(self.tail_radius)):
-            raise InvalidParam("tail_radius must be positive and finite")
-        if self.tail_growth_bound <= 0.0:
-            raise InvalidParam("tail_growth_bound must be positive")
-
-
-@dataclass(frozen=True)
-class MinConfig:
-    """Grid search controls: node count per axis, refinement rounds, and the
-    spacing at which refinement stops."""
-
-    grid_points: int = 33
-    refine_iters: int = 40
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.grid_points < 3:
-            raise InvalidParam("grid_points must be at least 3")
-        if self.refine_iters < 0:
-            raise InvalidParam("refine_iters must be nonnegative")
-        if not (self.tol > 0.0):
-            raise InvalidParam("tol must be positive")
-
-
-DEFAULT_QUAD = QuadConfig()
-DEFAULT_MIN = MinConfig()
+# Grid minimization: nodes per axis, refinement rounds, and the grid spacing
+# at which refinement stops.
+_GRID_POINTS = 33
+_REFINE_ROUNDS = 40
+_MIN_SPACING = 1e-10
 
 
 class BallVolume:
@@ -252,11 +211,11 @@ def _panel_rule(f, a: float, b: float):
     return resk.reshape(shape), float(err.max()), float(resabs.max())
 
 
-def _adaptive_segments(f, segments: Sequence[tuple[float, float]], cfg: QuadConfig):
+def _adaptive_segments(f, segments: Sequence[tuple[float, float]], abs_tol: float):
     """Greedy bisection over an initial list of finite segments.
 
     The panel with the worst error estimate is split first; the loop ends when
-    the summed estimates meet max(abs_tol, rel_tol * |integral|).  Panels are
+    the summed estimates meet max(abs_tol, _REL_TOL * |integral|).  Panels are
     re-summed left-to-right with compensated arithmetic so the result does not
     depend on the subdivision history.
     """
@@ -283,11 +242,11 @@ def _adaptive_segments(f, segments: Sequence[tuple[float, float]], cfg: QuadConf
 
     while True:
         norm = float(np.abs(running).max())
-        if tot_err <= max(cfg.abs_tol, cfg.rel_tol * norm):
+        if tot_err <= max(abs_tol, _REL_TOL * norm):
             break
-        if len(panels) >= cfg.max_subdiv:
+        if len(panels) >= _MAX_PANELS:
             raise NonConvergent(
-                f"quadrature needed more than {cfg.max_subdiv} panels "
+                f"quadrature needed more than {_MAX_PANELS} panels "
                 f"(error estimate {tot_err:.3e})"
             )
         while heap and dead[heap[0][2]]:
@@ -354,27 +313,26 @@ def _split_at_breakpoints(a: float, b: float, breakpoints) -> list[tuple[float, 
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
-def _tail_windows(f, start: float, sign: int, r0: float, cfg: QuadConfig, breakpoints):
+def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpoints):
     """Integrate over [start, +inf) or (-inf, start] by doubling windows.
 
     Stops once a window contributes at most abs_tol/4 in max-norm; raises
     DivergentIntegral when the doubling budget runs out, when a window value
-    is non-finite, or when increments keep growing past tail_growth_bound.
-    Returns a list of (left_endpoint, value) pieces.
+    is non-finite, or when increments keep growing.  Returns a list of
+    (left_endpoint, value) pieces.
     """
-    wcfg = replace(cfg, abs_tol=max(cfg.abs_tol / 64.0, 1e-300), rel_tol=min(cfg.rel_tol, 1e-9))
-    budget = min(cfg.max_subdiv, _MAX_TAIL_DOUBLINGS)
+    window_tol = max(abs_tol / 64.0, 1e-300)
     pieces = []
     inner = start
     radius = r0
     prev_mag = None
     growth_streak = 0
-    for _ in range(budget + 1):
+    for _ in range(_MAX_TAIL_DOUBLINGS + 1):
         outer = start + sign * radius
         lo, hi = (inner, outer) if sign > 0 else (outer, inner)
         segs = _split_at_breakpoints(lo, hi, breakpoints)
         try:
-            val, _ = _adaptive_segments(f, segs, wcfg)
+            val, _ = _adaptive_segments(f, segs, window_tol)
         except NonConvergent as exc:
             raise DivergentIntegral(
                 f"tail window [{lo}, {hi}] did not stabilize: {exc}"
@@ -386,9 +344,9 @@ def _tail_windows(f, start: float, sign: int, r0: float, cfg: QuadConfig, breakp
             )
         pieces.append((lo, val))
         mag = float(np.max(np.abs(arr)))
-        if mag <= cfg.abs_tol / 4.0:
+        if mag <= abs_tol / 4.0:
             return pieces
-        if prev_mag is not None and mag > cfg.tail_growth_bound * prev_mag * (1.0 + 1e-12):
+        if prev_mag is not None and mag > prev_mag * (1.0 + 1e-12):
             growth_streak += 1
             if growth_streak >= _GROWTH_STREAK_LIMIT:
                 raise DivergentIntegral(
@@ -401,20 +359,27 @@ def _tail_windows(f, start: float, sign: int, r0: float, cfg: QuadConfig, breakp
         inner = outer
         radius *= 2.0
     raise DivergentIntegral(
-        f"tail increment still {prev_mag:.3e} after {budget} doublings "
-        f"(abs_tol {cfg.abs_tol:.1e})"
+        f"tail increment still {prev_mag:.3e} after {_MAX_TAIL_DOUBLINGS} doublings "
+        f"(abs_tol {abs_tol:.1e})"
     )
 
 
-def integrate_1d(f, a: float, b: float, cfg: QuadConfig | None = None, breakpoints=()):
+def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TOL):
     """Integrate ``f`` over (a, b); either endpoint may be infinite.
 
     ``f`` maps a float to a float, complex, or ndarray (fixed shape).
     ``breakpoints`` registers known kinks/seams so no panel straddles one.
-    Raises NonConvergent when the panel budget is exhausted and
-    DivergentIntegral when an improper tail fails the doubling test.
+    ``abs_tol`` is the absolute part of the error budget.  Raises
+    NonConvergent when the panel budget is exhausted and DivergentIntegral
+    when an improper tail fails the doubling test.
+
+    All three improper cases take one path, as in QUADPACK's qagi: a finite
+    core around an anchor (``a`` if finite, else ``b`` if finite, else 0)
+    that reaches ``_TAIL_RADIUS`` and every breakpoint in (a, b), then
+    doubling tail windows beyond each infinite end.
     """
-    cfg = cfg or DEFAULT_QUAD
+    if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
+        raise InvalidParam("abs_tol must be positive and finite")
     if math.isnan(a) or math.isnan(b):
         raise InvalidParam("integration endpoints must not be NaN")
     if a > b:
@@ -422,28 +387,20 @@ def integrate_1d(f, a: float, b: float, cfg: QuadConfig | None = None, breakpoin
     if a == b:
         return 0.0
     bps = [float(p) for p in breakpoints if math.isfinite(p)]
-
-    pieces = []
-    if math.isinf(a) and math.isinf(b):
-        r0 = max(cfg.tail_radius, max((abs(p) for p in bps), default=0.0))
-        core, _ = _adaptive_segments(f, _split_at_breakpoints(-r0, r0, bps), cfg)
-        pieces.append((-r0, core))
-        pieces.extend(_tail_windows(f, r0, +1, r0, cfg, bps))
-        pieces.extend(_tail_windows(f, -r0, -1, r0, cfg, bps))
-    elif math.isinf(b):
-        r0 = max(cfg.tail_radius, max(((p - a) for p in bps), default=0.0))
-        core, _ = _adaptive_segments(f, _split_at_breakpoints(a, a + r0, bps), cfg)
-        pieces.append((a, core))
-        pieces.extend(_tail_windows(f, a + r0, +1, r0, cfg, bps))
-    elif math.isinf(a):
-        r0 = max(cfg.tail_radius, max(((b - p) for p in bps), default=0.0))
-        core, _ = _adaptive_segments(f, _split_at_breakpoints(b - r0, b, bps), cfg)
-        pieces.append((b - r0, core))
-        pieces.extend(_tail_windows(f, b - r0, -1, r0, cfg, bps))
-    else:
-        value, _ = _adaptive_segments(f, _split_at_breakpoints(a, b, bps), cfg)
+    if math.isfinite(a) and math.isfinite(b):
+        value, _ = _adaptive_segments(f, _split_at_breakpoints(a, b, bps), abs_tol)
         return value
 
+    anchor = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
+    r0 = max(_TAIL_RADIUS, max((abs(p - anchor) for p in bps if a < p < b), default=0.0))
+    lo = a if math.isfinite(a) else anchor - r0
+    hi = b if math.isfinite(b) else anchor + r0
+    core, _ = _adaptive_segments(f, _split_at_breakpoints(lo, hi, bps), abs_tol)
+    pieces = [(lo, core)]
+    if math.isinf(b):
+        pieces.extend(_tail_windows(f, hi, +1, r0, abs_tol, bps))
+    if math.isinf(a):
+        pieces.extend(_tail_windows(f, lo, -1, r0, abs_tol, bps))
     pieces.sort(key=lambda p: p[0])
     return kahan_total(p[1] for p in pieces)
 
@@ -466,7 +423,9 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
     ``bounds()``.  ``f`` takes an ndarray point of length ``dim``.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are (cx, cy, radius) kink circles (dimension 2).
-    An empty fiber integrates to 0.  The tolerances are ``DEFAULT_QUAD``'s.
+    An empty fiber integrates to 0.  The tolerances are the module's; each
+    inner integral of a two-dimensional fiber runs at ``_ABS_TOL`` divided by
+    16 times the outer width (``8 * _TAIL_RADIUS`` for an unbounded one).
 
     In dimension 2 the outer integral runs over s, one unit per segment
     between sorted edges e_0 < ... < e_n (the finite x-extremes of the region,
@@ -477,7 +436,6 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
     there.  An unbounded end continues the first or last edge by the
     identity; a plane with no finite edge is integrated in x itself.
     """
-    cfg = DEFAULT_QUAD
     dim = fiber.dim
     if dim == 1:
         intervals = fiber.quad_intervals()
@@ -486,7 +444,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         fn = lambda x: f(np.array([x]))
         values = []
         for (lo, hi) in intervals:
-            values.append((lo, integrate_1d(fn, lo, hi, cfg, breakpoints=point_seams)))
+            values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams)))
         values.sort(key=lambda p: p[0])
         return kahan_total(v for (_, v) in values)
     if dim != 2:
@@ -497,10 +455,10 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
     if x_lo >= x_hi:
         return 0.0
     if math.isinf(x_lo) or math.isinf(x_hi):
-        width = 8.0 * cfg.tail_radius
+        width = 8.0 * _TAIL_RADIUS
     else:
         width = x_hi - x_lo
-    icfg = replace(cfg, abs_tol=max(cfg.abs_tol / (16.0 * max(1.0, width)), 1e-300))
+    inner_tol = max(_ABS_TOL / (16.0 * max(1.0, width)), 1e-300)
 
     circles = [(float(cx), float(cy), float(r)) for (cx, cy, r) in circle_seams]
 
@@ -512,7 +470,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         parts = []
         for (ylo, yhi) in slices:
             g = lambda y: f(np.array([x, y]))
-            parts.append((ylo, integrate_1d(g, ylo, yhi, icfg, breakpoints=ybps)))
+            parts.append((ylo, integrate_1d(g, ylo, yhi, breakpoints=ybps, abs_tol=inner_tol)))
         parts.sort(key=lambda p: p[0])
         return kahan_total(v for (_, v) in parts)
 
@@ -535,10 +493,10 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
 
     s_lo = -math.inf if math.isinf(x_lo) else 0.0
     s_hi = math.inf if math.isinf(x_hi) else float(n)
-    return integrate_1d(mapped, s_lo, s_hi, cfg, breakpoints=range(len(edges)))
+    return integrate_1d(mapped, s_lo, s_hi, breakpoints=range(len(edges)))
 
 
-def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None):
+def minimize_over_fiber(f, fiber, search_box=None):
     """Deterministic grid minimization of ``f`` over a fiber region.
 
     ``search_box`` (pairs of (lo, hi) per axis) must be supplied when the
@@ -547,7 +505,6 @@ def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None)
     the lexicographically smallest point.  Returns (argmin, value) where the
     returned value never exceeds f at any evaluated grid node.
     """
-    cfg = cfg or DEFAULT_MIN
     dim = fiber.dim
     lo, hi = fiber.bounds()
     lo = np.array([float(v) for v in lo])
@@ -567,7 +524,7 @@ def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None)
     if np.any(lo > hi):
         raise OutOfDomain("search box does not meet the fiber")
 
-    axes = [np.linspace(lo[i], hi[i], cfg.grid_points) for i in range(dim)]
+    axes = [np.linspace(lo[i], hi[i], _GRID_POINTS) for i in range(dim)]
 
     def scan(axes_list):
         """Evaluate on the tensor grid; returns (best_point, best_val, best_index)."""
@@ -592,9 +549,8 @@ def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None)
     # boundary ring with the inward neighbor above it indicates escape.
     if search_box is not None:
         for ax in range(dim):
-            n = cfg.grid_points
             i = best_idx[ax]
-            if i in (0, n - 1):
+            if i in (0, _GRID_POINTS - 1):
                 step = 1 if i == 0 else -1
                 nb_idx = list(best_idx)
                 nb_idx[ax] += step
@@ -605,27 +561,22 @@ def minimize_over_fiber(f, fiber, cfg: MinConfig | None = None, search_box=None)
                         "and decreases outward"
                     )
 
-    spacing = np.array([
-        (hi[i] - lo[i]) / (cfg.grid_points - 1) if cfg.grid_points > 1 else 0.0
-        for i in range(dim)
-    ])
+    spacing = np.array([(hi[i] - lo[i]) / (_GRID_POINTS - 1) for i in range(dim)])
     center = best_pt
-    for _ in range(cfg.refine_iters):
-        if np.all(spacing <= cfg.tol):
+    for _ in range(_REFINE_ROUNDS):
+        if np.all(spacing <= _MIN_SPACING):
             break
         new_axes = []
         for i in range(dim):
             a = max(lo[i], center[i] - spacing[i])
             b = min(hi[i], center[i] + spacing[i])
-            new_axes.append(np.linspace(a, b, cfg.grid_points))
+            new_axes.append(np.linspace(a, b, _GRID_POINTS))
         pt, val, _ = scan(new_axes)
         if pt is not None and val < best_val:
             best_val = val
             best_pt = pt
         if pt is not None:
             center = pt
-        spacing = np.array([
-            (ax[-1] - ax[0]) / (cfg.grid_points - 1) for ax in new_axes
-        ])
+        spacing = np.array([(ax[-1] - ax[0]) / (_GRID_POINTS - 1) for ax in new_axes])
     return best_pt, best_val
 

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from convlab.errors import DivergentIntegral, InvalidParam, Unbounded
 from convlab.geometry import box_domain, disc_region, fiber, full_space
 from convlab.numerics import (
+    _ABS_TOL,
     _GW,
     _KW,
     _NODES,
+    _REL_TOL,
     _panel_rule,
-    DEFAULT_QUAD,
-    MinConfig,
-    QuadConfig,
     integrate_1d,
     integrate_fiber,
     kahan_total,
@@ -61,6 +60,21 @@ class TestIntegrate1d:
     def test_slowly_divergent_tail_raises(self):
         with pytest.raises(DivergentIntegral):
             integrate_1d(lambda x: 1.0 / x, 1.0, math.inf)
+
+    @pytest.mark.parametrize("a,b,f,outside", [
+        (0.0, math.inf, lambda x: math.exp(-abs(x - 1.0)), (-30.0, -0.5, 0.0)),
+        (-math.inf, 0.0, lambda x: math.exp(-abs(x + 1.0)), (0.0, 0.5, 30.0)),
+        (-math.inf, math.inf, lambda x: math.exp(-x * x), (-math.inf, math.inf, math.nan)),
+    ])
+    def test_breakpoints_outside_the_range_are_ignored(self, a, b, f, outside):
+        # The core of an improper integral reaches only the breakpoints in (a, b).
+        assert _bits(integrate_1d(f, a, b, breakpoints=outside)) == _bits(integrate_1d(f, a, b))
+
+    def test_far_kink_widens_the_core(self):
+        # The kink at 20 lies beyond the default core (0, 8); registering it
+        # stretches the core to (0, 20) so no tail window straddles it.
+        val = integrate_1d(lambda x: math.exp(-abs(x - 20.0)), 0.0, math.inf, breakpoints=(20.0,))
+        np.testing.assert_allclose(val, 2.0 - math.exp(-20.0), rtol=1e-12)
 
     def test_far_bump_found_via_breakpoint(self):
         # A bump far outside the default tail window is invisible unless its
@@ -107,7 +121,7 @@ def _finite_integrals(draw):
 
 def _assert_same_integral(got, want):
     """Equal within twice the tolerance ``integrate_1d`` works to."""
-    tol = 2.0 * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(want))
+    tol = 2.0 * max(_ABS_TOL, _REL_TOL * abs(want))
     assert abs(got - want) <= tol
 
 
@@ -361,13 +375,17 @@ class TestMinimizeOverFiber:
     def test_two_dimensional_fiber(self):
         fd = fiber(disc_region(1.0), ())
         f = lambda x: (x[0] - 0.2) ** 2 + (x[1] + 0.1) ** 2
-        arg, val = minimize_over_fiber(f, fd, cfg=MinConfig(grid_points=65))
+        arg, val = minimize_over_fiber(f, fd)
         np.testing.assert_allclose(arg, [0.2, -0.1], atol=1e-7)
         assert val < 1e-13
 
 
 class TestQuadConfig:
     def test_tolerances_are_honoured(self):
-        rough = QuadConfig(abs_tol=1e-4, rel_tol=1e-4)
-        val = integrate_1d(lambda x: math.exp(-x * x), -math.inf, math.inf, cfg=rough)
+        val = integrate_1d(lambda x: math.exp(-x * x), -math.inf, math.inf, abs_tol=1e-4)
         np.testing.assert_allclose(val, SQRT_PI, rtol=1e-3)
+
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_bad_abs_tol_rejected(self, abs_tol):
+        with pytest.raises(InvalidParam):
+            integrate_1d(lambda x: 1.0, 0.0, 1.0, abs_tol=abs_tol)
