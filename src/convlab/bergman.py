@@ -119,7 +119,11 @@ def radial_moments(profile: RadialProfile, max_index: int) -> MomentTable:
         def one(r: float, jj=int(j)):
             return 2.0 * math.pi * r ** (2 * jj + 1) * math.exp(-profile.fn(r))
         try:
-            values.append(float(integrate_1d(one, 0.0, math.inf, breakpoints=seams)))
+            # a divergent tail overflows r ** (2j + 1); the non-finite panel
+            # that follows is the divergence verdict, so the warning is noise
+            with np.errstate(over="ignore"):
+                value = integrate_1d(one, 0.0, math.inf, breakpoints=seams)
+            values.append(float(value))
             statuses.append("finite")
         except DivergentIntegral:
             values.append(math.inf)
@@ -194,7 +198,7 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
         b = (complex(x[0], x[1]) - c) ** js
         return b[:, None] * b.conj() * math.exp(-v)
 
-    gram = integrate_fiber(tensor, fib, circle_seams=w.fiber_circle_seams(fib.t))
+    gram = integrate_fiber(tensor, fib, circle_seams=w.fiber_seams(fib.t))
     gram = np.asarray(gram, dtype=complex)
     gram = 0.5 * (gram + gram.conj().T)
     try:
@@ -510,7 +514,7 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
         def density(x: np.ndarray, w=w) -> float:
             return math.exp(-w.fn(x))
 
-        mass = integrate_fiber(density, fib, circle_seams=w.fiber_circle_seams(()))
+        mass = integrate_fiber(density, fib, circle_seams=w.fiber_seams(()))
         lower = 1.0 / mass
         value = bergman_gram(w, domain, degree=degree)
         upper = 1.0 / (math.pi * r * r) if (ball_fits and k > 2) else None
@@ -557,7 +561,8 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
             prof = RadialProfile(
                 fn=lambda rr, t=t: combined.radial_fn(t, rr),
                 cutoff=cutoff,
-                seam_radii=combined.seam_radii_at(t),
+                seam_radii=tuple(r for (c, r) in combined.fiber_seams(t)
+                                 if np.array_equal(c, center)),
             )
             mt = radial_moments(prof, 0)
             if not mt.finite(0):

@@ -948,14 +948,6 @@ class AnalyticDisc:
     def n_fiber(self) -> int:
         return len(self.fibers)
 
-    def base_at(self, w: complex) -> complex:
-        w = complex(w)
-        return complex(*_horner(self.base, w.real, w.imag))
-
-    def fiber_at(self, w: complex) -> list:
-        w = complex(w)
-        return [complex(*_horner(g, w.real, w.imag)) for g in self.fibers]
-
     def eval_real(self, w) -> np.ndarray:
         """Packed real coordinates: (2 + 2 n_fiber,) at one ``w``, or
         (2 + 2 n_fiber, N) at an array of N parameters."""

@@ -42,9 +42,8 @@ and makes those endpoints smooth (a polynomial endpoint substitution, Sidi
 
 Deliberately out of scope: quadrature in more than two fiber dimensions,
 Monte Carlo fallbacks, oscillatory-integral machinery, and arbitrary
-precision.  Slowly convergent algebraic tails (decay weaker than the declared
-envelopes) may be reported divergent; that is the documented trade-off of the
-doubling-window test.
+precision.  Slowly convergent algebraic tails may be reported divergent; that
+is the documented trade-off of the doubling-window test.
 """
 
 from __future__ import annotations
@@ -422,7 +421,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
     ``slice_intervals(x)`` and ``critical_xs()`` (dimension 2), and
     ``bounds()``.  ``f`` takes an ndarray point of length ``dim``.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
-    ``circle_seams`` are (cx, cy, radius) kink circles (dimension 2).
+    ``circle_seams`` are ``((cx, cy), radius)`` kink circles (dimension 2).
     An empty fiber integrates to 0.  The tolerances are the module's; each
     inner integral of a two-dimensional fiber runs at ``_ABS_TOL`` divided by
     16 times the outer width (``8 * _TAIL_RADIUS`` for an unbounded one).
@@ -460,7 +459,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         width = x_hi - x_lo
     inner_tol = max(_ABS_TOL / (16.0 * max(1.0, width)), 1e-300)
 
-    circles = [(float(cx), float(cy), float(r)) for (cx, cy, r) in circle_seams]
+    circles = [(float(cx), float(cy), float(r)) for ((cx, cy), r) in circle_seams]
 
     def outer(x: float):
         slices = fiber.slice_intervals(x)

@@ -57,15 +57,13 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
         v = weight(x)
         return 0.0 if v == math.inf else float(np.exp(-v))
 
-    point_seams = ()
+    seams = w.fiber_seams(fib.t)
     if fib.dim == 1:
-        rate = w.envelope[0] if w.envelope is not None else None
-        point_seams = skirt_ladder(w.fiber_point_seams(fib.t), rate)
-    mass = integrate_fiber(
-        density, fib,
-        point_seams=point_seams,
-        circle_seams=w.fiber_circle_seams(fib.t) if fib.dim == 2 else (),
-    )
+        ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]
+        mass = integrate_fiber(density, fib,
+                               point_seams=skirt_ladder(ends, w.decay_rate))
+    else:
+        mass = integrate_fiber(density, fib, circle_seams=seams)
     if mass <= 0.0:
         return math.inf
     return -math.log(mass)

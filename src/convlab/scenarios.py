@@ -597,7 +597,8 @@ def _psh_delta(p):
 def _disc_log_distance(domain, disc):
     """-log of the fiber boundary distance along an analytic disc, as an array
     map for ``psh_mean_value_check``.  The fiber changes with every point, so
-    this is a loop over the points."""
-    def at(w: complex) -> float:
-        return -math.log(fiber_distance(domain, disc.base_at(w), disc.fiber_at(w)))
-    return np.vectorize(at, otypes=[float])
+    this is a loop over the packed disc points."""
+    def u(w):
+        q = disc.eval_real(w)
+        return np.array([-math.log(fiber_distance(domain, p[:2], p[2:])) for p in q.T])
+    return u

@@ -5,13 +5,15 @@ first, fiber point after it) together with the metadata the transforms need:
 
 * a certified global lower bound, required before a weight may be used as a
   twist (the integrals only stay finite because ``e^{-weight}`` is bounded);
-* seam descriptors for every non-smooth locus, so quadrature panels split at
-  kinks instead of straddling them;
+* the spheres on which the weight has a kink (:class:`SphereSeam`), so
+  quadrature panels split at them instead of straddling them;
 * radial structure -- "depends only on the distance to a moving center" --
   which is what lets kernel computations collapse to one-dimensional moment
   integrals;
-* an optional linear decay envelope ``weight >= rate * (dist - radius)``
-  recording why integrals over unbounded fibers converge.
+* an optional decay rate: ``weight >= rate * dist - C`` for some constant C,
+  with dist the distance to the radial center.  It records why integrals
+  over unbounded fibers converge, and it sets the scale of the panel ladder
+  around each seam.
 
 The catalog is closed: the cone penalties used for localization (a quadratic
 cone in the real case, a log cone in the complex case), the log shell weight
@@ -32,7 +34,7 @@ from .geometry import AffineFiberMap, FiberDomain
 from .numerics import BallVolume
 
 __all__ = [
-    "WeightField", "FixedSphereSeam", "MovingSphereSeam", "RadialProfile",
+    "WeightField", "SphereSeam", "RadialProfile",
     "convex_localizer", "psh_localizer", "lemma3_weight", "stock_weight",
     "constant_weight", "weight_from_fn",
 ]
@@ -45,64 +47,36 @@ _INF = math.inf
 
 
 @dataclass(frozen=True)
-class FixedSphereSeam:
-    """Kink locus ``|p[axes] - center| = radius`` at a fixed full-space sphere."""
+class SphereSeam:
+    """Kink locus ``|t - base_center|^2 + |x - center(t)|^2 = radius^2``.
 
-    center: tuple
+    Without ``base_center`` the sphere lives in the fiber and follows the
+    base: ``|x - center(t)| = radius`` over every t.  With it, the sphere is a
+    fixed one in base x fiber, whose slice at t shrinks with the base offset
+    and vanishes where the sphere misses the fiber.
+    """
+
+    center: AffineFiberMap
     radius: float
-    axes: tuple
+    base_center: Optional[tuple] = None
 
     def __post_init__(self):
-        if len(self.center) != len(self.axes):
-            raise InvalidParam("seam center and axes lengths differ")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
+        if self.base_center is not None:
+            object.__setattr__(self, "base_center",
+                               tuple(float(b) for b in self.base_center))
 
-    def _fiber_reduction(self, t, base_rdim):
-        """Remaining (fiber axes, fiber center, radius^2) once the base is fixed."""
+    def in_fiber(self, t):
+        """``(fiber center, radius)`` of the slice at t, or None if it is empty."""
+        if self.base_center is None:
+            return self.center.at(t), self.radius
         off2 = 0.0
-        fib_axes, fib_center = [], []
-        for a, c in zip(self.axes, self.center):
-            if a < base_rdim:
-                off2 += (t[a] - c) ** 2
-            else:
-                fib_axes.append(a - base_rdim)
-                fib_center.append(c)
-        return fib_axes, fib_center, self.radius * self.radius - off2
-
-    def fiber_points(self, t, base_rdim):
-        axes, ctr, rad2 = self._fiber_reduction(t, base_rdim)
-        if len(axes) != 1 or rad2 <= 0.0:
-            return ()
-        s = math.sqrt(rad2)
-        return (ctr[0] - s, ctr[0] + s)
-
-    def fiber_circles(self, t, base_rdim):
-        axes, ctr, rad2 = self._fiber_reduction(t, base_rdim)
-        if len(axes) != 2 or rad2 <= 0.0:
-            return ()
-        return ((ctr[0], ctr[1], math.sqrt(rad2)),)
-
-
-@dataclass(frozen=True)
-class MovingSphereSeam:
-    """Kink locus ``|x - center_map(t)| = radius`` in the fiber, following the base."""
-
-    center_map: AffineFiberMap
-    radius: float
-
-    def fiber_points(self, t, base_rdim):
-        c = self.center_map.at(t)
-        if c.size != 1:
-            return ()
-        return (float(c[0]) - self.radius, float(c[0]) + self.radius)
-
-    def fiber_circles(self, t, base_rdim):
-        c = self.center_map.at(t)
-        if c.size != 2:
-            return ()
-        return ((float(c[0]), float(c[1]), self.radius),)
+        for ti, bi in zip(t, self.base_center):
+            off2 += (ti - bi) ** 2
+        rad2 = self.radius * self.radius - off2
+        if rad2 <= 0.0:
+            return None
+        return self.center.at(t), math.sqrt(rad2)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +99,7 @@ class WeightField:
     seams: tuple = ()
     radial_center: Optional[AffineFiberMap] = None
     radial_fn: Optional[Callable[[np.ndarray, float], float]] = None
-    envelope: Optional[tuple] = None  # (rate, radius) about radial_center
+    decay_rate: Optional[float] = None  # about radial_center
     constant: Optional[float] = None
 
     def __post_init__(self):
@@ -133,10 +107,15 @@ class WeightField:
             raise InvalidParam("need base_rdim >= 0 and fiber_rdim >= 1")
         if (self.radial_fn is None) != (self.radial_center is None):
             raise InvalidParam("radial_fn and radial_center come as a pair")
-        if self.envelope is not None:
-            rate, radius = self.envelope
-            if rate <= 0.0 or not math.isfinite(radius):
-                raise InvalidParam("envelope rate must be positive and its radius finite")
+        if self.decay_rate is not None and self.decay_rate <= 0.0:
+            raise InvalidParam("decay rate must be positive")
+        for s in self.seams:
+            c, b = s.center, s.base_center
+            if (c.base_rdim, c.fiber_rdim) != (self.base_rdim, self.fiber_rdim) \
+                    or (b is not None and len(b) != self.base_rdim):
+                raise InvalidParam(
+                    f"seam of split ({c.base_rdim},{c.fiber_rdim}) does not match "
+                    f"weight split ({self.base_rdim},{self.fiber_rdim})")
 
     @property
     def rdim(self) -> int:
@@ -167,35 +146,10 @@ class WeightField:
             return fn
         return lambda x: fn(np.concatenate((t, x)))
 
-    def fiber_point_seams(self, t) -> tuple:
+    def fiber_seams(self, t) -> tuple:
+        """The seams' slices at t as ``(fiber center, radius)`` pairs."""
         t = np.asarray(t, dtype=float).ravel()
-        out = []
-        for s in self.seams:
-            out.extend(s.fiber_points(t, self.base_rdim))
-        return tuple(out)
-
-    def fiber_circle_seams(self, t) -> tuple:
-        t = np.asarray(t, dtype=float).ravel()
-        out = []
-        for s in self.seams:
-            out.extend(s.fiber_circles(t, self.base_rdim))
-        return tuple(out)
-
-    def seam_radii_at(self, t=()) -> tuple:
-        """Radii of the registered seams as distances from the radial center."""
-        if self.radial_center is None:
-            return ()
-        t = np.asarray(t, dtype=float).ravel()
-        c = self.radial_center.at(t)
-        radii = []
-        for s in self.seams:
-            if isinstance(s, MovingSphereSeam):
-                radii.append(s.radius)
-            elif isinstance(s, FixedSphereSeam):
-                axes, ctr, rad2 = s._fiber_reduction(t, self.base_rdim)
-                if rad2 > 0.0 and np.array_equal(ctr, c):
-                    radii.append(math.sqrt(rad2))
-        return tuple(r for r in radii if r > 0.0)
+        return tuple(sl for sl in (s.in_fiber(t) for s in self.seams) if sl is not None)
 
     def __add__(self, other: "WeightField") -> "WeightField":
         if not isinstance(other, WeightField):
@@ -219,25 +173,20 @@ class WeightField:
             const = self.constant + other.constant
 
         center, radial = _combine_radial(self, other)
-        env = _combine_envelopes(self, other, center)
         return WeightField(
             fn=added, base_rdim=self.base_rdim, fiber_rdim=self.fiber_rdim,
             lower_bound=lb, seams=self.seams + other.seams,
-            radial_center=center, radial_fn=radial, envelope=env,
-            constant=const,
+            radial_center=center, radial_fn=radial,
+            decay_rate=_combine_rates(self, other, center), constant=const,
         )
 
 
 def _combine_radial(a: WeightField, b: WeightField):
     """Radial metadata of a sum: preserved under constants and matching centers."""
-    if a.constant is not None and b.radial_fn is not None:
-        c = a.constant
-        rb = b.radial_fn
-        return b.radial_center, (lambda t, r: c + rb(t, r))
-    if b.constant is not None and a.radial_fn is not None:
-        c = b.constant
-        ra = a.radial_fn
-        return a.radial_center, (lambda t, r: ra(t, r) + c)
+    for const, radial in ((a, b), (b, a)):
+        if const.constant is not None and radial.radial_fn is not None:
+            c, rf = const.constant, radial.radial_fn
+            return radial.radial_center, (lambda t, r: c + rf(t, r))
     if a.radial_fn is not None and b.radial_fn is not None \
             and a.radial_center == b.radial_center:
         ra, rb = a.radial_fn, b.radial_fn
@@ -245,34 +194,29 @@ def _combine_radial(a: WeightField, b: WeightField):
     return None, None
 
 
-def _combine_envelopes(a: WeightField, b: WeightField, center):
-    """Envelope of a sum, when one can be certified about the surviving center."""
+def _combine_rates(a: WeightField, b: WeightField, center):
+    """Decay rate of a sum about the surviving radial center: two rates add,
+    and a mate bounded below keeps the other's rate."""
     if center is None:
         return None
-    ea = a.envelope if a.radial_center == center else None
-    eb = b.envelope if b.radial_center == center else None
-    if ea is not None and eb is not None:
-        return (ea[0] + eb[0], max(ea[1], eb[1]))
-    for env, mate in ((ea, b), (eb, a)):
-        if env is None:
-            continue
-        bound = mate.constant if mate.constant is not None else mate.lower_bound
-        if bound is None:
-            return None
-        rate, radius = env
-        if bound < 0.0:
-            radius = radius - bound / rate
-        return (rate, radius)
+    ra = a.decay_rate if a.radial_center == center else None
+    rb = b.decay_rate if b.radial_center == center else None
+    if ra is not None and rb is not None:
+        return ra + rb
+    for rate, mate in ((ra, b), (rb, a)):
+        if rate is not None:
+            bounded = mate.constant is not None or mate.lower_bound is not None
+            return rate if bounded else None
     return None
 
 
 def weight_from_fn(fn, base_rdim: int, fiber_rdim: int, *, lower_bound=None,
                    seams=(), radial_center=None, radial_fn=None,
-                   envelope=None) -> WeightField:
+                   decay_rate=None) -> WeightField:
     return WeightField(fn=fn, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
                        lower_bound=lower_bound, seams=tuple(seams),
                        radial_center=radial_center, radial_fn=radial_fn,
-                       envelope=envelope)
+                       decay_rate=decay_rate)
 
 
 def constant_weight(c: float, base_rdim: int, fiber_rdim: int) -> WeightField:
@@ -338,10 +282,10 @@ def convex_localizer(k: int, a: AffineFiberMap) -> WeightField:
 
     return WeightField(
         fn=fn, base_rdim=nb, fiber_rdim=n, lower_bound=lb,
-        seams=(MovingSphereSeam(a, inv_k),),
+        seams=(SphereSeam(a, inv_k),),
         radial_center=a,
         radial_fn=lambda t, r: cone(r),
-        envelope=(kk, inv_k - lb / kk),
+        decay_rate=kk,
     )
 
 
@@ -372,7 +316,7 @@ def psh_localizer(k: int, a: AffineFiberMap) -> WeightField:
 
     return WeightField(
         fn=fn, base_rdim=nb, fiber_rdim=2, lower_bound=lb,
-        seams=(MovingSphereSeam(a, 1.0 / k),),
+        seams=(SphereSeam(a, 1.0 / k),),
         radial_center=a,
         radial_fn=lambda t, r: cone(float(r)),
     )
@@ -388,6 +332,7 @@ def lemma3_weight(k: int, r: float) -> WeightField:
     if k < 1 or r <= 0.0:
         raise InvalidParam("need k >= 1 and r > 0")
     kf, rf = float(k), float(r)
+    origin = AffineFiberMap.constant((0.0, 0.0), 0)
 
     def cone(s: float) -> float:
         return kf * math.log(s / rf) if s > rf else 0.0
@@ -395,8 +340,8 @@ def lemma3_weight(k: int, r: float) -> WeightField:
     return WeightField(
         fn=lambda p: cone(float(np.hypot(p[0], p[1]))),
         base_rdim=0, fiber_rdim=2, lower_bound=0.0,
-        seams=(FixedSphereSeam((0.0, 0.0), rf, (0, 1)),),
-        radial_center=AffineFiberMap.constant((0.0, 0.0), 0),
+        seams=(SphereSeam(origin, rf, base_center=()),),
+        radial_center=origin,
         radial_fn=lambda t, s: cone(float(s)),
     )
 
@@ -415,6 +360,7 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
         if eps is None or not (0.0 < eps < 1.0):
             raise InvalidParam("prekopa_cex needs eps in (0, 1)")
         e2 = float(eps) ** 2
+        origin = AffineFiberMap.constant((0.0,), 1)
 
         def dent(t, r):
             return abs(t[0] * t[0] + r * r - e2)
@@ -422,15 +368,16 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
         return WeightField(
             fn=lambda p: dent(p, p[1]),
             base_rdim=1, fiber_rdim=1, lower_bound=0.0,
-            seams=(FixedSphereSeam((0.0, 0.0), float(eps), (0, 1)),),
-            radial_center=AffineFiberMap.constant((0.0,), 1),
+            seams=(SphereSeam(origin, eps, base_center=(0.0,)),),
+            radial_center=origin,
             radial_fn=dent,
-            envelope=(1.0, 1.0 + float(eps)),
+            decay_rate=1.0,
         )
     if name == "berndtsson_cex":
         if eps is None or not (0.0 < eps < 1.0):
             raise InvalidParam("berndtsson_cex needs eps in (0, 1)")
         e2 = float(eps) ** 2
+        origin = AffineFiberMap.constant((0.0, 0.0), 2)
 
         def log_dent(q):
             return 1.5 * math.log1p(abs(q - e2))
@@ -438,20 +385,22 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
         return WeightField(
             fn=lambda p: log_dent(float(p @ p)),
             base_rdim=2, fiber_rdim=2, lower_bound=0.0,
-            seams=(FixedSphereSeam((0.0, 0.0, 0.0, 0.0), float(eps), (0, 1, 2, 3)),),
-            radial_center=AffineFiberMap.constant((0.0, 0.0), 2),
+            seams=(SphereSeam(origin, eps, base_center=(0.0, 0.0)),),
+            radial_center=origin,
             radial_fn=lambda t, r: log_dent(t[0] * t[0] + t[1] * t[1] + r * r),
         )
     if name == "minprinciple_cex":
+        origin = AffineFiberMap.constant((0.0,), 1)
+
         def dent(t, r):
             return abs(t[0] * t[0] + r * r - 1.0)
 
         return WeightField(
             fn=lambda p: dent(p, p[1]),
             base_rdim=1, fiber_rdim=1, lower_bound=0.0,
-            seams=(FixedSphereSeam((0.0, 0.0), 1.0, (0, 1)),),
-            radial_center=AffineFiberMap.constant((0.0,), 1),
+            seams=(SphereSeam(origin, 1.0, base_center=(0.0,)),),
+            radial_center=origin,
             radial_fn=dent,
-            envelope=(1.0, 2.0),
+            decay_rate=1.0,
         )
     raise UnknownName(f"no weight named {name!r} in the catalog")

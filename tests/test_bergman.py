@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -469,3 +470,13 @@ def test_closed_forms_are_independent_of_the_quadrature(closed, args):
 
 def test_the_quadrature_route_is_seen_reaching_numerics():
     assert "integrate_1d" in _numerics_reached(berndtsson_phi_curve, EPS, [0.1])
+
+
+def test_divergent_moments_overflow_without_a_warning():
+    # r ** (2j + 1) overflows in the tail windows of the divergent moments;
+    # that is the divergence verdict, not something to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mt = radial_moments(berndtsson_profile(0j, EPS), 50)
+    assert mt.statuses == ("finite",) + ("divergent",) * 50
+    assert mt.values[0] == radial_moments(berndtsson_profile(0j, EPS), 0).values[0]

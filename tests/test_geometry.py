@@ -147,8 +147,7 @@ class TestAffineFiberMap:
 class TestAnalyticDisc:
     def test_polynomial_evaluation(self):
         d = AnalyticDisc(base=(0.0, 0.5), fibers=((0.0, 0.0, 0.5),))
-        assert d.base_at(1.0 + 0j) == 0.5 + 0j
-        assert d.fiber_at(2.0 + 0j) == [2.0 + 0j]
+        assert d.eval_real(2.0 + 0j).tolist() == [1.0, 0.0, 2.0, 0.0]
         np.testing.assert_allclose(d.eval_real(1.0 + 0j), [0.5, 0.0, 0.5, 0.0])
 
     def test_fiber_count(self):

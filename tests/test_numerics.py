@@ -303,7 +303,7 @@ class TestIntegrateFiber:
         dom = disc_region(1.0)
         ind = lambda x: 1.0 if x[0] ** 2 + x[1] ** 2 <= 0.25 else 0.0
         val = integrate_fiber(
-            lambda x: ind(x), fiber(dom, ()), circle_seams=((0.0, 0.0, 0.5),)
+            lambda x: ind(x), fiber(dom, ()), circle_seams=(((0.0, 0.0), 0.5),)
         )
         np.testing.assert_allclose(val, math.pi / 4.0, rtol=1e-6)
 
@@ -323,7 +323,7 @@ class TestIntegrateFiber:
         # the unit circle at z = 1: its volume is pi/32.
         f = lambda x: 1.0 + max(0.0, 0.25 - (x[0] - 0.5) ** 2 - x[1] ** 2)
         val = integrate_fiber(f, fiber(disc_region(1.0), ()),
-                              circle_seams=((0.5, 0.0, 0.5),))
+                              circle_seams=(((0.5, 0.0), 0.5),))
         np.testing.assert_allclose(val, math.pi + math.pi / 32.0, rtol=1e-13)
 
     def test_disc_area_takes_few_integrand_calls(self):
@@ -342,7 +342,7 @@ class TestIntegrateFiber:
             b = complex(x[0], x[1]) ** js
             return b[:, None] * b.conj() * math.exp(-abs(x[0] - 0.1))
         fd = fiber(disc_region(0.9, 0.2 + 0.1j), ())
-        seams = ((0.0, 0.0, 0.5),)
+        seams = (((0.0, 0.0), 0.5),)
         first = integrate_fiber(tensor, fd, circle_seams=seams)
         assert _bits(integrate_fiber(tensor, fd, circle_seams=seams)) == _bits(first)
 

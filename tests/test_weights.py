@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from convlab import bergman
 from convlab.errors import InvalidParam, UnknownName
-from convlab.geometry import AffineFiberMap
+from convlab.geometry import AffineFiberMap, full_space
 from convlab.weights import (
-    FixedSphereSeam,
     RadialProfile,
+    SphereSeam,
     WeightField,
     constant_weight,
     convex_localizer,
@@ -19,6 +20,11 @@ from convlab.weights import (
 
 MOVING = AffineFiberMap.through(0.0, 0.0, 1.0, 1.0)  # a(t) = t
 ORIGIN2 = AffineFiberMap.constant((0.0, 0.0), base_rdim=0)
+
+
+def slices(w, t):
+    """The weight's seams at t as (center list, radius) pairs."""
+    return [(c.tolist(), r) for (c, r) in w.fiber_seams(t)]
 
 
 class TestConvexLocalizer:
@@ -41,12 +47,11 @@ class TestConvexLocalizer:
 
     def test_seams_follow_the_anchor(self):
         psi = convex_localizer(8, MOVING)
-        np.testing.assert_allclose(psi.fiber_point_seams((0.3,)), (0.3 - 0.125, 0.3 + 0.125))
+        assert slices(psi, (0.3,)) == [([0.3], 0.125)]
 
     def test_envelope_rate_is_k_squared(self):
         psi = convex_localizer(16, MOVING)
-        assert psi.envelope is not None
-        assert psi.envelope[0] == 256.0
+        assert psi.decay_rate == 256.0
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_must_be_positive(self, k):
@@ -66,7 +71,7 @@ class TestPshLocalizer:
 
     def test_circle_seam_at_one_over_k(self):
         psi = psh_localizer(8, ORIGIN2)
-        assert psi.fiber_circle_seams(()) == ((0.0, 0.0, 0.125),)
+        assert slices(psi, ()) == [([0.0, 0.0], 0.125)]
 
     def test_center_map_needs_one_complex_fiber_coordinate(self):
         with pytest.raises(InvalidParam, match="packed fiber reals"):
@@ -78,11 +83,12 @@ class TestStockWeights:
         dent = stock_weight("prekopa_cex", 0.1)
         assert dent.at((0.0,), (0.1,)) == 0.0
         np.testing.assert_allclose(dent.at((0.2,), (0.0,)), 0.03, rtol=1e-15)
-        np.testing.assert_allclose(dent.fiber_point_seams((0.0,)), (-0.1, 0.1))
+        (c, r), = dent.fiber_seams((0.0,))
+        np.testing.assert_allclose((c[0] - r, c[0] + r), (-0.1, 0.1))
 
     def test_dent_seam_disappears_outside(self):
         dent = stock_weight("prekopa_cex", 0.1)
-        assert dent.fiber_point_seams((0.3,)) == ()
+        assert dent.fiber_seams((0.3,)) == ()
 
     def test_radial_dome_weight(self):
         bc = stock_weight("berndtsson_cex", 0.3)
@@ -110,7 +116,7 @@ class TestStockWeights:
         w = lemma3_weight(10, 0.5)
         assert w.at((), (0.25, 0.0)) == 0.0
         np.testing.assert_allclose(w.at((), (1.0, 0.0)), 10.0 * math.log(2.0), rtol=1e-14)
-        assert w.seam_radii_at(()) == (0.5,)
+        assert slices(w, ()) == [([0.0, 0.0], 0.5)]
 
 
 class TestWeightAlgebra:
@@ -123,8 +129,8 @@ class TestWeightAlgebra:
     def test_sum_concatenates_seams(self):
         dent = stock_weight("prekopa_cex", 0.1)
         psi = convex_localizer(8, MOVING)
-        seams = (dent + psi).fiber_point_seams((0.05,))
-        for s in dent.fiber_point_seams((0.05,)) + psi.fiber_point_seams((0.05,)):
+        seams = slices(dent + psi, (0.05,))
+        for s in slices(dent, (0.05,)) + slices(psi, (0.05,)):
             assert s in seams
 
     def test_adding_a_constant_keeps_the_radial_route(self):
@@ -132,8 +138,8 @@ class TestWeightAlgebra:
         assert (psi + constant_weight(1.0, 1, 1)).radial_fn is not None
 
     def test_envelope_survives_a_bounded_mate(self):
-        # A mate sharing the anchor but carrying no envelope of its own only
-        # pushes the certified decay radius outward by |bound| / rate.
+        # A mate sharing the anchor but carrying no decay of its own only
+        # shifts the linear lower bound by its own bound.
         psi = convex_localizer(8, MOVING)
         mate = weight_from_fn(
             lambda p: -math.exp(-abs(p[1] - p[0])),
@@ -143,17 +149,14 @@ class TestWeightAlgebra:
             radial_center=MOVING,
             radial_fn=lambda t, r: -math.exp(-r),
         )
-        env = (psi + mate).envelope
-        assert env is not None
-        assert env[0] == 64.0
-        np.testing.assert_allclose(env[1], psi.envelope[1] + 1.0 / 64.0, rtol=1e-14)
+        assert (psi + mate).decay_rate == 64.0
 
     def test_envelope_dropped_when_the_anchor_is_lost(self):
         psi = convex_localizer(8, MOVING)
         mate = weight_from_fn(lambda p: 0.0, 1, 1, lower_bound=-1.0)
         summed = psi + mate
         assert summed.radial_fn is None
-        assert summed.envelope is None
+        assert summed.decay_rate is None
 
     def test_infinite_value_short_circuits(self):
         hard = weight_from_fn(lambda p: math.inf, 1, 1)
@@ -163,22 +166,54 @@ class TestWeightAlgebra:
         with pytest.raises(InvalidParam):
             constant_weight(0.0, 1, 1) + constant_weight(0.0, 0, 2)
 
+    def test_seam_of_another_split_rejected(self):
+        # a 0+2 center map on a 1+1 weight: its kink would never be seen
+        with pytest.raises(InvalidParam, match="seam of split"):
+            weight_from_fn(lambda p: 0.0, 1, 1,
+                           seams=(SphereSeam(AffineFiberMap.constant((0.0, 0.0), 0), 0.5),))
+        with pytest.raises(InvalidParam, match="seam of split"):
+            weight_from_fn(lambda p: 0.0, 1, 1,
+                           seams=(SphereSeam(MOVING, 0.5, base_center=(0.0, 0.0)),))
+
     def test_packed_point_dimension_guard(self):
         with pytest.raises(InvalidParam):
             constant_weight(0.0, 1, 1)((0.0, 0.0, 0.0))
 
 
+class TestSphereSeam:
+    def test_a_fixed_sphere_slices_by_the_base_offset(self):
+        seam = SphereSeam(AffineFiberMap.constant((0.5,), 2), 0.5, base_center=(0.1, -0.2))
+        c, r = seam.in_fiber(np.array([0.3, 0.1]))
+        assert c.tolist() == [0.5]
+        assert r == math.sqrt(0.5 * 0.5 - ((0.3 - 0.1) ** 2 + (0.1 + 0.2) ** 2))
+
+    def test_a_tangent_fiber_has_no_slice(self):
+        seam = SphereSeam(AffineFiberMap.constant((0.0,), 2), 0.5, base_center=(0.0, 0.0))
+        assert seam.in_fiber(np.array([0.5, 0.0])) is None
+
+
 class TestRadialProfile:
-    def test_seam_radii_need_a_seam_centered_exactly_on_the_radial_center(self):
-        seam = FixedSphereSeam((0.0, 0.5), 0.3, (0, 1))
+    def test_seam_radii_need_a_seam_centered_exactly_on_the_radial_center(self, monkeypatch):
+        # kernel_curve's radial route hands the profile the radii of the
+        # seams about a(tau) and no others; the localizer adds 1/8.
+        a = AffineFiberMap.complex_affine(0.5)
+        profiles = []
+        moments = bergman.radial_moments
+        monkeypatch.setattr(bergman, "radial_moments",
+                            lambda prof, n: profiles.append(prof) or moments(prof, n))
 
-        def centered_at(c):
-            return weight_from_fn(lambda p: 0.0, 1, 1, seams=(seam,),
-                                  radial_center=AffineFiberMap.constant((c,), 1),
-                                  radial_fn=lambda t, r: 0.0)
+        def seam_radii(seam):
+            w = weight_from_fn(lambda p: 0.0, 2, 2, seams=(seam,),
+                               radial_center=a, radial_fn=lambda t, r: 0.0)
+            bergman.kernel_curve(w, full_space((1, 1), "complex"), a, 8, [(0.1, 0.0)])
+            return profiles.pop().seam_radii
 
-        assert centered_at(0.5).seam_radii_at((0.1,)) == pytest.approx((math.sqrt(0.08),))
-        assert centered_at(0.5 + 3e-6).seam_radii_at((0.1,)) == ()
+        def fixed(c):
+            return SphereSeam(AffineFiberMap.constant((c, 0.0), 2), 0.3, base_center=(0.0, 0.0))
+
+        assert seam_radii(fixed(0.5)) == pytest.approx((math.sqrt(0.08), 0.125))
+        assert seam_radii(fixed(0.5 + 3e-6)) == (0.125,)
+        assert seam_radii(SphereSeam(AffineFiberMap.complex_affine(0.6), 0.2)) == (0.125,)
 
     def test_seams_outside_the_cutoff_are_dropped(self):
         rp = RadialProfile(fn=lambda r: r, cutoff=1.0, seam_radii=(0.5, 1.5, -0.2, 0.0))
