@@ -109,12 +109,14 @@ class WeightField:
             raise InvalidParam("radial_fn and radial_center come as a pair")
         if self.decay_rate is not None and self.decay_rate <= 0.0:
             raise InvalidParam("decay rate must be positive")
-        for s in self.seams:
-            c, b = s.center, s.base_center
+        centers = [(s.center, s.base_center) for s in self.seams]
+        if self.radial_center is not None:
+            centers.append((self.radial_center, None))
+        for c, b in centers:
             if (c.base_rdim, c.fiber_rdim) != (self.base_rdim, self.fiber_rdim) \
                     or (b is not None and len(b) != self.base_rdim):
                 raise InvalidParam(
-                    f"seam of split ({c.base_rdim},{c.fiber_rdim}) does not match "
+                    f"center of split ({c.base_rdim},{c.fiber_rdim}) does not match "
                     f"weight split ({self.base_rdim},{self.fiber_rdim})")
 
     @property
@@ -211,12 +213,10 @@ def _combine_rates(a: WeightField, b: WeightField, center):
 
 
 def weight_from_fn(fn, base_rdim: int, fiber_rdim: int, *, lower_bound=None,
-                   seams=(), radial_center=None, radial_fn=None,
-                   decay_rate=None) -> WeightField:
+                   seams=(), radial_center=None, radial_fn=None) -> WeightField:
     return WeightField(fn=fn, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
                        lower_bound=lower_bound, seams=tuple(seams),
-                       radial_center=radial_center, radial_fn=radial_fn,
-                       decay_rate=decay_rate)
+                       radial_center=radial_center, radial_fn=radial_fn)
 
 
 def constant_weight(c: float, base_rdim: int, fiber_rdim: int) -> WeightField:

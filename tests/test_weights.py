@@ -167,13 +167,17 @@ class TestWeightAlgebra:
             constant_weight(0.0, 1, 1) + constant_weight(0.0, 0, 2)
 
     def test_seam_of_another_split_rejected(self):
-        # a 0+2 center map on a 1+1 weight: its kink would never be seen
-        with pytest.raises(InvalidParam, match="seam of split"):
+        # a 0+2 center map on a 1+1 weight: its kink or decay would never be seen
+        with pytest.raises(InvalidParam, match="center of split"):
             weight_from_fn(lambda p: 0.0, 1, 1,
                            seams=(SphereSeam(AffineFiberMap.constant((0.0, 0.0), 0), 0.5),))
-        with pytest.raises(InvalidParam, match="seam of split"):
+        with pytest.raises(InvalidParam, match="center of split"):
             weight_from_fn(lambda p: 0.0, 1, 1,
                            seams=(SphereSeam(MOVING, 0.5, base_center=(0.0, 0.0)),))
+        with pytest.raises(InvalidParam, match="center of split"):
+            weight_from_fn(lambda p: 0.0, 1, 1,
+                           radial_center=AffineFiberMap.constant((0.0, 0.0), 0),
+                           radial_fn=lambda t, r: 0.0)
 
     def test_packed_point_dimension_guard(self):
         with pytest.raises(InvalidParam):
