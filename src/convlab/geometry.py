@@ -20,12 +20,11 @@ Three consumers drive the design:
 * the disc criterion wants deterministic sampling of closed analytic discs
   with the boundary samples a literal subset of the disc samples.
 
-Each node class holds its own rules as methods: ``member`` and
-``closed_member``; ``slice_first`` and ``bounds``; ``intervals``, the
-open-interval decomposition of a one-dimensional node; ``critical_points``,
-the abscissae where a slice can change shape; ``dist_to_complement``; and
-``dist_outside``, the distance to the closure from a point outside it.  A
-compound node reaches each child's ``intervals`` and ``critical_points``
+Each node class holds its own rules as methods: ``member``, ``slice_first``
+and ``bounds``; ``intervals``, the open-interval decomposition of a
+one-dimensional node; ``critical_points``, the abscissae where a slice can
+change shape; ``dist_to_complement``; and ``dist_outside``, the distance to
+the closure from a point outside it.  A compound node reaches each child's ``intervals`` and ``critical_points``
 directly.  The distance rules go through the module functions
 ``dist_to_complement`` and ``dist_to_set``, which are the entry points and
 also the recursion step: a union, intersection or complement reaches each
@@ -34,10 +33,13 @@ child through them, one call per node visited.  ``dist_to_set`` answers
 ``dist_to_complement`` and an intersection's ``dist_outside`` share one
 rule, ``_by_axis_groups``.
 
-``slice_first`` slices the open set, or with ``closed`` the closed version
-that ``closed_member`` tests (a ball cut on its rim leaves a radius-0 ball).
-A complement slices its part the other way, so a fiber over a base point on
-the boundary of a removed set keeps that set.
+``member(p, closed=False)`` tests the open set, or with ``closed`` its
+closure, and ``slice_first(t, nb, closed=False)`` slices the same set (a
+ball cut on its rim leaves a radius-0 ball).  A complement asks its part the
+other way, so a fiber over a base point on the boundary of a removed set
+keeps that set.  Unions and intersections share one slicing rule: a part
+that slices to the absorbing node (``Full`` for a union, ``Empty`` for an
+intersection) is the whole slice, and one that slices to the other drops out.
 
 Points are real coordinate vectors.  The rules take one point -- an
 ``(rdim,)`` array or a list of Python floats -- or a coordinate-major batch of
@@ -145,10 +147,8 @@ def _sum_squares(xs):
 class Node:
     """Base class for CSG tree nodes.  Instances are immutable."""
 
-    def member(self, p: np.ndarray) -> bool:
-        raise NotImplementedError
-
-    def closed_member(self, p: np.ndarray) -> bool:
+    def member(self, p: np.ndarray, closed: bool = False) -> bool:
+        """Whether p is in the open set, or with ``closed`` in its closure."""
         raise NotImplementedError
 
     def axes_set(self) -> frozenset:
@@ -157,9 +157,10 @@ class Node:
     def slice_first(self, t, nb: int, closed: bool = False) -> "Node":
         """Fix the first ``nb`` coordinates to ``t``; remaining axes shift down.
 
-        With ``closed`` the slice is of the closed version of the node, the
-        set ``closed_member`` tests.  A complement slices its part the other
-        way, so a base point on the boundary of the part keeps it."""
+        With ``closed`` the slice is of the closure, which
+        ``member(p, closed=True)`` tests.  A complement slices its part the
+        other way, so a base point on the boundary of the part keeps it.
+        Unions and intersections share one rule, ``_Compound.slice_first``."""
         raise NotImplementedError
 
     def bounds(self, dim: int):
@@ -203,11 +204,9 @@ class Ball(Node):
     def _dist2(self, p):
         return _sum_squares([p[a] - c for a, c in zip(self.axes, self.center)])
 
-    def member(self, p):
-        return self._dist2(p) < self.radius * self.radius
-
-    def closed_member(self, p):
-        return self._dist2(p) <= self.radius * self.radius
+    def member(self, p, closed=False):
+        d2, r2 = self._dist2(p), self.radius * self.radius
+        return d2 <= r2 if closed else d2 < r2
 
     def axes_set(self):
         return frozenset(self.axes)
@@ -272,16 +271,11 @@ class Box(Node):
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
 
-    def member(self, p):
+    def member(self, p, closed=False):
         out = True
         for a, l, h in zip(self.axes, self.lo, self.hi):
-            out = out & (l < p[a]) & (p[a] < h)
-        return out
-
-    def closed_member(self, p):
-        out = True
-        for a, l, h in zip(self.axes, self.lo, self.hi):
-            out = out & (l <= p[a]) & (p[a] <= h)
+            x = p[a]
+            out = out & ((l <= x) & (x <= h) if closed else (l < x) & (x < h))
         return out
 
     def axes_set(self):
@@ -333,10 +327,7 @@ class Box(Node):
 
 @dataclass(frozen=True)
 class Full(Node):
-    def member(self, p):
-        return _fill(p, True)
-
-    def closed_member(self, p):
+    def member(self, p, closed=False):
         return _fill(p, True)
 
     def axes_set(self):
@@ -357,10 +348,7 @@ class Full(Node):
 
 @dataclass(frozen=True)
 class Empty(Node):
-    def member(self, p):
-        return _fill(p, False)
-
-    def closed_member(self, p):
+    def member(self, p, closed=False):
         return _fill(p, False)
 
     def axes_set(self):
@@ -384,7 +372,10 @@ class Empty(Node):
 
 @dataclass(frozen=True)
 class _Compound(Node):
-    """What a union and an intersection share: the parts and their axes."""
+    """What a union and an intersection share: the parts, their axes and the
+    slicing rule.  A part that slices to ``_absorbing`` is the whole slice; a
+    part that slices to ``_neutral`` drops out.  ``member`` stays on each
+    subclass, where the benchmark's tracer counts the outermost call."""
 
     parts: tuple
 
@@ -402,34 +393,30 @@ class _Compound(Node):
             out.extend(q.critical_points(axis))
         return out
 
-
-@dataclass(frozen=True)
-class Union(_Compound):
-    def member(self, p):
-        out = False
-        for q in self.parts:
-            out = out | q.member(p)
-        return out
-
-    def closed_member(self, p):
-        out = False
-        for q in self.parts:
-            out = out | q.closed_member(p)
-        return out
-
     def slice_first(self, t, nb, closed=False):
         out = []
         for q in self.parts:
             s = q.slice_first(t, nb, closed)
-            if isinstance(s, Full):
-                return Full()
-            if not isinstance(s, Empty):
+            if isinstance(s, self._absorbing):
+                return s
+            if not isinstance(s, self._neutral):
                 out.append(s)
         if not out:
-            return Empty()
+            return self._neutral()
         if len(out) == 1:
             return out[0]
-        return Union(tuple(out))
+        return type(self)(tuple(out))
+
+
+@dataclass(frozen=True)
+class Union(_Compound):
+    _absorbing, _neutral = Full, Empty
+
+    def member(self, p, closed=False):
+        out = False
+        for q in self.parts:
+            out = out | q.member(p, closed)
+        return out
 
     def bounds(self, dim):
         los, his = zip(*(q.bounds(dim) for q in self.parts))
@@ -454,31 +441,13 @@ class Union(_Compound):
 
 @dataclass(frozen=True)
 class Intersection(_Compound):
-    def member(self, p):
+    _absorbing, _neutral = Empty, Full
+
+    def member(self, p, closed=False):
         out = True
         for q in self.parts:
-            out = out & q.member(p)
+            out = out & q.member(p, closed)
         return out
-
-    def closed_member(self, p):
-        out = True
-        for q in self.parts:
-            out = out & q.closed_member(p)
-        return out
-
-    def slice_first(self, t, nb, closed=False):
-        out = []
-        for q in self.parts:
-            s = q.slice_first(t, nb, closed)
-            if isinstance(s, Empty):
-                return Empty()
-            if not isinstance(s, Full):
-                out.append(s)
-        if not out:
-            return Full()
-        if len(out) == 1:
-            return out[0]
-        return Intersection(tuple(out))
 
     def bounds(self, dim):
         los, his = zip(*(q.bounds(dim) for q in self.parts))
@@ -507,11 +476,8 @@ class Complement(Node):
 
     part: Node
 
-    def member(self, p):
-        return self.part.closed_member(p) ^ True  # logical not, scalar or array
-
-    def closed_member(self, p):
-        return self.part.member(p) ^ True
+    def member(self, p, closed=False):
+        return self.part.member(p, not closed) ^ True  # logical not, scalar or array
 
     def axes_set(self):
         return self.part.axes_set()
@@ -639,7 +605,7 @@ def dist_to_set(node: Node, p):
     Points inside the closure get ``0.0`` and an exact flag; when every point
     is inside, the tree below is not visited at all.
     """
-    inside = node.closed_member(p)
+    inside = node.member(p, closed=True)
     if _all(inside):
         return _fill(p, 0.0), True
     v, e = node.dist_outside(p)
@@ -708,11 +674,8 @@ class Domain:
         base point is checked for size and packed."""
         return _as_real_point(t, self.kind, self.base_rdim)
 
-    def member(self, p) -> bool:
-        return bool(self.csg.member(self.point(p).tolist()))
-
-    def closed_member(self, p) -> bool:
-        return bool(self.csg.closed_member(self.point(p).tolist()))
+    def member(self, p, closed: bool = False) -> bool:
+        return bool(self.csg.member(self.point(p).tolist(), closed))
 
 
 @dataclass(frozen=True)
@@ -731,11 +694,8 @@ class FiberDomain:
     def _point(self, x) -> list:
         return self.t.tolist() + _as_real_point(x, self.parent.kind, self.dim).tolist()
 
-    def member(self, x) -> bool:
-        return bool(self.parent.csg.member(self._point(x)))
-
-    def closed_member(self, x) -> bool:
-        return bool(self.parent.csg.closed_member(self._point(x)))
+    def member(self, x, closed: bool = False) -> bool:
+        return bool(self.parent.csg.member(self._point(x), closed))
 
     def quad_intervals(self) -> list:
         if self.dim != 1:
@@ -1048,7 +1008,7 @@ def midpoint_closure_check(domain: Domain, p0, p1) -> MidpointReport:
         if not domain.csg.member(q.tolist()):
             raise PointOutsideDomain(f"{name} = {q.tolist()} is not in the domain")
     mid = (0.5 * (a + b)).tolist()
-    return MidpointReport(tuple(mid), bool(domain.csg.closed_member(mid)))
+    return MidpointReport(tuple(mid), bool(domain.csg.member(mid, closed=True)))
 
 
 # ---------------------------------------------------------------------------

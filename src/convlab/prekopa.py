@@ -151,7 +151,7 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
     lo, hi = fib.bounds()
     box = None
     if any(math.isinf(float(v)) for v in tuple(lo) + tuple(hi)):
-        if not fib.closed_member(c):
+        if not fib.member(c, closed=True):
             raise PointOutsideDomain("anchor point is outside the closed fiber")
         anchor = w.at(t, c)
         if w.lower_bound is None:
@@ -161,7 +161,7 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
         box = [(float(ci) - radius, float(ci) + radius) for ci in c]
 
     _, val = minimize_over_fiber(g, fib, search_box=box)
-    if fib.closed_member(c):
+    if fib.member(c, closed=True):
         val = min(val, w.at(t, c))
     return float(val)
 
@@ -202,7 +202,7 @@ def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
     nb, nf = domain.base_rdim, domain.fiber_rdim
     p0, p1 = domain.point(p0), domain.point(p1)
     for p in (p0, p1):
-        if not domain.closed_member(p):
+        if not domain.member(p, closed=True):
             raise PointOutsideDomain("probe point is outside the closed domain")
     t0, x0 = p0[:nb], p0[nb:]
     t1, x1 = p1[:nb], p1[nb:]

@@ -244,7 +244,7 @@ def probe_points(domain, seed, n=48):
 def rule_answers(node, p):
     return {
         "member": (node.member(p),),
-        "closed_member": (node.closed_member(p),),
+        "closed_member": (node.member(p, closed=True),),
         "dist_to_complement": dist_to_complement(node, p),
         "dist_to_set": dist_to_set(node, p),
     }
@@ -284,7 +284,7 @@ class TestBatchedRules:
         gap, _ = dist_to_set(node, pts)
         assert np.all(depth[inside] >= 0.0)
         assert np.all(gap >= 0.0)
-        assert np.all(gap[node.closed_member(pts)] == 0.0)
+        assert np.all(gap[node.member(pts, closed=True)] == 0.0)
 
     def test_scalar_branches_give_the_numpy_bits(self):
         # ties, signed zeros, infinities and NaNs, as Python and numpy floats
