@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -124,8 +125,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_marginal(args) -> int:
-    if args.n < 3 or not (args.lo < args.hi):
-        raise InvalidParam("need lo < hi and at least 3 samples")
+    if args.n < 3 or not (args.lo < args.hi and math.isfinite(args.hi - args.lo)):
+        raise InvalidParam("need finite lo < hi, a finite hi - lo and at least 3 samples")
     w = stock_weight("prekopa_cex", args.eps)
     line = full_space((1, 1))
     ts = np.linspace(args.lo, args.hi, args.n)
@@ -183,6 +184,8 @@ def _cmd_check_convex(args) -> int:
 def _cmd_check_psh(args) -> int:
     if args.centers < 1:
         raise InvalidParam("need at least one center")
+    if args.seed < 0:
+        raise InvalidParam("the seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-0.6, 0.6, size=(args.centers, 2))
     centers = [complex(a, b) for a, b in pts]

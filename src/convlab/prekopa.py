@@ -57,13 +57,16 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
         v = weight(x)
         return 0.0 if v == math.inf else float(np.exp(-v))
 
-    seams = w.fiber_seams(fib.t)
-    if fib.dim == 1:
-        ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]
-        mass = integrate_fiber(density, fib,
-                               point_seams=skirt_ladder(ends, w.decay_rate))
-    else:
-        mass = integrate_fiber(density, fib, circle_seams=seams)
+    # a huge base point overflows squares in the seam query and the weight;
+    # the weight is then +inf and its density 0, so the warning is noise
+    with np.errstate(over="ignore"):
+        seams = w.fiber_seams(fib.t)
+        if fib.dim == 1:
+            ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]
+            mass = integrate_fiber(density, fib,
+                                   point_seams=skirt_ladder(ends, w.decay_rate))
+        else:
+            mass = integrate_fiber(density, fib, circle_seams=seams)
     if mass <= 0.0:
         return math.inf
     return -math.log(mass)
@@ -256,7 +259,7 @@ def convexity_check(ts, values, tol: float = 1e-9) -> ConvexityReport:
     ``v[m] <= (v[i] + v[j])/2 + tol``.  Values of ``+inf`` are legal; a pair
     whose chord is infinite certifies nothing and is counted as skipped, while
     an infinite midpoint over a finite chord is an infinite violation.  NaN
-    values are rejected.
+    and ``-inf`` values and non-finite grid points are rejected.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     vals = [float(v) for v in values]
@@ -264,13 +267,15 @@ def convexity_check(ts, values, tol: float = 1e-9) -> ConvexityReport:
         raise InvalidParam("grid and values have different lengths")
     if ts.size < 3:
         raise InvalidParam("need at least three samples")
+    if not np.isfinite(ts).all():
+        raise InvalidParam("grid points must be finite")
     steps = np.diff(ts)
     if np.any(steps <= 0.0):
         raise InvalidParam("grid must be strictly increasing")
     if steps.max() - steps.min() > 1e-9 * (ts[-1] - ts[0]):
         raise InvalidParam("grid must be uniform for exact midpoints")
-    if any(math.isnan(v) for v in vals):
-        raise InvalidParam("curve contains NaN")
+    if any(math.isnan(v) or v == -math.inf for v in vals):
+        raise InvalidParam("curve contains NaN or -inf")
     if not math.isfinite(tol):
         raise InvalidParam("tol must be finite")
 

@@ -116,15 +116,15 @@ def _packaged_defaults() -> dict:
 
 def _fits(default, value) -> bool:
     """Whether ``value`` has the JSON type of ``default``: an int must be an
-    int, a float may be an int or a float, a bool is never a number, and each
-    element of a list must fit an element of the default list."""
+    int, a float may be an int or a finite float, a bool is never a number,
+    and each element of a list must fit an element of the default list."""
     if isinstance(default, list):
         return isinstance(value, list) and all(
             any(_fits(d, v) for d in default) for v in value)
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     return isinstance(value, type(default))
 
 
@@ -167,13 +167,18 @@ def _check_lengths(name: str, params: dict) -> None:
                                f"each, got {len(params[a])} and {len(params[b])}")
 
 
+def _reject_constant(name: str):
+    """``json``'s hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ValueError(f"non-finite number {name}")
+
+
 def load_defaults() -> dict:
     """Scenario parameter defaults, from the packaged file or CONVLAB_DEFAULTS."""
     path = os.environ.get("CONVLAB_DEFAULTS")
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise InvalidParam(f"cannot read the defaults file: {exc}") from exc
         except ValueError as exc:  # malformed JSON or text encoding

@@ -346,6 +346,23 @@ def lemma3_weight(k: int, r: float) -> WeightField:
     )
 
 
+def _dent(radius: float, e2: float) -> WeightField:
+    """|t^2 + x^2 - e2| on R x R, with e2 = radius^2: kinked on that circle."""
+    origin = AffineFiberMap.constant((0.0,), 1)
+
+    def dent(t, r):
+        return abs(t[0] * t[0] + r * r - e2)
+
+    return WeightField(
+        fn=lambda p: dent(p, p[1]),
+        base_rdim=1, fiber_rdim=1, lower_bound=0.0,
+        seams=(SphereSeam(origin, radius, base_center=(0.0,)),),
+        radial_center=origin,
+        radial_fn=dent,
+        decay_rate=1.0,
+    )
+
+
 def stock_weight(name: str, eps: float | None = None) -> WeightField:
     """Named counterexample weights: see the catalog below.
 
@@ -359,20 +376,7 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
     if name == "prekopa_cex":
         if eps is None or not (0.0 < eps < 1.0):
             raise InvalidParam("prekopa_cex needs eps in (0, 1)")
-        e2 = float(eps) ** 2
-        origin = AffineFiberMap.constant((0.0,), 1)
-
-        def dent(t, r):
-            return abs(t[0] * t[0] + r * r - e2)
-
-        return WeightField(
-            fn=lambda p: dent(p, p[1]),
-            base_rdim=1, fiber_rdim=1, lower_bound=0.0,
-            seams=(SphereSeam(origin, eps, base_center=(0.0,)),),
-            radial_center=origin,
-            radial_fn=dent,
-            decay_rate=1.0,
-        )
+        return _dent(eps, float(eps) ** 2)
     if name == "berndtsson_cex":
         if eps is None or not (0.0 < eps < 1.0):
             raise InvalidParam("berndtsson_cex needs eps in (0, 1)")
@@ -390,17 +394,5 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
             radial_fn=lambda t, r: log_dent(t[0] * t[0] + t[1] * t[1] + r * r),
         )
     if name == "minprinciple_cex":
-        origin = AffineFiberMap.constant((0.0,), 1)
-
-        def dent(t, r):
-            return abs(t[0] * t[0] + r * r - 1.0)
-
-        return WeightField(
-            fn=lambda p: dent(p, p[1]),
-            base_rdim=1, fiber_rdim=1, lower_bound=0.0,
-            seams=(SphereSeam(origin, 1.0, base_center=(0.0,)),),
-            radial_center=origin,
-            radial_fn=dent,
-            decay_rate=1.0,
-        )
+        return _dent(1.0, 1.0)
     raise UnknownName(f"no weight named {name!r} in the catalog")

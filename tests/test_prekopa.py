@@ -154,6 +154,16 @@ class TestConvexityCheck:
         with pytest.raises(InvalidParam):
             convexity_check(np.linspace(0.0, 1.0, 3), [0.0, 0.5, 1.0], tol=tol)
 
+    @pytest.mark.parametrize("ts", [[math.nan, 0.0, 1.0], [0.0, 1.0, math.inf],
+                                    [-math.inf, 0.0, math.inf]])
+    def test_non_finite_grid_point_is_rejected(self, ts):
+        with pytest.raises(InvalidParam, match="grid points must be finite"):
+            convexity_check(ts, [0.0, 1.0, 4.0])
+
+    def test_minus_infinity_value_is_rejected(self):
+        with pytest.raises(InvalidParam, match="-inf"):
+            convexity_check([0.0, 1.0, 2.0], [0.0, -math.inf, 4.0])
+
 
 class TestLocalization:
     def test_flat_identity(self):

@@ -182,6 +182,24 @@ class TestDefaults:
         with pytest.raises(InvalidParam, match="degre"):
             load_defaults()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_number_in_the_defaults_file_exits_three(
+            self, tmp_path, monkeypatch, capsys, value):
+        # json writes NaN and Infinity, which JSON itself does not have
+        def mutate(sc):
+            sc["prekopa-cex"]["value_tol"] = value
+        write_defaults(tmp_path, monkeypatch, mutate)
+        with pytest.raises(InvalidParam, match="not valid JSON"):
+            load_defaults()
+        assert main(["run", "prekopa-cex"]) == 3
+        assert _one_line_error(capsys)
+
+    @pytest.mark.parametrize("overrides", [{"value_tol": math.nan}, {"search_box": math.inf},
+                                           {"ts": [0.0, -math.inf, 0.8]}])
+    def test_a_non_finite_override_is_rejected(self, overrides):
+        with pytest.raises(InvalidParam, match="does not have the JSON type"):
+            run_scenario("min-principle", overrides)
+
     def test_a_float_may_be_written_as_an_int(self, tmp_path, monkeypatch):
         def mutate(sc):
             sc["min-principle"]["value_tol"] = 1
@@ -383,6 +401,31 @@ class TestCliTools:
         path = tmp_path / "curve.csv"
         path.write_text("t,value\n0,0\n1,1\n2,4\n")
         assert main(["check-convex", str(path), "--tol", "nan"]) == 3
+        assert _one_line_error(capsys)
+
+    @pytest.mark.parametrize("row", ["nan,0", "inf,0"])
+    def test_check_convex_rejects_a_non_finite_grid_point(self, tmp_path, capsys, row):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"t,value\n0,0\n1,1\n{row}\n")
+        assert main(["check-convex", str(path)]) == 3
+        assert _one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["marginal", "--hi=inf"],
+        ["marginal", "--lo=-inf"],
+        ["marginal", "--lo=-1e308", "--hi=1e308"],  # hi - lo overflows
+    ])
+    def test_marginal_needs_a_finite_range(self, argv, capsys):
+        assert main(argv) == 3
+        assert _one_line_error(capsys)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_marginal_out_to_a_huge_finite_end_warns_nothing(self, capsys):
+        # the weight overflows to +inf there, and its density is 0
+        assert main(["marginal", "--n=5", "--hi=1e308"]) in (0, 1)
+
+    def test_check_psh_rejects_a_negative_seed(self, capsys):
+        assert main(["check-psh", "--centers", "1", "--seed=-1"]) == 3
         assert _one_line_error(capsys)
 
     @pytest.mark.parametrize("argv", [
