@@ -126,7 +126,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_marginal(args) -> int:
     if args.n < 3 or not (args.lo < args.hi and math.isfinite(args.hi - args.lo)):
-        raise InvalidParam("need finite lo < hi, a finite hi - lo and at least 3 samples")
+        raise InvalidParam("need lo < hi with a finite hi - lo, and at least 3 samples")
     w = stock_weight("prekopa_cex", args.eps)
     line = full_space((1, 1))
     ts = np.linspace(args.lo, args.hi, args.n)

@@ -24,14 +24,14 @@ Each node class holds its own rules as methods: ``member``, ``slice_first``
 and ``bounds``; ``intervals``, the open-interval decomposition of a
 one-dimensional node; ``critical_points``, the abscissae where a slice can
 change shape; ``dist_to_complement``; and ``dist_outside``, the distance to
-the closure from a point outside it.  A compound node reaches each child's ``intervals`` and ``critical_points``
-directly.  The distance rules go through the module functions
-``dist_to_complement`` and ``dist_to_set``, which are the entry points and
-also the recursion step: a union, intersection or complement reaches each
-child through them, one call per node visited.  ``dist_to_set`` answers
-``0.0`` inside the closure and asks ``dist_outside`` elsewhere.  A union's
-``dist_to_complement`` and an intersection's ``dist_outside`` share one
-rule, ``_by_axis_groups``.
+the closure from a point outside it.  A compound node reaches each child's
+``intervals`` and ``critical_points`` directly.  The distance rules go
+through the module functions ``dist_to_complement`` and ``dist_to_set``,
+which are the entry points and also the recursion step: a union,
+intersection or complement reaches each child through them, one call per
+node visited.  ``dist_to_set`` answers ``0.0`` inside the closure and asks
+``dist_outside`` elsewhere.  A union's ``dist_to_complement`` and an
+intersection's ``dist_outside`` share one rule, ``_by_axis_groups``.
 
 ``member(p, closed=False)`` tests the open set, or with ``closed`` its
 closure, and ``slice_first(t, nb, closed=False)`` slices the same set (a
