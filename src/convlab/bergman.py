@@ -131,6 +131,16 @@ def radial_moments(profile: RadialProfile, max_index: int) -> MomentTable:
     return MomentTable(values=tuple(values), statuses=tuple(statuses))
 
 
+def _radial_mass(profile: RadialProfile) -> float:
+    """The moment m_0 of a radial weight, which must be finite and positive."""
+    mt = radial_moments(profile, 0)
+    if not mt.finite(0):
+        raise DivergentIntegral("fiber mass diverged")
+    if not mt.values[0] > 0.0:
+        raise NonConvergent("fiber mass underflows to zero")
+    return mt.values[0]
+
+
 def bergman_radial(moments: MomentTable, rho: float = 0.0) -> float:
     """Kernel diagonal at radius rho from the moment table.
 
@@ -289,12 +299,8 @@ def berndtsson_phi_curve(eps: float, z_abs_list) -> list:
     """
     out = []
     for za in z_abs_list:
-        mt = radial_moments(berndtsson_profile(complex(abs(float(za)), 0.0), eps), 0)
-        if not mt.finite(0):
-            raise DivergentIntegral("fiber mass diverged; no curve value")
-        if not mt.values[0] > 0.0:
-            raise NonConvergent("fiber mass underflows to zero; no curve value")
-        out.append(-math.log(mt.values[0]))
+        mass = _radial_mass(berndtsson_profile(complex(abs(float(za)), 0.0), eps))
+        out.append(-math.log(mass))
     return out
 
 
@@ -470,10 +476,7 @@ def lemma2_harness(profile: RadialProfile, ks) -> list:
             cutoff=profile.cutoff,
             seam_radii=tuple(profile.seam_radii) + (1.0 / k,),
         )
-        mt = radial_moments(combined, 0)
-        if not mt.finite(0):
-            raise DivergentIntegral("localized mass diverged")
-        value = 1.0 / mt.values[0]
+        value = 1.0 / _radial_mass(combined)
         grid = np.linspace(0.0, 1.0 / k, 2049)
         upper = math.exp(max(profile.fn(float(r)) for r in grid))
         rows.append(Lemma2Row(k=k, value=value, target=target,
@@ -564,10 +567,7 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
                 seam_radii=tuple(r for (c, r) in combined.fiber_seams(t)
                                  if np.array_equal(c, center)),
             )
-            mt = radial_moments(prof, 0)
-            if not mt.finite(0):
-                raise DivergentIntegral("localized mass diverged")
-            out.append(1.0 / mt.values[0])
+            out.append(1.0 / _radial_mass(prof))
         elif method == "gram":
             c = a.at(t)
             out.append(bergman_gram(combined, domain, t,

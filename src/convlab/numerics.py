@@ -51,7 +51,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -175,8 +175,8 @@ def kahan_total(parts: Iterable):
 def _panel_rule(f, a: float, b: float):
     """One GK15 evaluation on [a, b].
 
-    Returns (kronrod_value, error_estimate, resabs) where the error estimate
-    follows the QUADPACK rescaling: sharp for smooth panels, conservative near
+    Returns (kronrod_value, error_estimate) where the error estimate follows
+    the QUADPACK rescaling: sharp for smooth panels, conservative near
     integrable singularities, floored at the roundoff level of the panel.
     """
     half = 0.5 * (b - a)
@@ -186,10 +186,10 @@ def _panel_rule(f, a: float, b: float):
     except OverflowError:
         # math.exp and friends raise where np.exp would return inf; either way
         # the panel is non-finite.
-        return math.inf, math.inf, math.inf
+        return math.inf, math.inf
     shape = stack.shape[1:]
     if not np.isfinite(stack).all():
-        return np.full(shape, np.inf), math.inf, math.inf
+        return np.full(shape, np.inf), math.inf
     # A scalar integrand stays 1-D: through (15, 1) its ``** 1.5`` below would
     # take the array power loop, which can differ from the scalar one in the
     # last bit.
@@ -207,78 +207,64 @@ def _panel_rule(f, a: float, b: float):
         raw,
     )
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk.reshape(shape), float(err.max()), float(resabs.max())
+    return resk.reshape(shape), float(err.max())
 
 
-def _adaptive_segments(f, segments: Sequence[tuple[float, float]], abs_tol: float):
-    """Greedy bisection over an initial list of finite segments.
+def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
+    """Greedy bisection of [a, b], first cut at the breakpoints inside it.
 
-    The panel with the worst error estimate is split first; the loop ends when
-    the summed estimates meet max(abs_tol, _REL_TOL * |integral|).  Panels are
-    re-summed left-to-right with compensated arithmetic so the result does not
-    depend on the subdivision history.
+    The live panels form one heap: the worst error estimate is split first,
+    and of two equal estimates the older panel.  A panel at roundoff width is
+    set aside; the loop stalls when only such panels remain, and ends when
+    the summed estimates meet max(abs_tol, _REL_TOL * |integral|).  Panels
+    are re-summed left-to-right with compensated arithmetic so the result
+    does not depend on the subdivision history.
     """
-    panels = []  # (a, b, value, err)
-    heap = []
-    seq = 0
-    for (a, b) in segments:
-        if not (b > a):
-            continue
-        val, err, _ = _panel_rule(f, a, b)
+    if not b > a:
+        return 0.0, 0.0  # a window narrower than the float spacing at its ends
+    edges = [a, *sorted({float(p) for p in breakpoints if a < p < b}), b]
+    order = itertools.count()  # ties split the older panel first
+    live = []  # heap of (-err, order, a, b, value, err)
+    settled = []  # panels at roundoff width
+    running = 0.0
+    for (lo, hi) in zip(edges, edges[1:]):
+        val, err = _panel_rule(f, lo, hi)
         if not np.isfinite(val).all():
-            raise NonConvergent(f"non-finite panel value on [{a}, {b}]")
-        panels.append((a, b, val, err))
-        heapq.heappush(heap, (-err, seq, len(panels) - 1))
-        seq += 1
-    if not panels:
-        return 0.0, 0.0
-
-    running = panels[0][2] * 0.0
-    for p in panels:
-        running = running + p[2]
-    tot_err = math.fsum(p[3] for p in panels)
-    dead = [False] * len(panels)  # panels too narrow to split further
+            raise NonConvergent(f"non-finite panel value on [{lo}, {hi}]")
+        heapq.heappush(live, (-err, next(order), lo, hi, val, err))
+        running = running + val
+    tot_err = math.fsum(p[5] for p in live)
 
     while True:
         norm = float(np.abs(running).max())
         if tot_err <= max(abs_tol, _REL_TOL * norm):
             break
-        if len(panels) >= _MAX_PANELS:
+        if len(live) + len(settled) >= _MAX_PANELS:
             raise NonConvergent(
                 f"quadrature needed more than {_MAX_PANELS} panels "
                 f"(error estimate {tot_err:.3e})"
             )
-        while heap and dead[heap[0][2]]:
-            heapq.heappop(heap)
-        if not heap:
+        if not live:
             raise NonConvergent(
                 f"quadrature stalled at error estimate {tot_err:.3e}; "
                 "all panels at roundoff width"
             )
-        _, _, idx = heapq.heappop(heap)
-        a, b, val, err = panels[idx]
-        width_floor = 16.0 * _EPS * max(1.0, abs(a), abs(b))
-        if (b - a) <= width_floor:
-            dead[idx] = True
+        panel = heapq.heappop(live)
+        _, _, lo, hi, val, err = panel
+        if (hi - lo) <= 16.0 * _EPS * max(1.0, abs(lo), abs(hi)):
+            settled.append(panel)
             continue
-        mid = 0.5 * (a + b)
-        lval, lerr, _ = _panel_rule(f, a, mid)
-        rval, rerr, _ = _panel_rule(f, mid, b)
+        mid = 0.5 * (lo + hi)
+        lval, lerr = _panel_rule(f, lo, mid)
+        rval, rerr = _panel_rule(f, mid, hi)
         if not (np.isfinite(lval).all() and np.isfinite(rval).all()):
-            raise NonConvergent(f"non-finite panel value inside [{a}, {b}]")
-        panels[idx] = (a, mid, lval, lerr)
-        dead[idx] = False
-        panels.append((mid, b, rval, rerr))
-        dead.append(False)
-        heapq.heappush(heap, (-lerr, seq, idx))
-        seq += 1
-        heapq.heappush(heap, (-rerr, seq, len(panels) - 1))
-        seq += 1
+            raise NonConvergent(f"non-finite panel value inside [{lo}, {hi}]")
+        heapq.heappush(live, (-lerr, next(order), lo, mid, lval, lerr))
+        heapq.heappush(live, (-rerr, next(order), mid, hi, rval, rerr))
         running = running - val + lval + rval
         tot_err = tot_err - err + lerr + rerr
 
-    panels.sort(key=lambda p: (p[0], p[1]))
-    value = kahan_total(p[2] for p in panels)
+    value = kahan_total(p[4] for p in sorted(live + settled, key=lambda p: p[2:4]))
     return value, tot_err
 
 
@@ -306,12 +292,6 @@ def skirt_ladder(points, rate: float | None = None) -> tuple:
     return tuple(out)
 
 
-def _split_at_breakpoints(a: float, b: float, breakpoints) -> list[tuple[float, float]]:
-    pts = sorted({float(p) for p in breakpoints if a < p < b})
-    edges = [a] + pts + [b]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
 def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpoints):
     """Integrate over [start, +inf) or (-inf, start] by doubling windows.
 
@@ -329,9 +309,8 @@ def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpo
     for _ in range(_MAX_TAIL_DOUBLINGS + 1):
         outer = start + sign * radius
         lo, hi = (inner, outer) if sign > 0 else (outer, inner)
-        segs = _split_at_breakpoints(lo, hi, breakpoints)
         try:
-            val, _ = _adaptive_segments(f, segs, window_tol)
+            val, _ = _adaptive_segments(f, lo, hi, breakpoints, window_tol)
         except NonConvergent as exc:
             raise DivergentIntegral(
                 f"tail window [{lo}, {hi}] did not stabilize: {exc}"
@@ -387,14 +366,14 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
         return 0.0
     bps = [float(p) for p in breakpoints if math.isfinite(p)]
     if math.isfinite(a) and math.isfinite(b):
-        value, _ = _adaptive_segments(f, _split_at_breakpoints(a, b, bps), abs_tol)
+        value, _ = _adaptive_segments(f, a, b, bps, abs_tol)
         return value
 
     anchor = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
     r0 = max(_TAIL_RADIUS, max((abs(p - anchor) for p in bps if a < p < b), default=0.0))
     lo = a if math.isfinite(a) else anchor - r0
     hi = b if math.isfinite(b) else anchor + r0
-    core, _ = _adaptive_segments(f, _split_at_breakpoints(lo, hi, bps), abs_tol)
+    core, _ = _adaptive_segments(f, lo, hi, bps, abs_tol)
     pieces = [(lo, core)]
     if math.isinf(b):
         pieces.extend(_tail_windows(f, hi, +1, r0, abs_tol, bps))

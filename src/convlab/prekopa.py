@@ -258,8 +258,9 @@ def convexity_check(ts, values, tol: float = 1e-9) -> ConvexityReport:
     Every pair of grid indices with an exact grid midpoint is tested:
     ``v[m] <= (v[i] + v[j])/2 + tol``.  Values of ``+inf`` are legal; a pair
     whose chord is infinite certifies nothing and is counted as skipped, while
-    an infinite midpoint over a finite chord is an infinite violation.  NaN
-    and ``-inf`` values and non-finite grid points are rejected.
+    an infinite midpoint over a finite chord is an infinite violation.  A
+    curve with no checked triple certifies nothing and fails.  NaN and
+    ``-inf`` values and non-finite grid points are rejected.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     vals = [float(v) for v in values]
@@ -293,11 +294,12 @@ def convexity_check(ts, values, tol: float = 1e-9) -> ConvexityReport:
             m = (i + j) // 2
             vm = vals[m]
             checked += 1
-            violation = math.inf if vm == math.inf else vm - 0.5 * (vi + vj)
+            # halving each end first keeps a chord near the float maximum finite
+            violation = math.inf if vm == math.inf else vm - (0.5 * vi + 0.5 * vj)
             if violation > worst:
                 worst = violation
                 witness = (float(ts[i]), float(ts[m]), float(ts[j]))
-    verdict = bool(worst <= tol)
+    verdict = bool(checked > 0 and worst <= tol)
     return ConvexityReport(checked=checked, skipped=skipped, worst_violation=worst,
                            witness=witness, tol=float(tol), verdict=verdict)
 

@@ -406,6 +406,12 @@ class TestKernelCurve:
                 AffineFiberMap.complex_affine(0.1, 0.5), 8)
         assert kernel_curve(*args, [0.2 - 0.1j]) == kernel_curve(*args, [(0.2, -0.1)])
 
+    def test_a_mass_that_underflows_is_a_numerical_failure(self):
+        # e^-800 underflows to 0, so the kernel 1/m_0 has no value
+        with pytest.raises(NonConvergent, match="underflows"):
+            kernel_curve(constant_weight(800.0, 2, 2), full_space((1, 1), "complex"),
+                         AffineFiberMap.complex_affine(0.0), 8, [0j])
+
     def test_unknown_method(self):
         with pytest.raises(MethodUnavailable):
             kernel_curve(

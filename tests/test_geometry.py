@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convlab import geometry
-from convlab.errors import DiscEscapesDomain, InvalidParam
+from convlab.errors import DiscEscapesDomain, InvalidParam, OutOfDomain, PointOutsideDomain
 from convlab.geometry import (
     AffineFiberMap,
     AnalyticDisc,
@@ -27,6 +27,9 @@ from convlab.geometry import (
     midpoint_closure_check,
     punctured_ball,
 )
+from convlab.numerics import minimize_over_fiber
+from convlab.prekopa import midpoint_divergence_probe
+from convlab.weights import stock_weight
 
 
 def vesica() -> Domain:
@@ -349,3 +352,21 @@ class TestBatchedRules:
         assert type(hf.member((0.8 + 0j, 0.6j))) is bool
         assert type(fiber(hf, 0.8 + 0j).member(0.6j)) is bool
 
+
+_UNIT_DISC = ball_domain((1, 1))
+
+
+@pytest.mark.parametrize("query,error", [
+    (lambda: boundary_distance(_UNIT_DISC, (2.0, 0.0)), PointOutsideDomain),
+    (lambda: fiber_distance(_UNIT_DISC, 0.0, 2.0), PointOutsideDomain),
+    (lambda: fiber_distance(_UNIT_DISC, 2.0, 0.0), PointOutsideDomain),
+    (lambda: midpoint_closure_check(_UNIT_DISC, (0.0, 0.0), (2.0, 0.0)), PointOutsideDomain),
+    (lambda: midpoint_divergence_probe(stock_weight("prekopa_cex", 0.1), _UNIT_DISC,
+                                       (0.0, 0.0), (2.0, 0.0)), PointOutsideDomain),
+    (lambda: minimize_over_fiber(lambda x: 0.0, fiber(_UNIT_DISC, 0.0),
+                                 search_box=[(3.0, 4.0)]), OutOfDomain),
+], ids=["boundary-distance", "fiber-point", "base-point", "midpoint-closure",
+        "midpoint-probe", "search-box"])
+def test_a_query_from_outside_the_domain_raises(query, error):
+    with pytest.raises(error):
+        query()

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlab.errors import DivergentIntegral, InvalidParam, Unbounded
+from convlab.errors import DivergentIntegral, InvalidParam, NonConvergent, Unbounded
 from convlab.geometry import box_domain, disc_region, fiber, full_space
 from convlab.numerics import (
     _ABS_TOL,
     _GW,
     _KW,
+    _MAX_PANELS,
     _NODES,
     _REL_TOL,
     _panel_rule,
@@ -125,6 +126,44 @@ def _assert_same_integral(got, want):
     assert abs(got - want) <= tol
 
 
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+class TestAdaptiveFailures:
+    @pytest.mark.parametrize("b,n_calls", [
+        (1.0 + 1e-15, 15),  # the first panel is already at roundoff width
+        (1.0 + 1e-13, 945),  # panels split down to roundoff width first
+    ])
+    def test_stalls_when_every_panel_is_at_roundoff_width(self, b, n_calls):
+        f, calls = _counted(lambda x: 1e30 * math.sin(1e20 * x))
+        with pytest.raises(NonConvergent, match="stalled .* roundoff width"):
+            integrate_1d(f, 1.0, b)
+        assert len(calls) == n_calls
+
+    def test_panel_cap(self):
+        f, calls = _counted(lambda x: math.sin(1e6 * x))
+        with pytest.raises(NonConvergent, match=f"more than {_MAX_PANELS} panels"):
+            integrate_1d(f, 0.0, 1000.0)
+        # one initial panel, then two new panels per split until the cap
+        assert len(calls) == 15 * (2 * _MAX_PANELS - 1)
+
+    @pytest.mark.parametrize("f,b,breakpoints,message", [
+        (math.exp, 1000.0, (), r"on \[0.0, 1000.0\]"),  # math.exp overflows
+        (lambda x: math.nan if x > 1.0 else 1.0, 2.0, (1.0,), r"on \[1.0, 2.0\]"),
+        # 0.5 is the centre node of [0, 1], the first split of [0, 2]
+        (lambda x: math.inf if x == 0.5 else math.sqrt(x), 2.0, (), r"inside \[0.0, 2.0\]"),
+    ])
+    def test_non_finite_panel_value(self, f, b, breakpoints, message):
+        with pytest.raises(NonConvergent, match="non-finite panel value " + message):
+            integrate_1d(f, 0.0, b, breakpoints=breakpoints)
+
+
 class TestIntegrate1dProperties:
     @given(_finite_integrals())
     @settings(max_examples=60, deadline=None)
@@ -156,7 +195,7 @@ def _tensordot_panel_rule(f, a, b):
     mid = 0.5 * (a + b)
     stack = np.stack([np.asarray(f(mid + half * u)) for u in _NODES])
     if not np.all(np.isfinite(stack)):
-        return np.full(stack.shape[1:], np.inf), math.inf, math.inf
+        return np.full(stack.shape[1:], np.inf), math.inf
     resk = np.tensordot(_KW, stack, axes=(0, 0)) * half
     resg = np.tensordot(_GW, stack, axes=(0, 0)) * half
     resabs = np.tensordot(_KW, np.abs(stack), axes=(0, 0)) * abs(half)
@@ -169,7 +208,7 @@ def _tensordot_panel_rule(f, a, b):
         raw,
     )
     err = np.maximum(err, 50.0 * eps * resabs)
-    return resk, float(np.max(err)), float(np.max(resabs))
+    return resk, float(np.max(err))
 
 
 def _bits(v):
@@ -201,10 +240,10 @@ class TestPanelRule:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_tensordot_rule_to_the_bit(self, kind, lo, width, c0, c1, degree):
         f = _integrand(kind, c0, c1, degree)
-        val, err, resabs = _panel_rule(f, lo, lo + width)
-        ref_val, ref_err, ref_resabs = _tensordot_panel_rule(f, lo, lo + width)
+        val, err = _panel_rule(f, lo, lo + width)
+        ref_val, ref_err = _tensordot_panel_rule(f, lo, lo + width)
         assert _bits(val) == _bits(ref_val)
-        assert err == ref_err and resabs == ref_resabs
+        assert err == ref_err
 
     @given(kind=_KINDS, node=st.integers(0, 14), bad=st.sampled_from([math.inf, math.nan]),
            degree=st.integers(0, 8))
@@ -213,8 +252,8 @@ class TestPanelRule:
         smooth = _integrand(kind, 0.5, 1.5, degree)
         x_bad = 0.5 + 0.5 * _NODES[node]
         f = lambda x: smooth(x) + bad if x == x_bad else smooth(x)
-        val, err, resabs = _panel_rule(f, 0.0, 1.0)
-        assert err == math.inf and resabs == math.inf
+        val, err = _panel_rule(f, 0.0, 1.0)
+        assert err == math.inf
         assert np.all(np.asarray(val) == math.inf)
         assert np.shape(val) == np.shape(smooth(0.5))
 

@@ -164,6 +164,17 @@ class TestConvexityCheck:
         with pytest.raises(InvalidParam, match="-inf"):
             convexity_check([0.0, 1.0, 2.0], [0.0, -math.inf, 4.0])
 
+    def test_chord_near_the_float_maximum_does_not_overflow(self):
+        rep = convexity_check([0.0, 1.0, 2.0], [1.7e308, 1.79e308, 1.7e308])
+        assert rep.checked == 1
+        assert rep.worst_violation == 1.79e308 - 1.7e308
+        assert not rep.verdict
+
+    def test_no_checked_triple_fails(self):
+        rep = convexity_check([0.0, 1.0, 2.0], [math.inf, 0.0, math.inf])
+        assert (rep.checked, rep.skipped) == (0, 1)
+        assert not rep.verdict
+
 
 class TestLocalization:
     def test_flat_identity(self):
