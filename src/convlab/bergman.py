@@ -454,6 +454,15 @@ class Lemma2Row:
     upper: float
 
 
+def _exp_or_nonconvergent(v: float, what: str) -> float:
+    """e^v, raising NonConvergent where it overflows, as an underflowing
+    fiber mass does in ``_radial_mass``."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise NonConvergent(f"{what} e^{v!r} overflows") from None
+
+
 def lemma2_harness(profile: RadialProfile, ks) -> list:
     """Localized kernel values at the center of a radial weight, per sharpness.
 
@@ -462,7 +471,7 @@ def lemma2_harness(profile: RadialProfile, ks) -> list:
     target is ``e^{profile(0)}``; the certified finite-k upper bound is
     ``exp(max of the profile on the penalty's flat disc of radius 1/k)``.
     """
-    target = math.exp(profile(0.0))
+    target = _exp_or_nonconvergent(profile(0.0), "target")
     origin = AffineFiberMap.constant((0.0, 0.0), 0)
     rows = []
     for k in ks:
@@ -478,7 +487,8 @@ def lemma2_harness(profile: RadialProfile, ks) -> list:
         )
         value = 1.0 / _radial_mass(combined)
         grid = np.linspace(0.0, 1.0 / k, 2049)
-        upper = math.exp(max(profile.fn(float(r)) for r in grid))
+        upper = _exp_or_nonconvergent(max(profile.fn(float(r)) for r in grid),
+                                      "upper bound")
         rows.append(Lemma2Row(k=k, value=value, target=target,
                               error=abs(value - target), upper=upper))
     return rows

@@ -62,7 +62,9 @@ A base point is packed in one place, ``Domain.base_point``, which also
 checks its size.  ``fiber`` slices the domain there and keeps the packed
 point as ``FiberDomain.t``; the fiberwise transforms of ``prekopa`` and
 ``bergman`` read it from the fiber and restrict their weight to it with
-``WeightField.on_fiber``.
+``WeightField.on_fiber``, which computes the weight's t-only terms once per
+fiber where the weight binds a restriction and packs ``(t, x)`` at every
+point where it does not.
 """
 
 from __future__ import annotations

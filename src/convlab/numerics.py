@@ -353,8 +353,8 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
 
     All three improper cases take one path, as in QUADPACK's qagi: a finite
     core around an anchor (``a`` if finite, else ``b`` if finite, else 0)
-    that reaches ``_TAIL_RADIUS`` and every breakpoint in (a, b), then
-    doubling tail windows beyond each infinite end.
+    that reaches ``_TAIL_RADIUS``, 16 ulps of the anchor and every breakpoint
+    in (a, b), then doubling tail windows beyond each infinite end.
     """
     if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
         raise InvalidParam("abs_tol must be positive and finite")
@@ -370,7 +370,10 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
         return value
 
     anchor = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
-    r0 = max(_TAIL_RADIUS, max((abs(p - anchor) for p in bps if a < p < b), default=0.0))
+    # 16 ulps make every window move the float: from 1e20, windows of radius
+    # _TAIL_RADIUS round to one point and a divergent tail would "add" 0
+    r0 = max(_TAIL_RADIUS, 16.0 * math.ulp(anchor),
+             max((abs(p - anchor) for p in bps if a < p < b), default=0.0))
     lo = a if math.isfinite(a) else anchor - r0
     hi = b if math.isfinite(b) else anchor + r0
     core, _ = _adaptive_segments(f, lo, hi, bps, abs_tol)

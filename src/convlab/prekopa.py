@@ -51,15 +51,17 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
     integrands are still integrated at full accuracy.
     """
     fib = fiber(domain, t)
-    weight = w.on_fiber(fib)
 
-    def density(x: np.ndarray) -> float:
-        v = weight(x)
-        return 0.0 if v == math.inf else float(np.exp(-v))
-
-    # a huge base point overflows squares in the seam query and the weight;
-    # the weight is then +inf and its density 0, so the warning is noise
+    # a huge base point overflows squares in the seam query and in the
+    # weight's restriction to the fiber; the weight is then +inf and its
+    # density 0, so the warning is noise
     with np.errstate(over="ignore"):
+        weight = w.on_fiber(fib)
+
+        def density(x: np.ndarray) -> float:
+            v = weight(x)
+            return 0.0 if v == math.inf else float(np.exp(-v))
+
         seams = w.fiber_seams(fib.t)
         if fib.dim == 1:
             ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]

@@ -13,12 +13,19 @@ first, fiber point after it) together with the metadata the transforms need:
 * an optional decay rate: ``weight >= rate * dist - C`` for some constant C,
   with dist the distance to the radial center.  It records why integrals
   over unbounded fibers converge, and it sets the scale of the panel ladder
-  around each seam.
+  around each seam;
+* an optional fiber restriction ``restrict``: t -> (x -> w(t, x)), which
+  computes the terms that depend on t alone once per fiber instead of once
+  per point.  ``on_fiber`` uses it when present and otherwise packs (t, x)
+  at every point.
 
 The catalog is closed: the cone penalties used for localization (a quadratic
 cone in the real case, a log cone in the complex case), the log shell weight
 of the kernel bounds, the named counterexample weights, constants, and sums of
-these.  Constructors populate all metadata; nothing is inferred.
+these.  Constructors populate all metadata; nothing is inferred.  Every
+catalog weight with a non-empty base except the Berndtsson dent binds its
+fiber restriction, and a sum binds one when both parts have one; a weight
+built from a bare function has none.
 """
 
 from __future__ import annotations
@@ -90,6 +97,8 @@ class WeightField:
     ``fn`` maps a packed real point (base coordinates then fiber coordinates)
     to a float; ``+inf`` is allowed and short-circuits ``e^{-w}`` to zero,
     ``-inf`` and NaN are never produced by the catalog constructors.
+    ``restrict``, when set, maps a packed base point t to the function
+    ``x -> fn(t, x)`` and must agree with ``fn`` bit for bit.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -101,6 +110,7 @@ class WeightField:
     radial_fn: Optional[Callable[[np.ndarray, float], float]] = None
     decay_rate: Optional[float] = None  # about radial_center
     constant: Optional[float] = None
+    restrict: Optional[Callable[[np.ndarray], Callable[[np.ndarray], float]]] = None
 
     def __post_init__(self):
         if self.base_rdim < 0 or self.fiber_rdim < 1:
@@ -136,6 +146,13 @@ class WeightField:
         """The weight restricted to the fiber ``fib`` over its base point t:
         ``x -> fn(t, x)``, or ``fn`` itself when the base is empty.
 
+        A weight with a ``restrict`` binds its t-only terms here, once, and
+        the result is the ``fn`` of a fiber-only WeightField, so that it is
+        still one weight evaluation per point.  Without one, every call packs
+        ``(t, x)`` and calls ``fn``.  Binding may compute squares of t, so a
+        caller that tolerates overflow at huge t calls this under its
+        ``np.errstate``.
+
         Raises InvalidParam when the weight's split is not the domain's."""
         dom = fib.parent
         if (self.base_rdim, self.fiber_rdim) != (dom.base_rdim, dom.fiber_rdim):
@@ -146,6 +163,9 @@ class WeightField:
         fn, t = self.fn, fib.t
         if not t.size:
             return fn
+        if self.restrict is not None:
+            return WeightField(fn=self.restrict(t), base_rdim=0,
+                               fiber_rdim=self.fiber_rdim).fn
         return lambda x: fn(np.concatenate((t, x)))
 
     def fiber_seams(self, t) -> tuple:
@@ -158,15 +178,10 @@ class WeightField:
             return NotImplemented
         if (self.base_rdim, self.fiber_rdim) != (other.base_rdim, other.fiber_rdim):
             raise InvalidParam("cannot add weights with different coordinate splits")
-        f, g = self.fn, other.fn
-
-        def added(p):
-            a = f(p)
-            if a == _INF:
-                return _INF
-            b = g(p)
-            return _INF if b == _INF else a + b
-
+        restrict = None
+        if self.restrict is not None and other.restrict is not None:
+            rf, rg = self.restrict, other.restrict
+            restrict = lambda t: _added(rf(t), rg(t))
         lb = None
         if self.lower_bound is not None and other.lower_bound is not None:
             lb = self.lower_bound + other.lower_bound
@@ -176,11 +191,23 @@ class WeightField:
 
         center, radial = _combine_radial(self, other)
         return WeightField(
-            fn=added, base_rdim=self.base_rdim, fiber_rdim=self.fiber_rdim,
-            lower_bound=lb, seams=self.seams + other.seams,
+            fn=_added(self.fn, other.fn), base_rdim=self.base_rdim,
+            fiber_rdim=self.fiber_rdim, lower_bound=lb, seams=self.seams + other.seams,
             radial_center=center, radial_fn=radial,
             decay_rate=_combine_rates(self, other, center), constant=const,
+            restrict=restrict,
         )
+
+
+def _added(f, g):
+    """Pointwise f + g, with +inf from either part short-circuiting the other."""
+    def added(p):
+        a = f(p)
+        if a == _INF:
+            return _INF
+        b = g(p)
+        return _INF if b == _INF else a + b
+    return added
 
 
 def _combine_radial(a: WeightField, b: WeightField):
@@ -224,7 +251,7 @@ def constant_weight(c: float, base_rdim: int, fiber_rdim: int) -> WeightField:
     if not math.isfinite(c):
         raise InvalidParam("constant weight must be finite")
     return WeightField(fn=lambda p: c, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
-                       lower_bound=c, constant=c)
+                       lower_bound=c, constant=c, restrict=lambda t: lambda x: c)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +284,18 @@ class RadialProfile:
 # The weight catalog
 
 
+def _cone_about(cone, a: AffineFiberMap):
+    """``cone(|x - a(t)|)`` as ``(fn, restrict)``: on a packed point, and
+    restricted to a fiber with a(t) computed once."""
+    nb = a.base_rdim
+
+    def restrict(t):
+        c = a.at(t)
+        return lambda x: cone(float(np.linalg.norm(x - c)))
+
+    return lambda p: cone(float(np.linalg.norm(p[nb:] - a.at(p[:nb])))), restrict
+
+
 def convex_localizer(k: int, a: AffineFiberMap) -> WeightField:
     """Quadratic cone penalty of sharpness k about the moving point a(t).
 
@@ -270,22 +309,20 @@ def convex_localizer(k: int, a: AffineFiberMap) -> WeightField:
         raise InvalidParam("sharpness index k must be a positive integer")
     n = a.fiber_rdim
     lb = math.log(BallVolume.of(n)) - n * math.log(k)
-    nb = a.base_rdim
     kk = float(k * k)
     inv_k = 1.0 / k
 
     def cone(r):
         return kk * max(r - inv_k, 0.0) + lb
 
-    def fn(p):
-        return cone(float(np.linalg.norm(p[nb:] - a.at(p[:nb]))))
-
+    fn, restrict = _cone_about(cone, a)
     return WeightField(
-        fn=fn, base_rdim=nb, fiber_rdim=n, lower_bound=lb,
+        fn=fn, base_rdim=a.base_rdim, fiber_rdim=n, lower_bound=lb,
         seams=(SphereSeam(a, inv_k),),
         radial_center=a,
         radial_fn=lambda t, r: cone(r),
         decay_rate=kk,
+        restrict=restrict,
     )
 
 
@@ -304,21 +341,18 @@ def psh_localizer(k: int, a: AffineFiberMap) -> WeightField:
     if a.fiber_rdim != 2:
         raise InvalidParam(f"center map has {a.fiber_rdim} packed fiber reals, expected 2")
     lb = math.log(BallVolume.of(2)) - 2 * math.log(k)
-    nb = a.base_rdim
     kf = float(k)
 
     def cone(r: float) -> float:
         return kf * math.log(kf * r) + lb if r * kf > 1.0 else lb
 
-    def fn(p):
-        r = float(np.linalg.norm(p[nb:] - a.at(p[:nb])))
-        return cone(r)
-
+    fn, restrict = _cone_about(cone, a)
     return WeightField(
-        fn=fn, base_rdim=nb, fiber_rdim=2, lower_bound=lb,
+        fn=fn, base_rdim=a.base_rdim, fiber_rdim=2, lower_bound=lb,
         seams=(SphereSeam(a, 1.0 / k),),
         radial_center=a,
         radial_fn=lambda t, r: cone(float(r)),
+        restrict=restrict,
     )
 
 
@@ -353,6 +387,10 @@ def _dent(radius: float, e2: float) -> WeightField:
     def dent(t, r):
         return abs(t[0] * t[0] + r * r - e2)
 
+    def restrict(t):
+        tt = t[0] * t[0]
+        return lambda x: abs(tt + x[0] * x[0] - e2)
+
     return WeightField(
         fn=lambda p: dent(p, p[1]),
         base_rdim=1, fiber_rdim=1, lower_bound=0.0,
@@ -360,6 +398,7 @@ def _dent(radius: float, e2: float) -> WeightField:
         radial_center=origin,
         radial_fn=dent,
         decay_rate=1.0,
+        restrict=restrict,
     )
 
 

@@ -333,6 +333,15 @@ class TestHarnesses:
         with pytest.raises(InvalidParam):
             lemma2_harness(sq, (2,))
 
+    @pytest.mark.parametrize("fn", [
+        lambda r: 750.0,  # the target e^{profile(0)} overflows
+        lambda r: 750.0 if 0.0 < r < 0.01 else 0.0,  # only the upper bound does
+    ], ids=["target", "upper"])
+    def test_lemma2_overflowing_exponential_is_nonconvergent(self, fn):
+        prof = RadialProfile(fn=fn, cutoff=1.0, seam_radii=(0.01,))
+        with pytest.raises(NonConvergent, match="overflows"):
+            lemma2_harness(prof, (3,))
+
     def test_lemma3_bracket(self):
         rows = lemma3_harness((10,), 0.5, degree=4)
         row = rows[0]

@@ -62,6 +62,16 @@ class TestIntegrate1d:
         with pytest.raises(DivergentIntegral):
             integrate_1d(lambda x: 1.0 / x, 1.0, math.inf)
 
+    @pytest.mark.parametrize("a,b", [(1e20, math.inf), (-math.inf, -1e20)])
+    def test_divergent_tail_from_a_huge_end_raises(self, a, b):
+        # a window of radius _TAIL_RADIUS at 1e20 rounds to one float and
+        # would add 0; the core reaches 16 ulps of the anchor instead
+        with pytest.raises(DivergentIntegral):
+            integrate_1d(lambda x: 1.0, a, b)
+
+    def test_decaying_tail_from_a_huge_end_is_zero(self):
+        assert integrate_1d(lambda x: math.exp(-x), 1e20, math.inf) == 0.0
+
     @pytest.mark.parametrize("a,b,f,outside", [
         (0.0, math.inf, lambda x: math.exp(-abs(x - 1.0)), (-30.0, -0.5, 0.0)),
         (-math.inf, 0.0, lambda x: math.exp(-abs(x + 1.0)), (0.0, 0.5, 30.0)),

@@ -1,6 +1,7 @@
 """Marginal transforms: forward convexity, localization, and the failures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ class TestForwardTransform:
             marginal_transform(w, STRIP, 0.3) + 1.7,
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_huge_base_point_warns_nothing(self, twisted):
+        # the dent's restriction squares t once per fiber, and that square
+        # overflows; the weight is +inf on the whole fiber and the mass is 0
+        w = stock_weight("prekopa_cex", eps=0.1)
+        if twisted:
+            w = w + convex_localizer(8, MOVING)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert marginal_transform(w, STRIP, 2.5e307) == math.inf
 
     def test_empty_fiber_gives_infinity(self):
         dom = ball_domain(split=(1, 1), radius=1.0)

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab import bergman
 from convlab.errors import InvalidParam, UnknownName
-from convlab.geometry import AffineFiberMap, full_space
+from convlab.geometry import AffineFiberMap, fiber, full_space
 from convlab.weights import (
     RadialProfile,
     SphereSeam,
@@ -247,3 +250,88 @@ class TestRadialProfile:
                 assert w.fn(p) == w.radial_fn(t, r)
             else:
                 np.testing.assert_allclose(w.fn(p), w.radial_fn(t, r), rtol=1e-14, atol=1e-15)
+
+
+def _square_of_x(p):
+    x = float(p[-1])
+    return x * x
+
+
+# Catalog weights by coordinate split, and one weight from a bare function,
+# which has no restriction and makes a sum fall back to packing (t, x).
+RESTRICTION_PARTS = {
+    (1, 1): [
+        stock_weight("prekopa_cex", eps=0.3),
+        stock_weight("minprinciple_cex"),
+        convex_localizer(8, MOVING),
+        convex_localizer(3, AffineFiberMap.constant(0.4, base_rdim=1)),
+        constant_weight(-1.5, 1, 1),
+        weight_from_fn(_square_of_x, 1, 1, lower_bound=0.0),
+    ],
+    (2, 2): [
+        stock_weight("berndtsson_cex", eps=0.3),
+        psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)),
+        constant_weight(0.25, 2, 2),
+    ],
+    (0, 2): [lemma3_weight(10, 0.5), psh_localizer(4, ORIGIN2), constant_weight(2.0, 0, 2)],
+}
+
+# a seeded uniform draw has a full mantissa, where two rounding orders part;
+# hypothesis's own floats lean to short ones
+_dense = st.integers(0, 2**32 - 1).map(
+    lambda seed: float(np.random.default_rng(seed).uniform(-4.0, 4.0)))
+_coordinate = st.one_of(_dense, st.floats(-1e308, 1e308))
+
+
+@st.composite
+def _restriction_cases(draw):
+    split = draw(st.sampled_from(sorted(RESTRICTION_PARTS)))
+    parts = draw(st.lists(st.sampled_from(RESTRICTION_PARTS[split]), min_size=1, max_size=3))
+    w = parts[0]
+    for part in parts[1:]:
+        w = w + part
+    t = np.array(draw(st.lists(_coordinate, min_size=split[0], max_size=split[0])))
+    xs = draw(st.lists(st.lists(_coordinate, min_size=split[1], max_size=split[1]),
+                       min_size=1, max_size=4))
+    return w, t, [np.array(x) for x in xs]
+
+
+class TestFiberRestriction:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_restriction_cases())
+    def test_restriction_matches_the_packed_weight_bit_for_bit(self, case):
+        w, t, xs = case
+        fib = fiber(full_space(split=(w.base_rdim, w.fiber_rdim)), t)
+        # squares of a base point near 1e308 overflow to +inf on both routes
+        with np.errstate(over="ignore", invalid="ignore"):
+            restricted = w.on_fiber(fib)
+            for x in xs:
+                got = np.float64(restricted(x))
+                want = np.float64(w.fn(np.concatenate((t, x))))
+                assert got.tobytes() == want.tobytes(), (t, x, got, want)
+
+    def test_catalog_sums_never_pack_the_point(self):
+        w = stock_weight("prekopa_cex", eps=0.3) + convex_localizer(8, MOVING) \
+            + constant_weight(1.0, 1, 1)
+
+        def packed(p):
+            raise AssertionError("the restriction packed (t, x)")
+
+        restricted = dataclasses.replace(w, fn=packed).on_fiber(
+            fiber(full_space(split=(1, 1)), 0.2))
+        assert restricted(np.array([0.5])) == w.at((0.2,), (0.5,))
+
+    def test_a_bare_function_part_is_called_once_per_point(self):
+        calls = []
+
+        def square(p):
+            calls.append(p.copy())
+            return float(p[1]) ** 2
+
+        w = weight_from_fn(square, 1, 1, lower_bound=0.0) + convex_localizer(8, MOVING) \
+            + stock_weight("prekopa_cex", eps=0.3)
+        assert w.restrict is None
+        restricted = w.on_fiber(fiber(full_space(split=(1, 1)), 0.2))
+        for x in (-0.7, 0.1, 2.0):
+            restricted(np.array([x]))
+        assert [p.tolist() for p in calls] == [[0.2, -0.7], [0.2, 0.1], [0.2, 2.0]]
