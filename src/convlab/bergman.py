@@ -106,23 +106,21 @@ def radial_moments(profile: RadialProfile, max_index: int) -> MomentTable:
     js = np.arange(max_index + 1)
     seams = skirt_ladder(profile.seam_radii)
 
+    def moment(j):  # one j, or the array js
+        return lambda r: 2.0 * math.pi * r ** (2 * j + 1) * math.exp(-profile.fn(r))
     if math.isfinite(profile.cutoff):
-        def vec(r: float):
-            return 2.0 * math.pi * r ** (2 * js + 1) * math.exp(-profile.fn(r))
-        vals = integrate_1d(vec, 0.0, profile.cutoff, breakpoints=seams)
+        vals = integrate_1d(moment(js), 0.0, profile.cutoff, breakpoints=seams)
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         return MomentTable(values=tuple(float(v) for v in vals),
                            statuses=("finite",) * (max_index + 1))
 
     values, statuses = [], []
     for j in js:
-        def one(r: float, jj=int(j)):
-            return 2.0 * math.pi * r ** (2 * jj + 1) * math.exp(-profile.fn(r))
         try:
             # a divergent tail overflows r ** (2j + 1); the non-finite panel
             # that follows is the divergence verdict, so the warning is noise
             with np.errstate(over="ignore"):
-                value = integrate_1d(one, 0.0, math.inf, breakpoints=seams)
+                value = integrate_1d(moment(int(j)), 0.0, math.inf, breakpoints=seams)
             values.append(float(value))
             statuses.append("finite")
         except DivergentIntegral:
@@ -197,16 +195,13 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     if domain.kind != "complex" or domain.fiber_rdim != 2:
         raise InvalidParam("gram route needs a one-dimensional complex fiber")
     fib = fiber(domain, t)
-    weight = w.on_fiber(fib)
+    density = w.fiber_density(fib)
     c = complex(center)
     js = np.arange(degree + 1)
 
     def tensor(x: np.ndarray):
-        v = weight(x)
-        if v == math.inf:
-            return np.zeros((degree + 1, degree + 1), dtype=complex)
         b = (complex(x[0], x[1]) - c) ** js
-        return b[:, None] * b.conj() * math.exp(-v)
+        return b[:, None] * b.conj() * density(x)
 
     gram = integrate_fiber(tensor, fib, circle_seams=w.fiber_seams(fib.t))
     gram = np.asarray(gram, dtype=complex)
@@ -518,16 +513,12 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
     if domain.kind != "complex" or domain.base_rdim != 0 or domain.fiber_rdim != 2:
         raise InvalidParam("needs a pure plane region")
     ball_fits = boundary_distance(domain, (0.0, 0.0)).value >= float(r)
+    fib = fiber(domain, ())
     rows = []
     for k in ks:
         k = int(k)
         w = lemma3_weight(k, r)
-        fib = fiber(domain, ())
-
-        def density(x: np.ndarray, w=w) -> float:
-            return math.exp(-w.fn(x))
-
-        mass = integrate_fiber(density, fib, circle_seams=w.fiber_seams(()))
+        mass = integrate_fiber(w.fiber_density(fib), fib, circle_seams=w.fiber_seams(()))
         lower = 1.0 / mass
         value = bergman_gram(w, domain, degree=degree)
         upper = 1.0 / (math.pi * r * r) if (ball_fits and k > 2) else None

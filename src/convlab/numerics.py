@@ -484,7 +484,9 @@ def minimize_over_fiber(f, fiber, search_box=None):
     fiber is unbounded; when the coarse-grid minimum sits on a truncated edge
     and runs downhill there, Unbounded is raised.  Ties on the grid resolve to
     the lexicographically smallest point.  Returns (argmin, value) where the
-    returned value never exceeds f at any evaluated grid node.
+    returned value never exceeds f at any evaluated grid node; a NaN value
+    never wins, and where f has no value below +inf on the grid the result is
+    the first grid node in the fiber with +inf.
     """
     dim = fiber.dim
     lo, hi = fiber.bounds()
@@ -518,6 +520,8 @@ def minimize_over_fiber(f, fiber, search_box=None):
             if not fiber.member(p):
                 continue
             v = float(f(p))
+            if best_pt is None:
+                best_pt, best_idx = p, idx
             if v < best_val:
                 best_val, best_pt, best_idx = v, p, idx
         return best_pt, best_val, best_idx
@@ -553,10 +557,10 @@ def minimize_over_fiber(f, fiber, search_box=None):
             b = min(hi[i], center[i] + spacing[i])
             new_axes.append(np.linspace(a, b, _GRID_POINTS))
         pt, val, _ = scan(new_axes)
-        if pt is not None and val < best_val:
+        if val < best_val:
             best_val = val
             best_pt = pt
-        if pt is not None:
+        if val < math.inf:
             center = pt
         spacing = np.array([(ax[-1] - ax[0]) / (_GRID_POINTS - 1) for ax in new_axes])
     return best_pt, best_val

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParam, PointOutsideDomain
+from .errors import InvalidParam, NonConvergent, PointOutsideDomain
 from .geometry import AffineFiberMap, Domain, fiber
 # integrate_1d is unused here but stays importable as prekopa.integrate_1d:
 # perfbench/test_perfbench.py checks that the layer tracer wraps it.
@@ -56,12 +56,7 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
     # weight's restriction to the fiber; the weight is then +inf and its
     # density 0, so the warning is noise
     with np.errstate(over="ignore"):
-        weight = w.on_fiber(fib)
-
-        def density(x: np.ndarray) -> float:
-            v = weight(x)
-            return 0.0 if v == math.inf else float(np.exp(-v))
-
+        density = w.fiber_density(fib)
         seams = w.fiber_seams(fib.t)
         if fib.dim == 1:
             ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]
@@ -127,7 +122,8 @@ def infimum_over_fiber(w: WeightField, domain: Domain, t, search_box=None):
     Returns (argmin, value).  Unbounded fibers need an explicit search box.
     """
     fib = fiber(domain, t)
-    return minimize_over_fiber(w.on_fiber(fib), fib, search_box=search_box)
+    with np.errstate(over="ignore"):  # as in min_principle_transform
+        return minimize_over_fiber(w.on_fiber(fib), fib, search_box=search_box)
 
 
 def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
@@ -138,36 +134,40 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
     proportional to distance instead of cones with flat feet.  The anchor
     value ``w(t, a(t))`` is always evaluated directly, so the result never
     exceeds it and the search region for unbounded fibers can be certified
-    from the weight's lower bound.
+    from the weight's lower bound.  A +inf anchor on an unbounded fiber
+    certifies no region and raises NonConvergent.
     """
     if k <= 0.0:
         raise InvalidParam("penalty slope k must be positive")
     fib = fiber(domain, t)
-    t = fib.t
-    weight = w.on_fiber(fib)
-    c = a.at(t)
+    c = a.at(fib.t)
     if c.size != domain.fiber_rdim:
         raise InvalidParam("anchor map does not match the fiber dimension")
 
-    def g(x: np.ndarray) -> float:
-        v = weight(x)
-        return v if v == math.inf else v + k * float(np.linalg.norm(x - c))
+    # as in marginal_transform, a huge t overflows to a weight of +inf
+    with np.errstate(over="ignore"):
+        weight = w.on_fiber(fib)
 
-    lo, hi = fib.bounds()
-    box = None
-    if any(math.isinf(float(v)) for v in tuple(lo) + tuple(hi)):
-        if not fib.member(c, closed=True):
-            raise PointOutsideDomain("anchor point is outside the closed fiber")
-        anchor = w.at(t, c)
-        if w.lower_bound is None:
-            raise InvalidParam(
-                "unbounded fiber: the weight needs a lower bound to box the search")
-        radius = (anchor - w.lower_bound) / k + 1.0
-        box = [(float(ci) - radius, float(ci) + radius) for ci in c]
+        def g(x: np.ndarray) -> float:
+            v = weight(x)
+            return v if v == math.inf else v + k * float(np.linalg.norm(x - c))
+        anchor = weight(c) if fib.member(c, closed=True) else None
+        lo, hi = fib.bounds()
+        box = None
+        if any(math.isinf(float(v)) for v in tuple(lo) + tuple(hi)):
+            if anchor is None:
+                raise PointOutsideDomain("anchor point is outside the closed fiber")
+            if w.lower_bound is None:
+                raise InvalidParam(
+                    "unbounded fiber: the weight needs a lower bound to box the search")
+            if anchor == math.inf:
+                raise NonConvergent("anchor value is +inf; the search cannot be boxed")
+            radius = (anchor - w.lower_bound) / k + 1.0
+            box = [(float(ci) - radius, float(ci) + radius) for ci in c]
 
-    _, val = minimize_over_fiber(g, fib, search_box=box)
-    if fib.member(c, closed=True):
-        val = min(val, w.at(t, c))
+        _, val = minimize_over_fiber(g, fib, search_box=box)
+    if anchor is not None:
+        val = min(val, anchor)
     return float(val)
 
 

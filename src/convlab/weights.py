@@ -14,18 +14,17 @@ first, fiber point after it) together with the metadata the transforms need:
   with dist the distance to the radial center.  It records why integrals
   over unbounded fibers converge, and it sets the scale of the panel ladder
   around each seam;
-* an optional fiber restriction ``restrict``: t -> (x -> w(t, x)), which
-  computes the terms that depend on t alone once per fiber instead of once
-  per point.  ``on_fiber`` uses it when present and otherwise packs (t, x)
-  at every point.
+* a fiber restriction ``restrict``: t -> (x -> w(t, x)), which computes the
+  terms that depend on t alone once per fiber (a weight from a bare function
+  packs (t, x) at every point instead); ``on_fiber`` restricts through it
+  and ``fiber_density`` makes it the integrand ``e^{-w(t, x)}``.
 
 The catalog is closed: the cone penalties used for localization (a quadratic
 cone in the real case, a log cone in the complex case), the log shell weight
 of the kernel bounds, the named counterexample weights, constants, and sums of
 these.  Constructors populate all metadata; nothing is inferred.  Every
 catalog weight with a non-empty base except the Berndtsson dent binds its
-fiber restriction, and a sum binds one when both parts have one; a weight
-built from a bare function has none.
+own fiber restriction, and a sum binds the sum of its parts' restrictions.
 """
 
 from __future__ import annotations
@@ -97,8 +96,9 @@ class WeightField:
     ``fn`` maps a packed real point (base coordinates then fiber coordinates)
     to a float; ``+inf`` is allowed and short-circuits ``e^{-w}`` to zero,
     ``-inf`` and NaN are never produced by the catalog constructors.
-    ``restrict``, when set, maps a packed base point t to the function
-    ``x -> fn(t, x)`` and must agree with ``fn`` bit for bit.
+    ``restrict`` maps a packed base point t to the function ``x -> fn(t, x)``
+    and must agree with ``fn`` bit for bit; left out, it packs (t, x) and
+    calls ``fn``, or is ``fn`` itself when the base is empty.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -128,6 +128,10 @@ class WeightField:
                 raise InvalidParam(
                     f"center of split ({c.base_rdim},{c.fiber_rdim}) does not match "
                     f"weight split ({self.base_rdim},{self.fiber_rdim})")
+        if self.restrict is None:
+            fn = self.fn
+            object.__setattr__(self, "restrict", (lambda t: fn) if not self.base_rdim
+                               else lambda t: lambda x: fn(np.concatenate((t, x))))
 
     @property
     def rdim(self) -> int:
@@ -144,14 +148,12 @@ class WeightField:
 
     def on_fiber(self, fib: FiberDomain) -> Callable[[np.ndarray], float]:
         """The weight restricted to the fiber ``fib`` over its base point t:
-        ``x -> fn(t, x)``, or ``fn`` itself when the base is empty.
+        ``x -> fn(t, x)``, with the t-only terms bound once, here.
 
-        A weight with a ``restrict`` binds its t-only terms here, once, and
-        the result is the ``fn`` of a fiber-only WeightField, so that it is
-        still one weight evaluation per point.  Without one, every call packs
-        ``(t, x)`` and calls ``fn``.  Binding may compute squares of t, so a
-        caller that tolerates overflow at huge t calls this under its
-        ``np.errstate``.
+        The result is the ``fn`` of a fiber-only WeightField, so that it is
+        still one weight evaluation per point.  Binding may compute squares
+        of t, so a caller that tolerates overflow at huge t calls this under
+        its ``np.errstate``.
 
         Raises InvalidParam when the weight's split is not the domain's."""
         dom = fib.parent
@@ -160,13 +162,18 @@ class WeightField:
                 f"weight split ({self.base_rdim},{self.fiber_rdim}) does not match "
                 f"domain split ({dom.base_rdim},{dom.fiber_rdim})"
             )
-        fn, t = self.fn, fib.t
-        if not t.size:
-            return fn
-        if self.restrict is not None:
-            return WeightField(fn=self.restrict(t), base_rdim=0,
-                               fiber_rdim=self.fiber_rdim).fn
-        return lambda x: fn(np.concatenate((t, x)))
+        return WeightField(fn=self.restrict(fib.t), base_rdim=0,
+                           fiber_rdim=self.fiber_rdim).fn
+
+    def fiber_density(self, fib: FiberDomain) -> Callable[[np.ndarray], float]:
+        """The integrand ``x -> e^{-w(t, x)}`` on the fiber ``fib``: 0.0 where
+        the weight is +inf, through ``on_fiber``."""
+        weight = self.on_fiber(fib)
+
+        def density(x: np.ndarray) -> float:
+            v = weight(x)
+            return 0.0 if v == _INF else math.exp(-v)
+        return density
 
     def fiber_seams(self, t) -> tuple:
         """The seams' slices at t as ``(fiber center, radius)`` pairs."""
@@ -178,10 +185,7 @@ class WeightField:
             return NotImplemented
         if (self.base_rdim, self.fiber_rdim) != (other.base_rdim, other.fiber_rdim):
             raise InvalidParam("cannot add weights with different coordinate splits")
-        restrict = None
-        if self.restrict is not None and other.restrict is not None:
-            rf, rg = self.restrict, other.restrict
-            restrict = lambda t: _added(rf(t), rg(t))
+        rf, rg = self.restrict, other.restrict
         lb = None
         if self.lower_bound is not None and other.lower_bound is not None:
             lb = self.lower_bound + other.lower_bound
@@ -195,7 +199,7 @@ class WeightField:
             fiber_rdim=self.fiber_rdim, lower_bound=lb, seams=self.seams + other.seams,
             radial_center=center, radial_fn=radial,
             decay_rate=_combine_rates(self, other, center), constant=const,
-            restrict=restrict,
+            restrict=lambda t: _added(rf(t), rg(t)),
         )
 
 

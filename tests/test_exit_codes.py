@@ -2,13 +2,14 @@
 
 ``cli.main`` runs in process over pairs of flags of ``marginal``, ``bergman``
 and ``check-psh``, list flags included, with values at the edges of the float
-range.  RuntimeWarnings are errors here, as in the Tier-1 run, so a numpy
+range, and over ``run`` with a defaults file at such a value.  RuntimeWarnings are errors here, as in the Tier-1 run, so a numpy
 warning that escapes counts as a failure too.  Sizes stay small, and nothing
 starts a process or a thread.
 """
 
 import contextlib
 import io
+import json
 from datetime import timedelta
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convlab.cli import main
+from convlab.scenarios import load_defaults
 
 EDGE_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0,
                1e-300, 0.5, 3.0, 1e308)
@@ -74,3 +76,19 @@ def test_every_invocation_ends_in_a_documented_exit_code(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code in (2, 3):
         assert err.getvalue(), argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_min_principle_at_a_huge_base_point_is_a_numerical_failure(tmp_path, monkeypatch):
+    # the dent is +inf on the whole fiber at t = 1e200, so no search box exists
+    data = load_defaults()
+    data["scenarios"]["min-principle"]["ts"] = [0.0, 0.4, 1e200]
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv("CONVLAB_DEFAULTS", str(path))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "min-principle"])
+    assert code == 2
+    assert "anchor value is +inf" in err.getvalue()
+    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()

@@ -12,10 +12,11 @@ After a declared change of numbers, regenerate the file with
 
 and list the moved leaves, as the failure printed them, in CHANGES.md.
 
-Float bits depend on the host: numpy's SIMD math kernels (``np.log``,
-``np.exp`` and ``np.log1p`` take other code paths with AVX512_SKX) and the C
-library both reach the reports.  So the file records the environment it was
-made in.  Non-float leaves are always compared exactly.  Floats are compared
+Float bits depend on the host: the C library's ``exp`` and ``log``,
+OpenBLAS's CPU-specific ``ddot`` kernels and ``np.log``, whose SIMD code
+paths differ with AVX512_SKX, all reach the reports (the fiber density uses
+``math.exp``, so ``np.exp`` does not).  So the file records the environment
+it was made in.  Non-float leaves are always compared exactly.  Floats are compared
 exactly when the environment matches; otherwise the test is skipped, naming
 both environments.  There is no ulp allowance.
 """

@@ -428,6 +428,20 @@ class TestMinimizeOverFiber:
         np.testing.assert_allclose(arg, [0.2, -0.1], atol=1e-7)
         assert val < 1e-13
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_everywhere_gives_the_first_node_and_infinity(self):
+        fd = fiber(full_space(split=(0, 1)), ())
+        arg, val = minimize_over_fiber(lambda x: math.inf, fd, search_box=((-1.0, 2.0),))
+        assert arg.tolist() == [-1.0] and val == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_never_wins_over_a_finite_value(self):
+        dom = box_domain((-1.0,), (2.0,), split=(0, 1))
+        f = lambda x: math.nan if x[0] < 0.0 else (x[0] - 0.3) ** 2
+        arg, val = minimize_over_fiber(f, fiber(dom, ()))
+        np.testing.assert_allclose(arg, [0.3], atol=1e-8)
+        assert val < 1e-15
+
 
 class TestQuadConfig:
     def test_tolerances_are_honoured(self):

@@ -1,12 +1,19 @@
 """Marginal transforms: forward convexity, localization, and the failures."""
 
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convlab.errors import InvalidParam
+import convlab
+from convlab.errors import InvalidParam, NonConvergent
 from convlab.geometry import (AffineFiberMap, ball_domain, dumbbell,
                               full_space, punctured_ball)
 from convlab.prekopa import (
@@ -20,6 +27,7 @@ from convlab.prekopa import (
     sample_marginal_curve,
     twisted_marginal,
 )
+from convlab.scenarios import load_defaults
 from convlab.weights import constant_weight, convex_localizer, stock_weight, weight_from_fn
 
 STRIP = full_space(split=(1, 1))
@@ -246,6 +254,19 @@ class TestMinPrinciple:
         with pytest.raises(InvalidParam):
             min_principle_transform(w, STRIP, ANCHOR_ZERO, 0, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_anchor_cannot_box_the_search(self):
+        # t * t overflows in the dent, so the weight is +inf on the whole fiber
+        w = stock_weight("minprinciple_cex")
+        with pytest.raises(NonConvergent, match="anchor value is"):
+            min_principle_transform(w, STRIP, ANCHOR_ZERO, 64, 1e200)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fiber_infimum_at_a_huge_base_point_is_infinite(self):
+        w = stock_weight("minprinciple_cex")
+        arg, val = infimum_over_fiber(w, STRIP, 1e200, search_box=((-3.0, 3.0),))
+        assert arg.tolist() == [-3.0] and val == math.inf
+
 
 class TestMidpointProbe:
     def test_dumbbell_blows_up(self):
@@ -301,3 +322,45 @@ class TestFiberChecks:
     @pytest.mark.parametrize("name", TRANSFORMS)
     def test_the_same_calls_run_with_a_matching_weight(self, name):
         self.calls(quadratic_weight(), -0.5)[name]()
+
+
+def _avx512_targets() -> list:
+    """numpy's AVX-512 dispatch targets on this host (X86_V4 is AVX-512's
+    baseline level)."""
+    for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            dispatch = importlib.import_module(mod).__cpu_dispatch__
+            break
+        except (ImportError, AttributeError):
+            continue
+    else:
+        return []
+    return [t for t in dispatch if t == "X86_V4" or t.startswith("AVX512")]
+
+
+_DENT_MARGINALS = """
+import json, sys
+from convlab.geometry import full_space
+from convlab.prekopa import marginal_transform
+from convlab.weights import stock_weight
+eps, ts = json.loads(sys.argv[1])
+w = stock_weight("prekopa_cex", eps)
+print(json.dumps([marginal_transform(w, full_space((1, 1)), t).hex() for t in ts]))
+"""
+
+
+class TestHostIndependence:
+    @pytest.mark.skipif(not _avx512_targets(), reason="numpy dispatches no AVX-512 kernel here")
+    def test_dent_marginals_keep_their_bits_without_avx512(self):
+        # prekopa-cex's sample points and its seam quotient points
+        p = load_defaults()["scenarios"]["prekopa-cex"]
+        eps, h = p["eps"], p["quotient_h"]
+        ts = list(p["sample_ts"]) + [eps - h, eps, eps + h]
+        w = stock_weight("prekopa_cex", eps)
+        here = [marginal_transform(w, STRIP, t).hex() for t in ts]
+        src = str(Path(convlab.__file__).parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_avx512_targets()),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _DENT_MARGINALS, json.dumps([eps, ts])],
+                             env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == here

@@ -258,7 +258,7 @@ def _square_of_x(p):
 
 
 # Catalog weights by coordinate split, and one weight from a bare function,
-# which has no restriction and makes a sum fall back to packing (t, x).
+# whose restriction packs (t, x), per split.
 RESTRICTION_PARTS = {
     (1, 1): [
         stock_weight("prekopa_cex", eps=0.3),
@@ -272,8 +272,10 @@ RESTRICTION_PARTS = {
         stock_weight("berndtsson_cex", eps=0.3),
         psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)),
         constant_weight(0.25, 2, 2),
+        weight_from_fn(_square_of_x, 2, 2, lower_bound=0.0),
     ],
-    (0, 2): [lemma3_weight(10, 0.5), psh_localizer(4, ORIGIN2), constant_weight(2.0, 0, 2)],
+    (0, 2): [lemma3_weight(10, 0.5), psh_localizer(4, ORIGIN2), constant_weight(2.0, 0, 2),
+             weight_from_fn(_square_of_x, 0, 2, lower_bound=0.0)],
 }
 
 # a seeded uniform draw has a full mantissa, where two rounding orders part;
@@ -330,8 +332,13 @@ class TestFiberRestriction:
 
         w = weight_from_fn(square, 1, 1, lower_bound=0.0) + convex_localizer(8, MOVING) \
             + stock_weight("prekopa_cex", eps=0.3)
-        assert w.restrict is None
         restricted = w.on_fiber(fiber(full_space(split=(1, 1)), 0.2))
         for x in (-0.7, 0.1, 2.0):
             restricted(np.array([x]))
         assert [p.tolist() for p in calls] == [[0.2, -0.7], [0.2, 0.1], [0.2, 2.0]]
+
+    def test_fiber_density_is_zero_where_the_weight_is_infinite(self):
+        w = weight_from_fn(lambda p: math.inf if p[1] > 1.0 else float(p[1]), 1, 1)
+        density = w.fiber_density(fiber(full_space(split=(1, 1)), 0.2))
+        assert density(np.array([2.0])) == 0.0
+        assert density(np.array([0.5])) == math.exp(-0.5)
