@@ -23,14 +23,17 @@ complex-valued (error control uses the max-norm across components), and
 divergence is reported by exception rather than by a garbage value.
 
 A GK15 panel calls the integrand once per node (15 calls) and reduces the
-stacked node values with four 1-D ``np.dot`` products against the Kronrod and
-Gauss weight rows: the Kronrod value, the Gauss value, the absolute-value
-integral and the residual about the panel mean.  Array-valued integrands are
-flattened to ``(15, m)`` for these products and the value is reshaped back;
-scalar integrands stay 1-D, so their error arithmetic runs on numpy scalars.
-Each product is a separate BLAS vector call on purpose: one stacked
-``(2, 15) @ (15, m)`` product takes a different BLAS path and changes the
-last bits of the results.
+node values to four sums against the Kronrod and Gauss weights: the Kronrod
+value, the Gauss value, the absolute-value integral and the residual about
+the panel mean.  There are two reductions.  Scalar values (real or complex
+numbers, the marginals of every Prekopa check) are summed in plain Python,
+each sum left to right over the ascending nodes, so their bits depend on no
+BLAS kernel.  Array values (the Gram tensor, the moment vector) are stacked
+to ``(15, m)`` and reduced by four 1-D ``np.dot`` products, each a separate
+BLAS vector call: one stacked ``(2, 15) @ (15, m)`` product takes a
+different BLAS path and changes the last bits.  Those bits still follow
+OpenBLAS's CPU-specific ``ddot`` kernels; a fixed-order reduction that is as
+fast as ``np.dot`` belongs to a batched panel protocol.
 
 On a two-dimensional fiber the outer integrand F(x) = int slice(x) dy has
 square-root endpoints wherever a slice closes up or a seam circle turns (a
@@ -109,6 +112,9 @@ _NODES = np.array([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7]
 _KW = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
 _GW = np.zeros(15)
 _GW[1::2] = list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3]))
+# The same rows as Python floats for the scalar reduction, Gauss nodes only.
+_KW_ROW = tuple(_KW.tolist())
+_GW_ROW = tuple(_GW[1::2].tolist())
 
 # Quadrature: the panel-error budget max(abs_tol, _REL_TOL * |I|) and the
 # panel cap of one adaptive pass.  An improper integral integrates a core of
@@ -178,19 +184,29 @@ def _panel_rule(f, a: float, b: float):
     Returns (kronrod_value, error_estimate) where the error estimate follows
     the QUADPACK rescaling: sharp for smooth panels, conservative near
     integrable singularities, floored at the roundoff level of the panel.
+    A panel with a non-finite node value gives an infinite value and error.
+    When every node value is a real or complex number the reduction is
+    ``_scalar_rule``'s, in plain Python; otherwise the values are stacked
+    and reduced with ``np.dot``.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     try:
-        stack = np.array([f(mid + half * u) for u in _NODES])  # (15, *shape)
+        vals = [f(mid + half * u) for u in _NODES]
+        if all(isinstance(v, float) for v in vals):
+            return _scalar_rule([float(v) for v in vals], half, -0.0)
+        if all(isinstance(v, (float, complex)) for v in vals):
+            return _scalar_rule([complex(v) for v in vals], half, complex(-0.0, -0.0))
     except OverflowError:
-        # math.exp and friends raise where np.exp would return inf; either way
+        # math.exp and friends raise where np.exp would return inf, and so
+        # does abs() of a complex number beyond the float range; either way
         # the panel is non-finite.
         return math.inf, math.inf
+    stack = np.array(vals)  # (15, *shape)
     shape = stack.shape[1:]
     if not np.isfinite(stack).all():
         return np.full(shape, np.inf), math.inf
-    # A scalar integrand stays 1-D: through (15, 1) its ``** 1.5`` below would
+    # Any other scalar stays 1-D: through (15, 1) its ``** 1.5`` below would
     # take the array power loop, which can differ from the scalar one in the
     # last bit.
     flat = stack.reshape(15, -1) if stack.ndim > 1 else stack
@@ -208,6 +224,49 @@ def _panel_rule(f, a: float, b: float):
     )
     err = np.maximum(err, 50.0 * _EPS * resabs)
     return resk.reshape(shape), float(err.max())
+
+
+def _scalar_rule(vals, half: float, zero):
+    """The GK15 sums and error of 15 Python floats (or complexes) in plain Python.
+
+    Each sum runs left to right over the ascending nodes from ``zero``, the
+    additive identity -0.0 of the values' type, so it equals a cumulative
+    sum of the weighted values.
+    A sum of |f| or of the residual beyond the float range makes the panel
+    non-finite, as a non-finite node value does; otherwise value and error
+    are finite.  The rescaling takes its power only below 1, where
+    ``min(1, s ** 1.5)`` needs it, so ``**`` never overflows.
+    """
+    resk = resg = zero
+    resabs = resasc = -0.0
+    for v, w in zip(vals, _KW_ROW):
+        resk = resk + w * v
+        resabs = resabs + w * abs(v)
+    for v, w in zip(vals[1::2], _GW_ROW):
+        resg = resg + w * v
+    resk = resk * half
+    resg = resg * half
+    resabs = resabs * abs(half)
+    reskh = resk * 0.5
+    for v, w in zip(vals, _KW_ROW):
+        resasc = resasc + w * abs(v * half - reskh)
+    if not (resabs < math.inf and resasc < math.inf):  # also false for NaN
+        return math.inf, math.inf
+
+    raw = abs(resk - resg)
+    if resasc == 0.0 or raw == 0.0:
+        err = raw
+    else:
+        scale = 200.0 * raw / resasc
+        err = resasc * scale ** 1.5 if scale < 1.0 else resasc
+    return resk, max(err, 50.0 * _EPS * resabs)
+
+
+def _finite(val) -> bool:
+    """Whether a panel value is finite; a Python scalar is tested without numpy."""
+    if type(val) is float:
+        return math.isfinite(val)
+    return bool(np.isfinite(val).all())
 
 
 def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
@@ -229,14 +288,14 @@ def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
     running = 0.0
     for (lo, hi) in zip(edges, edges[1:]):
         val, err = _panel_rule(f, lo, hi)
-        if not np.isfinite(val).all():
+        if not _finite(val):
             raise NonConvergent(f"non-finite panel value on [{lo}, {hi}]")
         heapq.heappush(live, (-err, next(order), lo, hi, val, err))
         running = running + val
     tot_err = math.fsum(p[5] for p in live)
 
     while True:
-        norm = float(np.abs(running).max())
+        norm = abs(running) if type(running) is float else float(np.abs(running).max())
         if tot_err <= max(abs_tol, _REL_TOL * norm):
             break
         if len(live) + len(settled) >= _MAX_PANELS:
@@ -257,7 +316,7 @@ def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
         mid = 0.5 * (lo + hi)
         lval, lerr = _panel_rule(f, lo, mid)
         rval, rerr = _panel_rule(f, mid, hi)
-        if not (np.isfinite(lval).all() and np.isfinite(rval).all()):
+        if not (_finite(lval) and _finite(rval)):
             raise NonConvergent(f"non-finite panel value inside [{lo}, {hi}]")
         heapq.heappush(live, (-lerr, next(order), lo, mid, lval, lerr))
         heapq.heappush(live, (-rerr, next(order), mid, hi, rval, rerr))

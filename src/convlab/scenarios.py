@@ -383,7 +383,7 @@ def _min_principle(p):
         _, v = prekopa.infimum_over_fiber(w, line, t, search_box=box)
         want = max(t * t - 1.0, 0.0)
         infs.append({"t": t, "value": v, "target": want})
-        inf_ok = inf_ok and abs(v - want) <= p["inf_tol"]
+        inf_ok = inf_ok and (v == want or abs(v - want) <= p["inf_tol"])  # inf == inf
     checks.append(Check("fiber-infimum-convex-envelope", inf_ok,
                         {"rows": infs, "tol": p["inf_tol"]}))
     return checks

@@ -12,15 +12,18 @@ After a declared change of numbers, regenerate the file with
 
 and list the moved leaves, as the failure printed them, in CHANGES.md.
 
-Float bits depend on the host: the C library's ``exp`` and ``log``,
-OpenBLAS's CPU-specific ``ddot`` kernels and ``np.log``, whose SIMD code
-paths differ with AVX512_SKX, all reach the reports (the fiber density uses
-``math.exp``, so ``np.exp`` does not).  So the file records the environment
-it was made in.  Non-float leaves are always compared exactly.  Floats are compared
-exactly when the environment matches; otherwise the test is skipped, naming
-both environments.  There is no ulp allowance.
+Float bits depend on the host: the C library's ``exp`` and ``log`` and
+``np.log``, whose SIMD code paths differ with AVX512_SKX, reach the reports
+(the fiber density uses ``math.exp``, so ``np.exp`` does not).  OpenBLAS's
+CPU-specific ``ddot`` kernels reach only the reports whose quadrature has
+array-valued integrands: lemma3's Gram route.  Scalar panels are summed in
+plain Python.  So the file records the environment it was made in,
+OpenBLAS's core type included.  Non-float leaves are always compared exactly.
+Floats are compared exactly when the environment matches; otherwise the test
+is skipped, naming both environments.  There is no ulp allowance.
 """
 
+import ctypes
 import importlib
 import json
 import math
@@ -37,18 +40,35 @@ from convlab.scenarios import run_scenario, scenario_names
 DATA = Path(__file__).with_name("data") / "reports.json"
 
 
-def environment() -> dict:
-    """What the bits of a report depend on besides the code."""
-    features = {}
+def _multiarray_umath():
     for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
-            features = importlib.import_module(mod).__cpu_features__
-            break
-        except (ImportError, AttributeError):
+            return importlib.import_module(mod)
+        except ImportError:
             continue
+    return None
+
+
+def openblas_core():
+    """The name of the kernel family OpenBLAS picked for this CPU (or was told
+    to pick by ``OPENBLAS_CORETYPE``), or None where numpy's OpenBLAS cannot
+    be asked."""
+    umath = _multiarray_umath()
+    try:
+        query = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    query.restype = ctypes.c_char_p
+    return query().decode()
+
+
+def environment() -> dict:
+    """What the bits of a report depend on besides the code."""
+    features = getattr(_multiarray_umath(), "__cpu_features__", {})
     return {
         "numpy": np.__version__,
         "avx512_skx": bool(features.get("AVX512_SKX", False)),
+        "openblas_core": openblas_core(),
         "libc": list(platform.libc_ver()),
         "python": f"{sys.version_info.major}.{sys.version_info.minor}",
     }

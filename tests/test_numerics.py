@@ -1,6 +1,7 @@
 """Quadrature, compensated summation, and fiber minimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,28 @@ class TestIntegrate1dProperties:
         _assert_same_integral(mirrored, integrate_1d(f, lo, hi, breakpoints=bps))
 
 
+def _cumsum_panel_rule(f, a, b):
+    """The GK15 panel rule of a scalar integrand with every sum left to right."""
+    eps = float(np.finfo(np.float64).eps)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    stack = np.array([f(mid + half * u) for u in _NODES])
+    total = lambda terms: np.cumsum(terms)[-1]
+    # |z| as C's hypot gives it; numpy's complex absolute has its own kernel
+    mag = lambda z: np.hypot(np.real(z), np.imag(z))
+    resk = total(_KW * stack) * half
+    resg = total(_GW[1::2] * stack[1::2]) * half
+    resabs = total(_KW * mag(stack)) * abs(half)
+    reskh = resk * 0.5
+    resasc = total(_KW * mag(stack * half - reskh))
+    raw = mag(resk - resg)
+    if resasc == 0.0 or raw == 0.0:
+        err = raw
+    else:
+        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
+    return resk, float(max(err, 50.0 * eps * resabs))
+
+
 def _tensordot_panel_rule(f, a, b):
     """The GK15 panel rule as it stood with one tensordot per reduction."""
     eps = float(np.finfo(np.float64).eps)
@@ -249,11 +272,37 @@ class TestPanelRule:
            c0=st.floats(-3, 3), c1=st.floats(-3, 3), degree=st.integers(0, 16))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_tensordot_rule_to_the_bit(self, kind, lo, width, c0, c1, degree):
+        # Scalar panels are summed left to right in Python, array panels by BLAS.
         f = _integrand(kind, c0, c1, degree)
         val, err = _panel_rule(f, lo, lo + width)
-        ref_val, ref_err = _tensordot_panel_rule(f, lo, lo + width)
+        reference = _cumsum_panel_rule if kind in ("real", "complex") else _tensordot_panel_rule
+        ref_val, ref_err = reference(f, lo, lo + width)
         assert _bits(val) == _bits(ref_val)
         assert err == ref_err
+
+    @given(kind=st.sampled_from(["real", "complex"]), scale=st.floats(1e290, 1.7e308),
+           lo=st.floats(-1e10, 1e10), width=st.floats(1e-3, 1e10), freq=st.floats(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_values_near_the_float_range_give_inf_or_a_finite_error(
+            self, kind, scale, lo, width, freq):
+        # Python floats overflow to inf in products, while ``**`` and abs() of
+        # a complex number raise OverflowError; the panel gives (inf, inf) or
+        # a finite error and never raises.
+        def f(x):
+            c, s = math.cos(freq * float(x)), math.sin(freq * float(x))
+            return scale * c if kind == "real" else complex(scale * c, scale * s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, err = _panel_rule(f, lo, lo + width)
+        assert (val, err) == (math.inf, math.inf) or (
+            math.isfinite(err) and np.isfinite(val))
+
+    @pytest.mark.parametrize("value, width", [(1e308, 10.0), (1e300, 1e10),
+                                              (complex(1.5e308, 1.5e308), 1.0)])
+    def test_an_overflowing_panel_is_inf(self, value, width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _panel_rule(lambda x: value, 0.0, width) == (math.inf, math.inf)
 
     @given(kind=_KINDS, node=st.integers(0, 14), bad=st.sampled_from([math.inf, math.nan]),
            degree=st.integers(0, 8))

@@ -1,5 +1,6 @@
 """Marginal transforms: forward convexity, localization, and the failures."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -27,8 +28,9 @@ from convlab.prekopa import (
     sample_marginal_curve,
     twisted_marginal,
 )
-from convlab.scenarios import load_defaults
+from convlab.scenarios import load_defaults, run_scenario
 from convlab.weights import constant_weight, convex_localizer, stock_weight, weight_from_fn
+from test_frozen_reports import openblas_core
 
 STRIP = full_space(split=(1, 1))
 ANCHOR_ZERO = AffineFiberMap.constant(0.0, base_rdim=1)
@@ -349,6 +351,23 @@ print(json.dumps([marginal_transform(w, full_space((1, 1)), t).hex() for t in ts
 """
 
 
+# Every report whose quadrature runs on scalar integrands only.
+_SCALAR_REPORTS = ("prekopa-cex", "lemma1", "berndtsson-cex", "midpoint-probe")
+
+_REPORT_DIGESTS = """
+import hashlib, json, sys
+from convlab.scenarios import run_scenario
+print(json.dumps([hashlib.sha256(run_scenario(n).to_json(with_wall_time=False).encode())
+                  .hexdigest() for n in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.fixture(scope="module")
+def scalar_report_digests():
+    return [hashlib.sha256(run_scenario(n).to_json(with_wall_time=False).encode()).hexdigest()
+            for n in _SCALAR_REPORTS]
+
+
 class TestHostIndependence:
     @pytest.mark.skipif(not _avx512_targets(), reason="numpy dispatches no AVX-512 kernel here")
     def test_dent_marginals_keep_their_bits_without_avx512(self):
@@ -364,3 +383,16 @@ class TestHostIndependence:
         out = subprocess.run([sys.executable, "-c", _DENT_MARGINALS, json.dumps([eps, ts])],
                              env=env, capture_output=True, text=True, check=True)
         assert json.loads(out.stdout) == here
+
+    @pytest.mark.skipif(openblas_core() is None, reason="numpy's OpenBLAS cannot report its core type")
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_scalar_reports_keep_their_bits_on_another_blas_kernel(self, core,
+                                                                   scalar_report_digests):
+        # OPENBLAS_CORETYPE picks the ddot kernel of another CPU family;
+        # scalar GK15 panels never call BLAS, so their reports cannot move.
+        src = str(Path(convlab.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _REPORT_DIGESTS, json.dumps(_SCALAR_REPORTS)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == scalar_report_digests

@@ -79,6 +79,13 @@ class TestRegistry:
         failed = [c for c in rep.checks if not c.passed]
         assert failed and "violation" in failed[0].name
 
+    def test_an_infinite_fiber_infimum_meets_its_infinite_target(self):
+        # at t = 1e200 both the infimum and t^2 - 1 are +inf; inf - inf is NaN
+        rep = run_scenario("min-principle", {"inf_ts": [0.0, 1e200]})
+        check = next(c for c in rep.checks if c.name == "fiber-infimum-convex-envelope")
+        assert check.detail["rows"][1]["value"] == check.detail["rows"][1]["target"] == math.inf
+        assert check.passed and rep.passed
+
 
 def _no_bare_constant(name):
     raise AssertionError(f"report JSON holds a bare {name}")
