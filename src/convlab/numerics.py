@@ -185,8 +185,8 @@ def _panel_rule(f, a: float, b: float):
     the QUADPACK rescaling: sharp for smooth panels, conservative near
     integrable singularities, floored at the roundoff level of the panel.
     A panel with a non-finite node value gives an infinite value and error.
-    When every node value is a real or complex number the reduction is
-    ``_scalar_rule``'s, in plain Python; otherwise the values are stacked
+    Scalar node values (real or complex, of any numeric type) are reduced by
+    ``_scalar_rule`` as Python floats or complexes; array values are stacked
     and reduced with ``np.dot``.
     """
     half = 0.5 * (b - a)
@@ -195,21 +195,19 @@ def _panel_rule(f, a: float, b: float):
         vals = [f(mid + half * u) for u in _NODES]
         if all(isinstance(v, float) for v in vals):
             return _scalar_rule([float(v) for v in vals], half, -0.0)
-        if all(isinstance(v, (float, complex)) for v in vals):
-            return _scalar_rule([complex(v) for v in vals], half, complex(-0.0, -0.0))
+        stack = np.array(vals)  # (15, *shape)
+        if stack.ndim == 1:  # complex numbers, ints, other numpy scalars, 0-d arrays
+            zero = complex(-0.0, -0.0) if stack.dtype.kind == "c" else -0.0
+            return _scalar_rule([type(zero)(v) for v in stack.tolist()], half, zero)
     except OverflowError:
         # math.exp and friends raise where np.exp would return inf, and so
         # does abs() of a complex number beyond the float range; either way
         # the panel is non-finite.
         return math.inf, math.inf
-    stack = np.array(vals)  # (15, *shape)
     shape = stack.shape[1:]
     if not np.isfinite(stack).all():
         return np.full(shape, np.inf), math.inf
-    # Any other scalar stays 1-D: through (15, 1) its ``** 1.5`` below would
-    # take the array power loop, which can differ from the scalar one in the
-    # last bit.
-    flat = stack.reshape(15, -1) if stack.ndim > 1 else stack
+    flat = stack.reshape(15, -1)
     resk = np.dot(_KW, flat) * half
     resg = np.dot(_GW, flat) * half
     resabs = np.dot(_KW, np.abs(flat)) * abs(half)

@@ -280,6 +280,19 @@ class TestPanelRule:
         assert _bits(val) == _bits(ref_val)
         assert err == ref_err
 
+    @pytest.mark.parametrize("wrap, as_python", [
+        (np.float32, float), (np.asarray, float), (lambda v: round(1e6 * v), float),
+        (np.complex64, complex), (lambda v: np.asarray(complex(v, -v)), complex)])
+    def test_any_scalar_type_takes_the_python_reduction(self, wrap, as_python):
+        # Ints, numpy scalars and 0-d arrays are summed as the Python numbers
+        # they convert to, never by BLAS.
+        f = _integrand("real", 0.7, 1.3, 0)
+        val, err = _panel_rule(lambda x: wrap(f(x)), -0.4, 2.1)
+        ref_val, ref_err = _panel_rule(lambda x: as_python(wrap(f(x))), -0.4, 2.1)
+        assert type(val) is as_python
+        assert _bits(val) == _bits(ref_val)
+        assert err == ref_err
+
     @given(kind=st.sampled_from(["real", "complex"]), scale=st.floats(1e290, 1.7e308),
            lo=st.floats(-1e10, 1e10), width=st.floats(1e-3, 1e10), freq=st.floats(0, 3))
     @settings(max_examples=200, deadline=None)

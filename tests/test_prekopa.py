@@ -28,9 +28,9 @@ from convlab.prekopa import (
     sample_marginal_curve,
     twisted_marginal,
 )
-from convlab.scenarios import load_defaults, run_scenario
+from convlab.scenarios import load_defaults, run_scenario, scenario_names
 from convlab.weights import constant_weight, convex_localizer, stock_weight, weight_from_fn
-from test_frozen_reports import openblas_core
+from test_frozen_reports import BLAS_REPORTS, openblas_core
 
 STRIP = full_space(split=(1, 1))
 ANCHOR_ZERO = AffineFiberMap.constant(0.0, base_rdim=1)
@@ -351,8 +351,9 @@ print(json.dumps([marginal_transform(w, full_space((1, 1)), t).hex() for t in ts
 """
 
 
-# Every report whose quadrature runs on scalar integrands only.
-_SCALAR_REPORTS = ("prekopa-cex", "lemma1", "berndtsson-cex", "midpoint-probe")
+# The reports keyed without OpenBLAS's core type: whatever quadrature they
+# run has scalar integrands only.
+_SCALAR_REPORTS = tuple(n for n in scenario_names() if n not in BLAS_REPORTS)
 
 _REPORT_DIGESTS = """
 import hashlib, json, sys
