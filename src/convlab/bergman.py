@@ -96,31 +96,25 @@ class MomentTable:
 def radial_moments(profile: RadialProfile, max_index: int) -> MomentTable:
     """Moments of a radial weight: ``m_j = 2 pi int r^{2j+1} e^{-profile(r)} dr``.
 
-    On a bounded disc every moment is finite and all are computed in one
-    vectorized pass.  On the full plane each moment is integrated separately
-    and a diverging tail is recorded as status ``divergent`` instead of
-    raising: which moments survive is a result, not an error.
+    Each moment is its own scalar integral up to the cutoff, so its bits do
+    not depend on ``max_index``.  On the full plane a diverging tail is
+    recorded as status ``divergent`` instead of raising: which moments
+    survive is a result, not an error.
     """
     if max_index < 0:
         raise InvalidParam("need max_index >= 0")
-    js = np.arange(max_index + 1)
     seams = skirt_ladder(profile.seam_radii)
 
-    def moment(j):  # one j, or the array js
+    def moment(j):
         return lambda r: 2.0 * math.pi * r ** (2 * j + 1) * math.exp(-profile.fn(r))
-    if math.isfinite(profile.cutoff):
-        vals = integrate_1d(moment(js), 0.0, profile.cutoff, breakpoints=seams)
-        vals = np.atleast_1d(np.asarray(vals, dtype=float))
-        return MomentTable(values=tuple(float(v) for v in vals),
-                           statuses=("finite",) * (max_index + 1))
 
     values, statuses = [], []
-    for j in js:
+    for j in range(max_index + 1):
         try:
             # a divergent tail overflows r ** (2j + 1); the non-finite panel
             # that follows is the divergence verdict, so the warning is noise
             with np.errstate(over="ignore"):
-                value = integrate_1d(moment(int(j)), 0.0, math.inf, breakpoints=seams)
+                value = integrate_1d(moment(j), 0.0, profile.cutoff, breakpoints=seams)
             values.append(float(value))
             statuses.append("finite")
         except DivergentIntegral:
@@ -519,6 +513,8 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
         k = int(k)
         w = lemma3_weight(k, r)
         mass = integrate_fiber(w.fiber_density(fib), fib, circle_seams=w.fiber_seams(()))
+        if not mass > 0.0:
+            raise NonConvergent("fiber mass underflows to zero")
         lower = 1.0 / mass
         value = bergman_gram(w, domain, degree=degree)
         upper = 1.0 / (math.pi * r * r) if (ball_fits and k > 2) else None

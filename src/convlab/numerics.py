@@ -26,11 +26,11 @@ A GK15 panel calls the integrand once per node (15 calls) and reduces the
 node values to four sums against the Kronrod and Gauss weights: the Kronrod
 value, the Gauss value, the absolute-value integral and the residual about
 the panel mean.  There are two reductions.  Scalar values (real or complex
-numbers, the marginals of every Prekopa check) are summed in plain Python,
-each sum left to right over the ascending nodes, so their bits depend on no
-BLAS kernel.  Array values (the Gram tensor, the moment vector) are stacked
-to ``(15, m)`` and reduced by four 1-D ``np.dot`` products, each a separate
-BLAS vector call: one stacked ``(2, 15) @ (15, m)`` product takes a
+numbers: the marginals of every Prekopa check, every radial moment) are
+summed in plain Python, each sum left to right over the ascending nodes, so
+their bits depend on no BLAS kernel.  Array values (the Gram tensor) are
+stacked to ``(15, m)`` and reduced by four 1-D ``np.dot`` products, each a
+separate BLAS vector call: one stacked ``(2, 15) @ (15, m)`` product takes a
 different BLAS path and changes the last bits.  Those bits still follow
 OpenBLAS's CPU-specific ``ddot`` kernels; a fixed-order reduction that is as
 fast as ``np.dot`` belongs to a batched panel protocol.
@@ -160,22 +160,20 @@ class BallVolume:
 
 
 def kahan_total(parts: Iterable):
-    """Compensated sum of floats or same-shape arrays, in iteration order."""
-    total = None
-    carry = None
-    for p in parts:
-        p = np.asarray(p)
-        if total is None:
-            total = p.astype(p.dtype, copy=True)
-            carry = np.zeros_like(total)
-            continue
+    """Compensated sum of floats or same-shape arrays, in iteration order.
+
+    Each part keeps its own arithmetic (floats sum as floats, with numpy's
+    bits); an empty sum is 0.0.
+    """
+    it = iter(parts)
+    total = next(it, 0.0)
+    carry = 0.0
+    for p in it:
         y = p - carry
         t = total + y
         carry = (t - total) - y
         total = t
-    if total is None:
-        return 0.0
-    return total if total.ndim else total[()]
+    return total
 
 
 def _panel_rule(f, a: float, b: float):
@@ -192,7 +190,7 @@ def _panel_rule(f, a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     try:
-        vals = [f(mid + half * u) for u in _NODES]
+        vals = [f(x) for x in mid + half * _NODES]
         if all(isinstance(v, float) for v in vals):
             return _scalar_rule([float(v) for v in vals], half, -0.0)
         stack = np.array(vals)  # (15, *shape)
@@ -267,6 +265,14 @@ def _finite(val) -> bool:
     return bool(np.isfinite(val).all())
 
 
+def _finite_total(parts, where: str):
+    """``kahan_total`` of finite parts; NonConvergent where it leaves the float range."""
+    total = kahan_total(parts)
+    if not _finite(total):
+        raise NonConvergent(f"finite parts on {where} sum beyond the float range")
+    return total
+
+
 def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
     """Greedy bisection of [a, b], first cut at the breakpoints inside it.
 
@@ -321,8 +327,8 @@ def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
         running = running - val + lval + rval
         tot_err = tot_err - err + lerr + rerr
 
-    value = kahan_total(p[4] for p in sorted(live + settled, key=lambda p: p[2:4]))
-    return value, tot_err
+    panels = sorted(live + settled, key=lambda p: p[2:4])
+    return _finite_total((p[4] for p in panels), f"[{a}, {b}]"), tot_err
 
 
 def skirt_ladder(points, rate: float | None = None) -> tuple:
@@ -372,13 +378,8 @@ def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpo
             raise DivergentIntegral(
                 f"tail window [{lo}, {hi}] did not stabilize: {exc}"
             ) from exc
-        arr = np.atleast_1d(np.asarray(val))
-        if not np.all(np.isfinite(arr)):
-            raise DivergentIntegral(
-                f"tail window [{lo}, {hi}] is non-finite; integral diverges"
-            )
         pieces.append((lo, val))
-        mag = float(np.max(np.abs(arr)))
+        mag = float(np.max(np.abs(val)))
         if mag <= abs_tol / 4.0:
             return pieces
         if prev_mag is not None and mag > prev_mag * (1.0 + 1e-12):
@@ -405,8 +406,9 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
     ``f`` maps a float to a float, complex, or ndarray (fixed shape).
     ``breakpoints`` registers known kinks/seams so no panel straddles one.
     ``abs_tol`` is the absolute part of the error budget.  Raises
-    NonConvergent when the panel budget is exhausted and DivergentIntegral
-    when an improper tail fails the doubling test.
+    NonConvergent when the panel budget is exhausted or finite panels sum
+    beyond the float range, and DivergentIntegral when an improper tail
+    fails the doubling test.
 
     All three improper cases take one path, as in QUADPACK's qagi: a finite
     core around an anchor (``a`` if finite, else ``b`` if finite, else 0)
@@ -440,7 +442,7 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
     if math.isinf(a):
         pieces.extend(_tail_windows(f, lo, -1, r0, abs_tol, bps))
     pieces.sort(key=lambda p: p[0])
-    return kahan_total(p[1] for p in pieces)
+    return _finite_total((p[1] for p in pieces), f"[{a}, {b}]")
 
 
 def _circle_crossings(x: float, circles) -> list[float]:
@@ -484,7 +486,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         for (lo, hi) in intervals:
             values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams)))
         values.sort(key=lambda p: p[0])
-        return kahan_total(v for (_, v) in values)
+        return _finite_total((v for (_, v) in values), "the fiber")
     if dim != 2:
         raise InvalidParam("integrate_fiber supports fiber dimension 1 or 2 only")
 

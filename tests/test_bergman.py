@@ -342,6 +342,11 @@ class TestHarnesses:
         with pytest.raises(NonConvergent, match="overflows"):
             lemma2_harness(prof, (3,))
 
+    def test_lemma3_underflowing_mass_is_nonconvergent(self):
+        # e^{-w} is 1 only on a disc of radius 1e-200; the mass underflows to 0
+        with pytest.raises(NonConvergent, match="underflows"):
+            lemma3_harness((3,), 1e-200, degree=1)
+
     def test_lemma3_bracket(self):
         rows = lemma3_harness((10,), 0.5, degree=4)
         row = rows[0]
@@ -495,3 +500,14 @@ def test_divergent_moments_overflow_without_a_warning():
         mt = radial_moments(berndtsson_profile(0j, EPS), 50)
     assert mt.statuses == ("finite",) + ("divergent",) * 50
     assert mt.values[0] == radial_moments(berndtsson_profile(0j, EPS), 0).values[0]
+
+
+@pytest.mark.parametrize("profile", [
+    FLAT_DISC,
+    RadialProfile(fn=lambda r: 4.0 * abs(r * r - 0.25), cutoff=1.0, seam_radii=(0.5,)),
+], ids=["flat", "seamed"])
+def test_disc_moments_do_not_depend_on_the_table_length(profile):
+    # every moment is its own scalar integral, on a disc as on the plane
+    full = radial_moments(profile, 6).values
+    for j in range(7):
+        assert radial_moments(profile, j).values[j] == full[j], j

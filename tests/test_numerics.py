@@ -174,6 +174,16 @@ class TestAdaptiveFailures:
         with pytest.raises(NonConvergent, match="non-finite panel value " + message):
             integrate_1d(f, 0.0, b, breakpoints=breakpoints)
 
+    @pytest.mark.parametrize("f,b,breakpoints", [
+        (lambda x: 5e307, 4.0, (1.0, 2.0, 3.0)),  # four finite panels of 5e307
+        # three finite pieces of about 7e307: the core and two tail windows
+        (lambda x: 2e307 * sum(math.exp(-(x - c) ** 2) for c in (2, 5, 10, 14, 20, 28)),
+         math.inf, ()),
+    ], ids=["panels", "tail-pieces"])
+    def test_finite_parts_summing_beyond_the_float_range(self, f, b, breakpoints):
+        with pytest.raises(NonConvergent, match=r"on \[0.0, %s\] sum beyond the float range" % b):
+            integrate_1d(f, 0.0, b, breakpoints=breakpoints)
+
 
 class TestIntegrate1dProperties:
     @given(_finite_integrals())
@@ -255,7 +265,7 @@ def _integrand(kind, c0, c1, degree):
     if kind == "complex":
         return lambda x: complex(math.cos(c1 * x), c0 * x) * math.exp(-0.1 * x * x)
     js = np.arange(degree + 1)
-    if kind == "vector":  # shaped like the radial route's moment vector
+    if kind == "vector":  # a vector of monomial moments, one per power
         return lambda x: abs(x) ** (2 * js + 1) * math.exp(-c0 * c0 - x * x)
 
     def tensor(x):  # shaped like the Gram route's rank-one integrand
@@ -387,12 +397,45 @@ class TestKahanTotal:
     def test_empty(self):
         assert kahan_total([]) == 0.0
 
+    @given(st.lists(st.floats(width=64), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_float_parts_match_the_array_sum_to_the_bit(self, parts):
+        # reference: the same compensated sum on 0-d arrays
+        total = carry = None
+        with np.errstate(all="ignore"):
+            for p in map(np.asarray, parts):
+                if total is None:
+                    total, carry = p.copy(), np.zeros_like(p)
+                    continue
+                y = p - carry
+                t = total + y
+                carry = (t - total) - y
+                total = t
+        want = 0.0 if total is None else total[()]
+        got = kahan_total(parts)
+        assert type(got) is float
+        if not (math.isnan(got) and math.isnan(want)):  # numpy and CPython pick different NaN signs
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_numpy_scalars_stay_numpy_scalars(self):
+        assert type(kahan_total([np.float64(0.1)] * 3)) is np.float64
+
 
 class TestIntegrateFiber:
     def test_interval_fiber(self):
         dom = box_domain((-1.0,), (2.0,), split=(0, 1))
         val = integrate_fiber(lambda x: x[0] * x[0], fiber(dom, ()))
         np.testing.assert_allclose(val, 3.0, rtol=1e-12)
+
+    def test_intervals_summing_beyond_the_float_range(self):
+        class TwoIntervals:  # two intervals of width 2, each integrating to 1e308
+            dim = 1
+
+            def quad_intervals(self):
+                return [(0.0, 2.0), (3.0, 5.0)]
+
+        with pytest.raises(NonConvergent, match="on the fiber sum beyond the float range"):
+            integrate_fiber(lambda x: 5e307, TwoIntervals())
 
     def test_interval_kink_via_point_seams(self):
         dom = box_domain((-1.0,), (1.0,), split=(0, 1))
