@@ -141,7 +141,7 @@ def bergman_radial(moments: MomentTable, rho: float = 0.0) -> float:
     ZeroKernel when no moment at all is finite -- the space holds only 0.
     """
     rho = float(rho)
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise InvalidParam("rho is a radius; need rho >= 0")
     finite = [(j, v) for j, (v, s) in enumerate(zip(moments.values, moments.statuses))
               if s == "finite"]
@@ -149,7 +149,7 @@ def bergman_radial(moments: MomentTable, rho: float = 0.0) -> float:
         raise ZeroKernel("every moment diverges; the space contains only zero")
     total = 0.0
     for j, v in finite:
-        if v <= 0.0:
+        if not v > 0.0:
             raise InvalidParam(f"moment {j} is not positive")
         total += rho ** (2 * j) / v
     return total
@@ -329,7 +329,7 @@ def laplacian_check(eps: float, z_abs_list, h: float = 1e-3) -> list:
     keep the whole stencil strictly inside the dent.  Rows carry the stencil
     value, the closed form, and their gap -- O(h^2) when both are right.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise InvalidParam("stencil step must be positive")
 
     def u(z: complex) -> float:

@@ -197,7 +197,7 @@ class Ball(Node):
             raise InvalidParam("ball center and axes lengths differ")
         if not self.axes:
             raise InvalidParam("ball needs at least one axis")
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise InvalidParam("ball radius must be nonnegative")
         object.__setattr__(self, "center", tuple(map(float, self.center)))
         object.__setattr__(self, "radius", float(self.radius))

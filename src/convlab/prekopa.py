@@ -137,7 +137,7 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
     from the weight's lower bound.  A +inf anchor on an unbounded fiber
     certifies no region and raises NonConvergent.
     """
-    if k <= 0.0:
+    if not k > 0.0:
         raise InvalidParam("penalty slope k must be positive")
     fib = fiber(domain, t)
     c = a.at(fib.t)

@@ -146,12 +146,16 @@ _LIST_LENGTHS = {
     "midpoint-probe": {"dumbbell_p0": 2, "dumbbell_p1": 2, "ball_p0": 2, "ball_p1": 2},
 }
 _SAME_LENGTHS = {"lemma2": ("ks", "frozen_values"), "lemma3": ("ks", "frozen_lower")}
+# Int parameters that a scenario hands to numpy as sample counts, with the
+# least count each needs; every other int is checked where it is used.
+_LEAST_COUNTS = {"prekopa-cex": {"grid_n": 3},
+                 "berndtsson-cex": {"psh_centers": 1, "positivity_n": 1}}
 
 
-def _check_lengths(name: str, params: dict) -> None:
+def _check_sizes(name: str, params: dict) -> None:
     """Reject an empty list parameter of scenario ``name``, a list of the
-    wrong length where the scenario reads fixed positions, and a zipped pair
-    of unequal lengths."""
+    wrong length where the scenario reads fixed positions, a zipped pair of
+    unequal lengths, and a sample count below the least it needs."""
     fixed = _LIST_LENGTHS.get(name, {})
     for key, value in params.items():
         if not isinstance(value, list):
@@ -165,6 +169,10 @@ def _check_lengths(name: str, params: dict) -> None:
         if len(params[a]) != len(params[b]):
             raise InvalidParam(f"{name} parameters {a} and {b} need as many values "
                                f"each, got {len(params[a])} and {len(params[b])}")
+    for key, least in _LEAST_COUNTS.get(name, {}).items():
+        if params[key] < least:
+            raise InvalidParam(f"{name} parameter {key} needs at least {least}, "
+                               f"got {params[key]}")
 
 
 def _reject_constant(name: str):
@@ -207,7 +215,7 @@ def load_defaults() -> dict:
                     f"defaults file gives {name} the wrong parameters: missing "
                     f"{sorted(missing)}, unknown {sorted(unknown)}")
             _check_types(name, params, packaged[name])
-            _check_lengths(name, params)
+            _check_sizes(name, params)
     return data
 
 
@@ -241,7 +249,7 @@ def run_scenario(name: str, overrides: dict | None = None) -> RunReport:
             raise InvalidParam(f"unknown parameters for {name}: {sorted(unknown)}")
         _check_types(name, overrides, _packaged_defaults()["scenarios"][name])
         params.update(overrides)
-        _check_lengths(name, params)
+        _check_sizes(name, params)
     start = time.perf_counter()
     checks = tuple(fn(params))
     wall = time.perf_counter() - start

@@ -1,7 +1,11 @@
 """Weight fields: evaluable scalar penalties with quadrature metadata.
 
-A :class:`WeightField` is a function on packed real coordinates (base point
-first, fiber point after it) together with the metadata the transforms need:
+A :class:`WeightField` is a weight w(t, x) on base x fiber, given by its fiber
+restriction ``restrict``: t -> (x -> w(t, x)), which computes the terms that
+depend on t alone once per fiber; every transform evaluates a weight through
+it.  The weight on a packed point, ``fn``, is derived from it and cannot be
+set, and ``weight_from_fn`` is the only place that packs (t, x).  With the
+restriction come the metadata the transforms need:
 
 * a certified global lower bound, required before a weight may be used as a
   twist (the integrals only stay finite because ``e^{-weight}`` is bounded);
@@ -13,24 +17,20 @@ first, fiber point after it) together with the metadata the transforms need:
 * an optional decay rate: ``weight >= rate * dist - C`` for some constant C,
   with dist the distance to the radial center.  It records why integrals
   over unbounded fibers converge, and it sets the scale of the panel ladder
-  around each seam;
-* a fiber restriction ``restrict``: t -> (x -> w(t, x)), which computes the
-  terms that depend on t alone once per fiber (a weight from a bare function
-  packs (t, x) at every point instead); ``on_fiber`` restricts through it
-  and ``fiber_density`` makes it the integrand ``e^{-w(t, x)}``.
+  around each seam.
 
 The catalog is closed: the cone penalties used for localization (a quadratic
 cone in the real case, a log cone in the complex case), the log shell weight
 of the kernel bounds, the named counterexample weights, constants, and sums of
 these.  Constructors populate all metadata; nothing is inferred.  Every
-catalog weight with a non-empty base except the Berndtsson dent binds its
-own fiber restriction, and a sum binds the sum of its parts' restrictions.
+catalog weight writes its formula once, as its restriction, and a sum binds
+the sum of its parts' restrictions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,15 +93,16 @@ class SphereSeam:
 class WeightField:
     """A scalar field on base x fiber with evaluation and quadrature metadata.
 
-    ``fn`` maps a packed real point (base coordinates then fiber coordinates)
-    to a float; ``+inf`` is allowed and short-circuits ``e^{-w}`` to zero,
-    ``-inf`` and NaN are never produced by the catalog constructors.
-    ``restrict`` maps a packed base point t to the function ``x -> fn(t, x)``
-    and must agree with ``fn`` bit for bit; left out, it packs (t, x) and
-    calls ``fn``, or is ``fn`` itself when the base is empty.
+    ``restrict`` maps a packed base point t to the function ``x -> w(t, x)``
+    on the fiber, which returns a float; ``+inf`` is allowed and
+    short-circuits ``e^{-w}`` to zero, ``-inf`` and NaN are never produced by
+    the catalog constructors.  ``fn``, the weight on a packed point (base
+    coordinates then fiber coordinates), is derived from it: ``restrict(())``
+    itself when the base is empty, else ``p -> restrict(p[:nb])(p[nb:])``.
+    It is not a constructor argument, and ``dataclasses.replace`` cannot set it.
     """
 
-    fn: Callable[[np.ndarray], float]
+    restrict: Callable[[np.ndarray], Callable[[np.ndarray], float]]
     base_rdim: int
     fiber_rdim: int
     lower_bound: Optional[float] = None
@@ -110,15 +111,17 @@ class WeightField:
     radial_fn: Optional[Callable[[np.ndarray, float], float]] = None
     decay_rate: Optional[float] = None  # about radial_center
     constant: Optional[float] = None
-    restrict: Optional[Callable[[np.ndarray], Callable[[np.ndarray], float]]] = None
+    fn: Callable[[np.ndarray], float] = field(init=False)
 
     def __post_init__(self):
         if self.base_rdim < 0 or self.fiber_rdim < 1:
             raise InvalidParam("need base_rdim >= 0 and fiber_rdim >= 1")
         if (self.radial_fn is None) != (self.radial_center is None):
             raise InvalidParam("radial_fn and radial_center come as a pair")
-        if self.decay_rate is not None and self.decay_rate <= 0.0:
+        if self.decay_rate is not None and not self.decay_rate > 0.0:
             raise InvalidParam("decay rate must be positive")
+        if self.constant is not None and self.lower_bound != self.constant:
+            raise InvalidParam("a constant weight's lower bound is its value")
         centers = [(s.center, s.base_center) for s in self.seams]
         if self.radial_center is not None:
             centers.append((self.radial_center, None))
@@ -128,10 +131,9 @@ class WeightField:
                 raise InvalidParam(
                     f"center of split ({c.base_rdim},{c.fiber_rdim}) does not match "
                     f"weight split ({self.base_rdim},{self.fiber_rdim})")
-        if self.restrict is None:
-            fn = self.fn
-            object.__setattr__(self, "restrict", (lambda t: fn) if not self.base_rdim
-                               else lambda t: lambda x: fn(np.concatenate((t, x))))
+        nb, restrict = self.base_rdim, self.restrict
+        object.__setattr__(self, "fn", restrict(()) if not nb
+                           else lambda p: restrict(p[:nb])(p[nb:]))
 
     @property
     def rdim(self) -> int:
@@ -148,7 +150,7 @@ class WeightField:
 
     def on_fiber(self, fib: FiberDomain) -> Callable[[np.ndarray], float]:
         """The weight restricted to the fiber ``fib`` over its base point t:
-        ``x -> fn(t, x)``, with the t-only terms bound once, here.
+        ``restrict(t)``, ``x -> w(t, x)`` with the t-only terms bound once, here.
 
         The result is the ``fn`` of a fiber-only WeightField, so that it is
         still one weight evaluation per point.  Binding may compute squares
@@ -162,7 +164,8 @@ class WeightField:
                 f"weight split ({self.base_rdim},{self.fiber_rdim}) does not match "
                 f"domain split ({dom.base_rdim},{dom.fiber_rdim})"
             )
-        return WeightField(fn=self.restrict(fib.t), base_rdim=0,
+        weight = self.restrict(fib.t)
+        return WeightField(restrict=lambda t: weight, base_rdim=0,
                            fiber_rdim=self.fiber_rdim).fn
 
     def fiber_density(self, fib: FiberDomain) -> Callable[[np.ndarray], float]:
@@ -193,13 +196,11 @@ class WeightField:
         if self.constant is not None and other.constant is not None:
             const = self.constant + other.constant
 
-        center, radial = _combine_radial(self, other)
+        center, radial, rate = _combine_radial(self, other)
         return WeightField(
-            fn=_added(self.fn, other.fn), base_rdim=self.base_rdim,
+            restrict=lambda t: _added(rf(t), rg(t)), base_rdim=self.base_rdim,
             fiber_rdim=self.fiber_rdim, lower_bound=lb, seams=self.seams + other.seams,
-            radial_center=center, radial_fn=radial,
-            decay_rate=_combine_rates(self, other, center), constant=const,
-            restrict=lambda t: _added(rf(t), rg(t)),
+            radial_center=center, radial_fn=radial, decay_rate=rate, constant=const,
         )
 
 
@@ -215,37 +216,34 @@ def _added(f, g):
 
 
 def _combine_radial(a: WeightField, b: WeightField):
-    """Radial metadata of a sum: preserved under constants and matching centers."""
+    """Radial metadata of a sum, ``(center, radial_fn, decay_rate)``: a radial
+    part keeps its center beside a constant or beside a part about the same
+    center.  The parts' rates add, and a part without one must be bounded
+    below (a constant is); otherwise the sum has no rate."""
     for const, radial in ((a, b), (b, a)):
         if const.constant is not None and radial.radial_fn is not None:
             c, rf = const.constant, radial.radial_fn
-            return radial.radial_center, (lambda t, r: c + rf(t, r))
-    if a.radial_fn is not None and b.radial_fn is not None \
-            and a.radial_center == b.radial_center:
+            center, fn = radial.radial_center, lambda t, r: c + rf(t, r)
+            break
+    else:
+        if a.radial_fn is None or b.radial_fn is None \
+                or a.radial_center != b.radial_center:
+            return None, None, None
         ra, rb = a.radial_fn, b.radial_fn
-        return a.radial_center, (lambda t, r: ra(t, r) + rb(t, r))
-    return None, None
-
-
-def _combine_rates(a: WeightField, b: WeightField, center):
-    """Decay rate of a sum about the surviving radial center: two rates add,
-    and a mate bounded below keeps the other's rate."""
-    if center is None:
-        return None
-    ra = a.decay_rate if a.radial_center == center else None
-    rb = b.decay_rate if b.radial_center == center else None
-    if ra is not None and rb is not None:
-        return ra + rb
-    for rate, mate in ((ra, b), (rb, a)):
-        if rate is not None:
-            bounded = mate.constant is not None or mate.lower_bound is not None
-            return rate if bounded else None
-    return None
+        center, fn = a.radial_center, lambda t, r: ra(t, r) + rb(t, r)
+    rates = [w.decay_rate for w in (a, b) if w.decay_rate is not None]
+    bounded = all(w.decay_rate is not None or w.lower_bound is not None for w in (a, b))
+    return center, fn, (sum(rates) if rates and bounded else None)
 
 
 def weight_from_fn(fn, base_rdim: int, fiber_rdim: int, *, lower_bound=None,
                    seams=(), radial_center=None, radial_fn=None) -> WeightField:
-    return WeightField(fn=fn, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
+    """A weight from ``fn`` on a packed point (base coordinates, then fiber
+    coordinates).  Its restriction packs (t, x) at every point, or is ``fn``
+    itself when the base is empty; this is the only place a point is packed."""
+    restrict = (lambda t: fn) if not base_rdim \
+        else lambda t: lambda x: fn(np.concatenate((t, x)))
+    return WeightField(restrict=restrict, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
                        lower_bound=lower_bound, seams=tuple(seams),
                        radial_center=radial_center, radial_fn=radial_fn)
 
@@ -254,8 +252,8 @@ def constant_weight(c: float, base_rdim: int, fiber_rdim: int) -> WeightField:
     c = float(c)
     if not math.isfinite(c):
         raise InvalidParam("constant weight must be finite")
-    return WeightField(fn=lambda p: c, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
-                       lower_bound=c, constant=c, restrict=lambda t: lambda x: c)
+    return WeightField(restrict=lambda t: lambda x: c, base_rdim=base_rdim,
+                       fiber_rdim=fiber_rdim, lower_bound=c, constant=c)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +273,7 @@ class RadialProfile:
     seam_radii: tuple = ()
 
     def __post_init__(self):
-        if self.cutoff <= 0.0:
+        if not self.cutoff > 0.0:
             raise InvalidParam("cutoff radius must be positive")
         object.__setattr__(self, "seam_radii",
                            tuple(float(r) for r in self.seam_radii if 0.0 < r < self.cutoff))
@@ -289,15 +287,12 @@ class RadialProfile:
 
 
 def _cone_about(cone, a: AffineFiberMap):
-    """``cone(|x - a(t)|)`` as ``(fn, restrict)``: on a packed point, and
-    restricted to a fiber with a(t) computed once."""
-    nb = a.base_rdim
-
+    """The restriction of ``cone(|x - a(t)|)``, with a(t) computed once per fiber."""
     def restrict(t):
         c = a.at(t)
         return lambda x: cone(float(np.linalg.norm(x - c)))
 
-    return lambda p: cone(float(np.linalg.norm(p[nb:] - a.at(p[:nb])))), restrict
+    return restrict
 
 
 def convex_localizer(k: int, a: AffineFiberMap) -> WeightField:
@@ -319,14 +314,12 @@ def convex_localizer(k: int, a: AffineFiberMap) -> WeightField:
     def cone(r):
         return kk * max(r - inv_k, 0.0) + lb
 
-    fn, restrict = _cone_about(cone, a)
     return WeightField(
-        fn=fn, base_rdim=a.base_rdim, fiber_rdim=n, lower_bound=lb,
-        seams=(SphereSeam(a, inv_k),),
+        restrict=_cone_about(cone, a), base_rdim=a.base_rdim, fiber_rdim=n,
+        lower_bound=lb, seams=(SphereSeam(a, inv_k),),
         radial_center=a,
         radial_fn=lambda t, r: cone(r),
         decay_rate=kk,
-        restrict=restrict,
     )
 
 
@@ -350,13 +343,11 @@ def psh_localizer(k: int, a: AffineFiberMap) -> WeightField:
     def cone(r: float) -> float:
         return kf * math.log(kf * r) + lb if r * kf > 1.0 else lb
 
-    fn, restrict = _cone_about(cone, a)
     return WeightField(
-        fn=fn, base_rdim=a.base_rdim, fiber_rdim=2, lower_bound=lb,
-        seams=(SphereSeam(a, 1.0 / k),),
+        restrict=_cone_about(cone, a), base_rdim=a.base_rdim, fiber_rdim=2,
+        lower_bound=lb, seams=(SphereSeam(a, 1.0 / k),),
         radial_center=a,
         radial_fn=lambda t, r: cone(float(r)),
-        restrict=restrict,
     )
 
 
@@ -367,7 +358,7 @@ def lemma3_weight(k: int, r: float) -> WeightField:
     as ``(|z|/r)^{-k}``.
     """
     k = int(k)
-    if k < 1 or r <= 0.0:
+    if k < 1 or not r > 0.0:
         raise InvalidParam("need k >= 1 and r > 0")
     kf, rf = float(k), float(r)
     origin = AffineFiberMap.constant((0.0, 0.0), 0)
@@ -376,7 +367,7 @@ def lemma3_weight(k: int, r: float) -> WeightField:
         return kf * math.log(s / rf) if s > rf else 0.0
 
     return WeightField(
-        fn=lambda p: cone(float(np.hypot(p[0], p[1]))),
+        restrict=lambda t: lambda x: cone(float(np.hypot(x[0], x[1]))),
         base_rdim=0, fiber_rdim=2, lower_bound=0.0,
         seams=(SphereSeam(origin, rf, base_center=()),),
         radial_center=origin,
@@ -388,21 +379,17 @@ def _dent(radius: float, e2: float) -> WeightField:
     """|t^2 + x^2 - e2| on R x R, with e2 = radius^2: kinked on that circle."""
     origin = AffineFiberMap.constant((0.0,), 1)
 
-    def dent(t, r):
-        return abs(t[0] * t[0] + r * r - e2)
-
     def restrict(t):
         tt = t[0] * t[0]
         return lambda x: abs(tt + x[0] * x[0] - e2)
 
     return WeightField(
-        fn=lambda p: dent(p, p[1]),
+        restrict=restrict,
         base_rdim=1, fiber_rdim=1, lower_bound=0.0,
         seams=(SphereSeam(origin, radius, base_center=(0.0,)),),
         radial_center=origin,
-        radial_fn=dent,
+        radial_fn=lambda t, r: restrict(t)((r,)),  # at distance r from 0
         decay_rate=1.0,
-        restrict=restrict,
     )
 
 
@@ -426,15 +413,16 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
         e2 = float(eps) ** 2
         origin = AffineFiberMap.constant((0.0, 0.0), 2)
 
-        def log_dent(q):
-            return 1.5 * math.log1p(abs(q - e2))
+        def restrict(t):
+            tt = t[0] * t[0] + t[1] * t[1]
+            return lambda x: 1.5 * math.log1p(abs(tt + (x[0] * x[0] + x[1] * x[1]) - e2))
 
         return WeightField(
-            fn=lambda p: log_dent(float(p @ p)),
+            restrict=restrict,
             base_rdim=2, fiber_rdim=2, lower_bound=0.0,
             seams=(SphereSeam(origin, eps, base_center=(0.0, 0.0)),),
             radial_center=origin,
-            radial_fn=lambda t, r: log_dent(t[0] * t[0] + t[1] * t[1] + r * r),
+            radial_fn=lambda t, r: restrict(t)((r, 0.0)),  # at distance r from 0
         )
     if name == "minprinciple_cex":
         return _dent(1.0, 1.0)

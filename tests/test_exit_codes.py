@@ -2,22 +2,30 @@
 
 ``cli.main`` runs in process over pairs of flags of ``marginal``, ``bergman``
 and ``check-psh``, list flags included, with values at the edges of the float
-range, and over ``run`` with a defaults file at such a value.  RuntimeWarnings are errors here, as in the Tier-1 run, so a numpy
+range, and over ``run`` with a defaults file at such a value or with an int
+parameter at -1.  RuntimeWarnings are errors here, as in the Tier-1 run, so a numpy
 warning that escapes counts as a failure too.  Sizes stay small, and nothing
-starts a process or a thread.
+starts a process or a thread.  A NaN at each positivity guard of the library
+raises InvalidParam, the usage error (exit 3).
 """
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 from datetime import timedelta
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convlab import bergman, prekopa
 from convlab.cli import main
+from convlab.errors import InvalidParam
+from convlab.geometry import AffineFiberMap, Ball, full_space
 from convlab.scenarios import load_defaults
+from convlab.weights import RadialProfile, constant_weight, lemma3_weight, stock_weight
 
 EDGE_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0,
                1e-300, 0.5, 3.0, 1e308)
@@ -78,17 +86,76 @@ def test_every_invocation_ends_in_a_documented_exit_code(argv):
         assert err.getvalue(), argv
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_min_principle_at_a_huge_base_point_is_a_numerical_failure(tmp_path, monkeypatch):
-    # the dent is +inf on the whole fiber at t = 1e200, so no search box exists
-    data = load_defaults()
-    data["scenarios"]["min-principle"]["ts"] = [0.0, 0.4, 1e200]
+def _run_with_defaults(data, name, tmp_path, monkeypatch):
+    """``convlab run name`` with ``data`` as the defaults file: (code, stderr)."""
     path = tmp_path / "defaults.json"
     path.write_text(json.dumps(data))
     monkeypatch.setenv("CONVLAB_DEFAULTS", str(path))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["run", "min-principle"])
+        code = main(["run", name])
+    return code, err.getvalue()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_min_principle_at_a_huge_base_point_is_a_numerical_failure(tmp_path, monkeypatch):
+    # the dent is +inf on the whole fiber at t = 1e200, so no search box exists
+    data = load_defaults()
+    data["scenarios"]["min-principle"]["ts"] = [0.0, 0.4, 1e200]
+    code, err = _run_with_defaults(data, "min-principle", tmp_path, monkeypatch)
     assert code == 2
-    assert "anchor value is +inf" in err.getvalue()
-    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+    assert "anchor value is +inf" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+# every int parameter of the packaged defaults, lists of ints included
+INT_PARAMETERS = [(name, key) for name, params in load_defaults()["scenarios"].items()
+                  for key, value in params.items()
+                  if type(value[0] if isinstance(value, list) else value) is int]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, key", INT_PARAMETERS,
+                         ids=[f"{name}.{key}" for name, key in INT_PARAMETERS])
+def test_a_negative_int_parameter_is_a_usage_error(name, key, tmp_path, monkeypatch):
+    data = load_defaults()
+    params = data["scenarios"][name]
+    if isinstance(params[key], list):
+        params[key][0] = -1
+    else:
+        params[key] = -1
+    code, err = _run_with_defaults(data, name, tmp_path, monkeypatch)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_no_positivity_samples_is_a_usage_error(tmp_path, monkeypatch):
+    data = load_defaults()
+    data["scenarios"]["berndtsson-cex"]["positivity_n"] = 0
+    code, err = _run_with_defaults(data, "berndtsson-cex", tmp_path, monkeypatch)
+    assert code == 3
+    assert err == "error: berndtsson-cex parameter positivity_n needs at least 1, got 0\n"
+
+
+NAN_GUARDS = {
+    "RadialProfile.cutoff": lambda: RadialProfile(fn=lambda r: r, cutoff=math.nan),
+    "bergman_radial.rho": lambda: bergman.bergman_radial(
+        bergman.MomentTable(values=(1.0,), statuses=("finite",)), math.nan),
+    "bergman_radial.moment": lambda: bergman.bergman_radial(
+        bergman.MomentTable(values=(math.nan,), statuses=("finite",)), 0.5),
+    "laplacian_check.h": lambda: bergman.laplacian_check(0.3, [0.0], h=math.nan),
+    "lemma3_weight.r": lambda: lemma3_weight(10, math.nan),
+    "Ball.radius": lambda: Ball((0.0,), math.nan, (0,)),
+    "min_principle_transform.k": lambda: prekopa.min_principle_transform(
+        stock_weight("minprinciple_cex"), full_space((1, 1)),
+        AffineFiberMap.constant((0.0,), 1), math.nan, 0.4),
+    "WeightField.decay_rate": lambda: dataclasses.replace(
+        constant_weight(0.0, 1, 1), decay_rate=math.nan),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(NAN_GUARDS))
+def test_nan_fails_every_positivity_guard(guard):
+    with pytest.raises(InvalidParam):
+        NAN_GUARDS[guard]()

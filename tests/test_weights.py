@@ -161,6 +161,11 @@ class TestWeightAlgebra:
         assert summed.radial_fn is None
         assert summed.decay_rate is None
 
+    def test_a_constant_is_bounded_below_by_its_value(self):
+        # a sum keeps its mate's decay rate only beside a lower bound
+        with pytest.raises(InvalidParam, match="lower bound"):
+            dataclasses.replace(constant_weight(1.0, 1, 1), lower_bound=None)
+
     def test_infinite_value_short_circuits(self):
         hard = weight_from_fn(lambda p: math.inf, 1, 1)
         assert (hard + constant_weight(5.0, 1, 1))((0.0, 0.0)) == math.inf
@@ -228,8 +233,8 @@ class TestRadialProfile:
 
     # Every radial catalog weight, and whether fn and radial_fn compute the
     # same expression from the same distance (then they agree bit for bit).
-    # logshell measures with np.hypot and berndtsson_cex sums p @ p, where the
-    # test takes np.linalg.norm.
+    # logshell measures with np.hypot and berndtsson_cex sums the squares of
+    # x, where the test takes np.linalg.norm.
     RADIAL_CATALOG = {
         "cone2": (convex_localizer(8, MOVING), True),
         "logcone": (psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)), True),
@@ -312,16 +317,32 @@ class TestFiberRestriction:
                 want = np.float64(w.fn(np.concatenate((t, x))))
                 assert got.tobytes() == want.tobytes(), (t, x, got, want)
 
-    def test_catalog_sums_never_pack_the_point(self):
-        w = stock_weight("prekopa_cex", eps=0.3) + convex_localizer(8, MOVING) \
-            + constant_weight(1.0, 1, 1)
+    def test_catalog_sums_never_pack_the_point(self, monkeypatch):
+        sums = [
+            (stock_weight("prekopa_cex", eps=0.3) + convex_localizer(8, MOVING)
+             + constant_weight(1.0, 1, 1), (0.2,), (0.5,)),
+            (stock_weight("berndtsson_cex", eps=0.3)
+             + psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5))
+             + constant_weight(0.25, 2, 2), (0.2, -0.1), (0.5, 0.3)),
+        ]
+        restricted = [(w.on_fiber(fiber(full_space(split=(w.base_rdim, w.fiber_rdim)), t)),
+                       np.array(x), w.at(t, x)) for w, t, x in sums]
 
-        def packed(p):
+        def packed(*args, **kwargs):
             raise AssertionError("the restriction packed (t, x)")
 
-        restricted = dataclasses.replace(w, fn=packed).on_fiber(
-            fiber(full_space(split=(1, 1)), 0.2))
-        assert restricted(np.array([0.5])) == w.at((0.2,), (0.5,))
+        monkeypatch.setattr(np, "concatenate", packed)
+        for weight, x, want in restricted:
+            assert weight(x) == want
+
+    def test_fn_follows_the_restriction_and_cannot_be_replaced(self):
+        w = weight_from_fn(lambda p: 1.0, 1, 1)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(w, fn=lambda p: 2.0)
+        moved = dataclasses.replace(w, restrict=lambda t: lambda x: 2.0)
+        on_fiber = moved.on_fiber(fiber(full_space(split=(1, 1)), 0.2))
+        assert moved.fn(np.array([0.2, 0.5])) == moved.at((0.2,), (0.5,)) \
+            == on_fiber(np.array([0.5])) == 2.0
 
     def test_a_bare_function_part_is_called_once_per_point(self):
         calls = []
