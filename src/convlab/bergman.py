@@ -179,10 +179,14 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
                 degree: int = 8) -> GramKernel:
     """Assemble the monomial Gram matrix over the fiber of ``domain`` at t.
 
-    The integrand is the full rank-one tensor ``b(z) b(z)^H e^{-w(t,z)}``
-    integrated entrywise in one adaptive pass, then symmetrized.  A Cholesky
-    failure or a condition number beyond 1e12 raises IllConditioned rather
-    than returning a silently meaningless inverse.
+    The integrand is the upper triangle of the rank-one tensor
+    ``b(z) b(z)^H e^{-w(t,z)}``, (d+1)(d+2)/2 entries integrated in one
+    adaptive pass, and the lower triangle is its conjugate; nothing is
+    symmetrized.  Where numpy's complex products take FMA kernels (X86_V3 and
+    up), a diagonal entry keeps an imaginary part at roundoff level, which
+    the Cholesky check ignores.  A Cholesky failure or a condition number
+    beyond 1e12 raises IllConditioned rather than returning a silently
+    meaningless inverse.
     """
     if degree < 0:
         raise InvalidParam("need degree >= 0")
@@ -192,14 +196,16 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     density = w.fiber_density(fib)
     c = complex(center)
     js = np.arange(degree + 1)
+    rows, cols = np.triu_indices(degree + 1)
 
     def tensor(x: np.ndarray):
         b = (complex(x[0], x[1]) - c) ** js
-        return b[:, None] * b.conj() * density(x)
+        return b[rows] * b[cols].conj() * density(x)
 
-    gram = integrate_fiber(tensor, fib, circle_seams=w.fiber_seams(fib.t))
-    gram = np.asarray(gram, dtype=complex)
-    gram = 0.5 * (gram + gram.conj().T)
+    upper = integrate_fiber(tensor, fib, circle_seams=w.fiber_seams(fib.t))
+    gram = np.empty((degree + 1, degree + 1), dtype=complex)
+    gram[cols, rows] = np.conj(upper)
+    gram[rows, cols] = upper
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:

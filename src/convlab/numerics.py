@@ -25,15 +25,22 @@ divergence is reported by exception rather than by a garbage value.
 A GK15 panel calls the integrand once per node (15 calls) and reduces the
 node values to four sums against the Kronrod and Gauss weights: the Kronrod
 value, the Gauss value, the absolute-value integral and the residual about
-the panel mean.  There are two reductions.  Scalar values (real or complex
-numbers: the marginals of every Prekopa check, every radial moment) are
-summed in plain Python, each sum left to right over the ascending nodes, so
-their bits depend on no BLAS kernel.  Array values (the Gram tensor) are
-stacked to ``(15, m)`` and reduced by four 1-D ``np.dot`` products, each a
-separate BLAS vector call: one stacked ``(2, 15) @ (15, m)`` product takes a
-different BLAS path and changes the last bits.  Those bits still follow
-OpenBLAS's CPU-specific ``ddot`` kernels; a fixed-order reduction that is as
-fast as ``np.dot`` belongs to a batched panel protocol.
+the panel mean.  Each sum is a plain sum, left to right over the ascending
+nodes, whatever the values are.  Numbers (the marginals of every Prekopa
+check, every radial moment) are summed in plain Python; arrays (the Gram
+tensor) are summed a whole row at a time, in the same order.  Nothing in a
+panel calls BLAS, so no panel depends on OpenBLAS's CPU kernels.
+
+The same results must not depend on numpy's SIMD level either.  Some numpy
+ufuncs (exp, log, log1p, powers other than squares) have AVX-512 kernels
+whose last bits differ from the narrower ones, and a complex product takes
+FMA kernels from X86_V3 up.  So an integrand, and any batched integrand to
+come, uses numpy only for exactly rounded operations on real values: +, -,
+*, /, sqrt, comparisons, ``np.where`` and ``np.maximum``.  It writes a
+square as ``x * x`` and keeps exp and log on ``math``, one value at a time.
+Two known exceptions have not moved a report: the Gram tensor's complex
+products, and the array panel's own error rescaling, which takes ``** 1.5``
+in numpy and so can move an error estimate by an ulp, never a sum.
 
 On a two-dimensional fiber the outer integrand F(x) = int slice(x) dy has
 square-root endpoints wherever a slice closes up or a seam circle turns (a
@@ -106,15 +113,14 @@ _WG = (
     0.417959183673469,
 )
 
-# Ascending node layout with matching Kronrod weights and (zero-padded) Gauss
-# weights; Gauss nodes are the odd-indexed Kronrod nodes.
+# Ascending node layout with matching Kronrod weights, and the Gauss weights
+# of the odd-indexed Kronrod nodes, which are the Gauss nodes.
 _NODES = np.array([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7])])
 _KW = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
-_GW = np.zeros(15)
-_GW[1::2] = list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3]))
-# The same rows as Python floats for the scalar reduction, Gauss nodes only.
+_GW = np.array(list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3])))
+# The same rows as Python floats for the scalar reduction.
 _KW_ROW = tuple(_KW.tolist())
-_GW_ROW = tuple(_GW[1::2].tolist())
+_GW_ROW = tuple(_GW.tolist())
 
 # Quadrature: the panel-error budget max(abs_tol, _REL_TOL * |I|) and the
 # panel cap of one adaptive pass.  An improper integral integrates a core of
@@ -183,9 +189,14 @@ def _panel_rule(f, a: float, b: float):
     the QUADPACK rescaling: sharp for smooth panels, conservative near
     integrable singularities, floored at the roundoff level of the panel.
     A panel with a non-finite node value gives an infinite value and error.
-    Scalar node values (real or complex, of any numeric type) are reduced by
-    ``_scalar_rule`` as Python floats or complexes; array values are stacked
-    and reduced with ``np.dot``.
+    Every sum runs left to right over the ascending nodes.  Node values with
+    one entry each (real or complex numbers of any numeric type, 0-d and
+    single-entry arrays) are reduced by ``_scalar_rule`` as Python floats or
+    complexes.  Larger arrays are stacked to C-ordered ``(15, m)``, and
+    ``sum(axis=0)`` adds whole rows one after another: the same order.  The
+    signed sums start from the same -0.0 (numpy's own start is +0.0).  A
+    single column would be summed pairwise, which is why it takes the scalar
+    rule.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -194,9 +205,10 @@ def _panel_rule(f, a: float, b: float):
         if all(isinstance(v, float) for v in vals):
             return _scalar_rule([float(v) for v in vals], half, -0.0)
         stack = np.array(vals)  # (15, *shape)
-        if stack.ndim == 1:  # complex numbers, ints, other numpy scalars, 0-d arrays
-            zero = complex(-0.0, -0.0) if stack.dtype.kind == "c" else -0.0
-            return _scalar_rule([type(zero)(v) for v in stack.tolist()], half, zero)
+        zero = complex(-0.0, -0.0) if stack.dtype.kind == "c" else -0.0
+        if stack.size == 15:
+            val, err = _scalar_rule([type(zero)(v) for v in stack.ravel().tolist()], half, zero)
+            return (val if stack.ndim == 1 else np.full(stack.shape[1:], val)), err
     except OverflowError:
         # math.exp and friends raise where np.exp would return inf, and so
         # does abs() of a complex number beyond the float range; either way
@@ -206,11 +218,11 @@ def _panel_rule(f, a: float, b: float):
     if not np.isfinite(stack).all():
         return np.full(shape, np.inf), math.inf
     flat = stack.reshape(15, -1)
-    resk = np.dot(_KW, flat) * half
-    resg = np.dot(_GW, flat) * half
-    resabs = np.dot(_KW, np.abs(flat)) * abs(half)
+    resk = (_KW[:, None] * flat).sum(axis=0, initial=zero) * half
+    resg = (_GW[:, None] * flat[1::2]).sum(axis=0, initial=zero) * half
+    resabs = (_KW[:, None] * np.abs(flat)).sum(axis=0) * abs(half)
     reskh = resk * 0.5
-    resasc = np.dot(_KW, np.abs(flat * half - reskh))
+    resasc = (_KW[:, None] * np.abs(flat * half - reskh)).sum(axis=0)
 
     raw = np.abs(resk - resg)
     err = np.where(

@@ -287,10 +287,20 @@ class RadialProfile:
 
 
 def _cone_about(cone, a: AffineFiberMap):
-    """The restriction of ``cone(|x - a(t)|)``, with a(t) computed once per fiber."""
+    """The restriction of ``cone(|x - a(t)|)``, with a(t) computed once per fiber.
+
+    |x - a(t)| is the square root of a plain left-to-right sum of squares:
+    ``np.linalg.norm`` would take its bits from BLAS's CPU-specific kernels.
+    """
     def restrict(t):
         c = a.at(t)
-        return lambda x: cone(float(np.linalg.norm(x - c)))
+
+        def weight(x):
+            d2 = 0.0
+            for d in (x - c).tolist():
+                d2 += d * d
+            return cone(math.sqrt(d2))
+        return weight
 
     return restrict
 

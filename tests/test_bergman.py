@@ -111,6 +111,23 @@ class TestKernelValues:
         gk = gram_kernel(constant_weight(0.0, 0, 2), disc_region(1.0), degree=4)
         np.testing.assert_allclose(a, gk.value(0.3 + 0.1j), rtol=1e-12)
 
+    @pytest.mark.parametrize("degree", [0, 4])
+    def test_gram_integrates_the_upper_triangle(self, monkeypatch, degree):
+        # (d+1)(d+2)/2 entries; below the diagonal, their exact conjugates
+        shapes = []
+        integrate = bergman.integrate_fiber
+
+        def spy(f, fib, **kwargs):
+            shapes.append(np.shape(f(np.array([0.3, -0.2]))))
+            return integrate(f, fib, **kwargs)
+
+        monkeypatch.setattr(bergman, "integrate_fiber", spy)
+        gk = gram_kernel(lemma3_weight(4, 0.5), disc_region(1.0), center=0.2 + 0.1j,
+                         degree=degree)
+        assert shapes == [((degree + 1) * (degree + 2) // 2,)]
+        lower = np.tril_indices(degree + 1, -1)
+        assert np.array_equal(gk.matrix[lower], gk.matrix.T[lower].conj())
+
     def test_concentrated_weight_is_rejected(self):
         with pytest.raises(IllConditioned):
             gram_kernel(lemma3_weight(100, 0.1), disc_region(1.0), degree=8)

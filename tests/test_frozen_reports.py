@@ -12,22 +12,18 @@ After a declared change of numbers, regenerate the file with
 
 and list the moved leaves, as the failure printed them, in CHANGES.md.
 
-Float bits depend on the host: the C library's ``exp`` and ``log`` and
-``np.log``, whose SIMD code paths differ with AVX512_SKX, reach the reports
-(the fiber density uses ``math.exp``, so ``np.exp`` does not).  OpenBLAS's
-CPU-specific ``ddot`` kernels reach only the reports whose quadrature has
-array-valued integrands, ``BLAS_REPORTS``: lemma3's Gram route.  Scalar
-panels are summed in plain Python.  So the file records the environment it
-was made in, OpenBLAS's core type included, and a report outside
-``BLAS_REPORTS`` is keyed without the core type
-(``tests/test_prekopa.py::TestHostIndependence`` checks that those reports
-keep their bits on other cores).  Non-float leaves are always compared
-exactly.  Floats are compared exactly when the report's key matches;
-otherwise the test is skipped, naming both environments.  There is no ulp
-allowance.
+Float bits depend on the host: the C library's ``exp`` and ``log`` reach the
+reports, and so do the numpy transcendentals of a few closed forms, whose
+SIMD code paths may differ with AVX512_SKX (the fiber density uses
+``math.exp``, so ``np.exp`` does not).  BLAS does not: every GK15 panel is summed left to right without it, so no
+report depends on OpenBLAS's core type
+(``tests/test_prekopa.py::TestHostIndependence`` checks all ten reports on
+other cores and below AVX-512).  The file records the environment it was
+made in.  Non-float leaves are always compared exactly.  Floats are compared
+exactly when the environment matches; otherwise the test is skipped, naming
+both environments.  There is no ulp allowance.
 """
 
-import ctypes
 import importlib
 import json
 import math
@@ -43,9 +39,6 @@ from convlab.scenarios import run_scenario, scenario_names
 
 DATA = Path(__file__).with_name("data") / "reports.json"
 
-# The reports whose bits follow OpenBLAS's kernels.
-BLAS_REPORTS = ("lemma3",)
-
 
 def _multiarray_umath():
     for mod in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
@@ -56,36 +49,15 @@ def _multiarray_umath():
     return None
 
 
-def openblas_core():
-    """The name of the kernel family OpenBLAS picked for this CPU (or was told
-    to pick by ``OPENBLAS_CORETYPE``), or None where numpy's OpenBLAS cannot
-    be asked."""
-    umath = _multiarray_umath()
-    try:
-        query = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
-    except (AttributeError, OSError):
-        return None
-    query.restype = ctypes.c_char_p
-    return query().decode()
-
-
 def environment() -> dict:
     """What the bits of a report depend on besides the code."""
     features = getattr(_multiarray_umath(), "__cpu_features__", {})
     return {
         "numpy": np.__version__,
         "avx512_skx": bool(features.get("AVX512_SKX", False)),
-        "openblas_core": openblas_core(),
         "libc": list(platform.libc_ver()),
         "python": f"{sys.version_info.major}.{sys.version_info.minor}",
     }
-
-
-def report_key(env: dict, name: str) -> dict:
-    """The part of an environment that the floats of one report depend on."""
-    if name in BLAS_REPORTS:
-        return env
-    return {k: v for k, v in env.items() if k != "openblas_core"}
 
 
 def report(name: str) -> str:
@@ -160,7 +132,7 @@ def test_every_scenario_is_frozen(frozen):
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_report_matches_the_frozen_one(frozen, name):
-    here, there = report_key(environment(), name), report_key(frozen["environment"], name)
+    here, there = environment(), frozen["environment"]
     same_host = here == there
     moved = moved_leaves(frozen["reports"][name], json.loads(report(name)), name,
                          floats=same_host)

@@ -30,7 +30,6 @@ from convlab.prekopa import (
 )
 from convlab.scenarios import load_defaults, run_scenario, scenario_names
 from convlab.weights import constant_weight, convex_localizer, stock_weight, weight_from_fn
-from test_frozen_reports import BLAS_REPORTS, openblas_core
 
 STRIP = full_space(split=(1, 1))
 ANCHOR_ZERO = AffineFiberMap.constant(0.0, base_rdim=1)
@@ -351,49 +350,50 @@ print(json.dumps([marginal_transform(w, full_space((1, 1)), t).hex() for t in ts
 """
 
 
-# The reports keyed without OpenBLAS's core type: whatever quadrature they
-# run has scalar integrands only.
-_SCALAR_REPORTS = tuple(n for n in scenario_names() if n not in BLAS_REPORTS)
-
 _REPORT_DIGESTS = """
-import hashlib, json, sys
-from convlab.scenarios import run_scenario
+import hashlib, json
+from convlab.scenarios import run_scenario, scenario_names
 print(json.dumps([hashlib.sha256(run_scenario(n).to_json(with_wall_time=False).encode())
-                  .hexdigest() for n in json.loads(sys.argv[1])]))
+                  .hexdigest() for n in scenario_names()]))
 """
 
 
 @pytest.fixture(scope="module")
-def scalar_report_digests():
+def report_digests():
     return [hashlib.sha256(run_scenario(n).to_json(with_wall_time=False).encode()).hexdigest()
-            for n in _SCALAR_REPORTS]
+            for n in scenario_names()]
+
+
+def _with_src(**env) -> dict:
+    """This process's environment plus ``env``, with convlab's sources on the path."""
+    src = str(Path(convlab.__file__).parents[1])
+    return dict(os.environ, **env,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestHostIndependence:
     @pytest.mark.skipif(not _avx512_targets(), reason="numpy dispatches no AVX-512 kernel here")
     def test_dent_marginals_keep_their_bits_without_avx512(self):
-        # prekopa-cex's sample points and its seam quotient points
+        # prekopa-cex's sample points and its seam quotient points; the
+        # marginals at eps +- h reach the report only through a quotient
         p = load_defaults()["scenarios"]["prekopa-cex"]
         eps, h = p["eps"], p["quotient_h"]
         ts = list(p["sample_ts"]) + [eps - h, eps, eps + h]
         w = stock_weight("prekopa_cex", eps)
         here = [marginal_transform(w, STRIP, t).hex() for t in ts]
-        src = str(Path(convlab.__file__).parents[1])
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_avx512_targets()),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _with_src(NPY_DISABLE_CPU_FEATURES=" ".join(_avx512_targets()))
         out = subprocess.run([sys.executable, "-c", _DENT_MARGINALS, json.dumps([eps, ts])],
                              env=env, capture_output=True, text=True, check=True)
         assert json.loads(out.stdout) == here
 
-    @pytest.mark.skipif(openblas_core() is None, reason="numpy's OpenBLAS cannot report its core type")
-    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
-    def test_scalar_reports_keep_their_bits_on_another_blas_kernel(self, core,
-                                                                   scalar_report_digests):
-        # OPENBLAS_CORETYPE picks the ddot kernel of another CPU family;
-        # scalar GK15 panels never call BLAS, so their reports cannot move.
-        src = str(Path(convlab.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_CORETYPE=core,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _REPORT_DIGESTS, json.dumps(_SCALAR_REPORTS)],
-                             env=env, capture_output=True, text=True, check=True)
-        assert json.loads(out.stdout) == scalar_report_digests
+    @pytest.mark.parametrize("env", [
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(_avx512_targets())},
+    ], ids=["Haswell", "Prescott-below-avx512"])
+    def test_every_report_keeps_its_bits_on_another_core(self, env, report_digests):
+        # OPENBLAS_CORETYPE picks the BLAS kernels of another CPU family and
+        # NPY_DISABLE_CPU_FEATURES caps numpy's dispatch; no GK15 panel calls
+        # BLAS, and no report takes a numpy ufunc whose bits follow the cap.
+        out = subprocess.run([sys.executable, "-c", _REPORT_DIGESTS], env=_with_src(**env),
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == report_digests

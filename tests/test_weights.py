@@ -233,8 +233,8 @@ class TestRadialProfile:
 
     # Every radial catalog weight, and whether fn and radial_fn compute the
     # same expression from the same distance (then they agree bit for bit).
-    # logshell measures with np.hypot and berndtsson_cex sums the squares of
-    # x, where the test takes np.linalg.norm.
+    # logshell measures with np.hypot and berndtsson_cex adds the squares of
+    # t to those of x, where the test takes the root of the sum of squares.
     RADIAL_CATALOG = {
         "cone2": (convex_localizer(8, MOVING), True),
         "logcone": (psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)), True),
@@ -250,7 +250,7 @@ class TestRadialProfile:
         rng = np.random.default_rng(7)
         for p in rng.uniform(-1.2, 1.2, size=(64, w.rdim)):
             t, x = p[:w.base_rdim], p[w.base_rdim:]
-            r = float(np.linalg.norm(x - w.radial_center.at(t)))
+            r = _distance(*(x - w.radial_center.at(t)).tolist())
             if exact:
                 assert w.fn(p) == w.radial_fn(t, r)
             else:
@@ -262,25 +262,68 @@ def _square_of_x(p):
     return x * x
 
 
-# Catalog weights by coordinate split, and one weight from a bare function,
-# whose restriction packs (t, x), per split.
+def _distance(*d) -> float:
+    """|d|: the square root of the sum of squares, left to right."""
+    total = 0.0
+    for v in d:
+        total += v * v
+    return math.sqrt(total)
+
+
+def _cone(w, k, r):
+    """The quadratic cone ``k^2 max(r - 1/k, 0)`` on the localizer's lower bound."""
+    return k * k * max(r - 1.0 / k, 0.0) + w.lower_bound
+
+
+def _log_cone(w, k, r):
+    """The log cone ``k max(log(k r), 0)`` on the localizer's lower bound."""
+    return k * math.log(k * r) + w.lower_bound if k * r > 1.0 else w.lower_bound
+
+
+def _with_reference(w, reference):
+    return w, lambda p: reference(w, *p)
+
+
+# Catalog weights by coordinate split, each with its formula on a packed point
+# written out here, apart from the catalog: the dents, the cones about their
+# moving centers, the constants, and one weight from a bare function (its own
+# packed formula), whose restriction packs (t, x).
 RESTRICTION_PARTS = {
     (1, 1): [
-        stock_weight("prekopa_cex", eps=0.3),
-        stock_weight("minprinciple_cex"),
-        convex_localizer(8, MOVING),
-        convex_localizer(3, AffineFiberMap.constant(0.4, base_rdim=1)),
-        constant_weight(-1.5, 1, 1),
-        weight_from_fn(_square_of_x, 1, 1, lower_bound=0.0),
+        _with_reference(stock_weight("prekopa_cex", eps=0.3),
+                        lambda w, t, x: abs(t * t + x * x - 0.3 * 0.3)),
+        _with_reference(stock_weight("minprinciple_cex"),
+                        lambda w, t, x: abs(t * t + x * x - 1.0)),
+        _with_reference(convex_localizer(8, MOVING),  # about a(t) = t
+                        lambda w, t, x: _cone(w, 8, _distance(x - t))),
+        _with_reference(convex_localizer(3, AffineFiberMap.constant(0.4, base_rdim=1)),
+                        lambda w, t, x: _cone(w, 3, _distance(x - 0.4))),
+        _with_reference(constant_weight(-1.5, 1, 1), lambda w, t, x: -1.5),
+        _with_reference(weight_from_fn(_square_of_x, 1, 1, lower_bound=0.0),
+                        lambda w, *p: _square_of_x(p)),
     ],
     (2, 2): [
-        stock_weight("berndtsson_cex", eps=0.3),
-        psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)),
-        constant_weight(0.25, 2, 2),
-        weight_from_fn(_square_of_x, 2, 2, lower_bound=0.0),
+        _with_reference(stock_weight("berndtsson_cex", eps=0.3),
+                        lambda w, t0, t1, x0, x1: 1.5 * math.log1p(
+                            abs((t0 * t0 + t1 * t1) + (x0 * x0 + x1 * x1) - 0.3 * 0.3))),
+        _with_reference(psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)),
+                        # about a(tau) = 0.1 + 0.5 tau
+                        lambda w, t0, t1, x0, x1: _log_cone(
+                            w, 3, _distance(x0 - (0.1 + 0.5 * t0), x1 - 0.5 * t1))),
+        _with_reference(constant_weight(0.25, 2, 2), lambda w, *p: 0.25),
+        _with_reference(weight_from_fn(_square_of_x, 2, 2, lower_bound=0.0),
+                        lambda w, *p: _square_of_x(p)),
     ],
-    (0, 2): [lemma3_weight(10, 0.5), psh_localizer(4, ORIGIN2), constant_weight(2.0, 0, 2),
-             weight_from_fn(_square_of_x, 0, 2, lower_bound=0.0)],
+    (0, 2): [
+        _with_reference(lemma3_weight(10, 0.5),  # |z| is C's hypot, as abs() takes it
+                        lambda w, x0, x1: 10 * math.log(abs(complex(x0, x1)) / 0.5)
+                        if abs(complex(x0, x1)) > 0.5 else 0.0),
+        _with_reference(psh_localizer(4, ORIGIN2),
+                        lambda w, x0, x1: _log_cone(w, 4, _distance(x0, x1))),
+        _with_reference(constant_weight(2.0, 0, 2), lambda w, *p: 2.0),
+        _with_reference(weight_from_fn(_square_of_x, 0, 2, lower_bound=0.0),
+                        lambda w, *p: _square_of_x(p)),
+    ],
 }
 
 # a seeded uniform draw has a full mantissa, where two rounding orders part;
@@ -294,28 +337,34 @@ _coordinate = st.one_of(_dense, st.floats(-1e308, 1e308))
 def _restriction_cases(draw):
     split = draw(st.sampled_from(sorted(RESTRICTION_PARTS)))
     parts = draw(st.lists(st.sampled_from(RESTRICTION_PARTS[split]), min_size=1, max_size=3))
-    w = parts[0]
-    for part in parts[1:]:
+    w = parts[0][0]
+    for part, _ in parts[1:]:
         w = w + part
     t = np.array(draw(st.lists(_coordinate, min_size=split[0], max_size=split[0])))
     xs = draw(st.lists(st.lists(_coordinate, min_size=split[1], max_size=split[1]),
                        min_size=1, max_size=4))
-    return w, t, [np.array(x) for x in xs]
+    return w, [reference for _, reference in parts], t, [np.array(x) for x in xs]
 
 
 class TestFiberRestriction:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_restriction_cases())
-    def test_restriction_matches_the_packed_weight_bit_for_bit(self, case):
-        w, t, xs = case
+    def test_restriction_matches_the_formula_bit_for_bit(self, case):
+        # The sum of the parts' formulas, left to right; no part is ever -inf
+        # or NaN, so inf + finite is the sum's short-circuit to +inf.
+        w, references, t, xs = case
         fib = fiber(full_space(split=(w.base_rdim, w.fiber_rdim)), t)
         # squares of a base point near 1e308 overflow to +inf on both routes
         with np.errstate(over="ignore", invalid="ignore"):
             restricted = w.on_fiber(fib)
             for x in xs:
-                got = np.float64(restricted(x))
-                want = np.float64(w.fn(np.concatenate((t, x))))
-                assert got.tobytes() == want.tobytes(), (t, x, got, want)
+                p = np.concatenate((t, x))
+                want = references[0](p.tolist())
+                for reference in references[1:]:
+                    want = want + reference(p.tolist())
+                for got in (restricted(x), w.fn(p)):
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                        (t, x, got, want)
 
     def test_catalog_sums_never_pack_the_point(self, monkeypatch):
         sums = [
