@@ -37,7 +37,7 @@ does it); that per-point adapter is the only scalar loop of the audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -161,18 +161,55 @@ def bergman_radial(moments: MomentTable, rho: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class GramKernel:
-    """Gram matrix of shifted monomials ``(z - center)^j`` under ``e^{-w}``."""
+    """Gram matrix of shifted monomials ``(z - center)^j`` under ``e^{-w}``.
+
+    ``factor`` is derived from ``matrix``: the rows of the lower-triangular L
+    with G = L L^H, each a tuple of Python complex numbers ending in its real
+    diagonal.  It is computed in plain Python in a fixed order, so its bits
+    follow no BLAS or LAPACK kernel, and it reads only the real part of each
+    diagonal entry of G.  A pivot that is not positive (NaN included) raises
+    IllConditioned: G is then not positive definite.
+    """
 
     matrix: np.ndarray
     center: complex
     cond: float
+    factor: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = []
+        for i, g in enumerate(self.matrix.tolist()):
+            row = []
+            for j, above in enumerate(rows):
+                s = g[j]
+                for lk, ak in zip(row, above):
+                    s -= lk * ak.conjugate()
+                row.append(s / above[-1])
+            pivot = g[i].real
+            for x in row:
+                pivot -= x.real * x.real + x.imag * x.imag
+            if not pivot > 0.0:
+                raise IllConditioned("gram matrix is not positive definite "
+                                     "(degree too high for the mass present)")
+            row.append(math.sqrt(pivot))
+            rows.append(tuple(row))
+        object.__setattr__(self, "factor", tuple(rows))
 
     def value(self, z: complex | None = None) -> float:
-        """Kernel diagonal ``B(z)`` for the truncated basis (a lower bound)."""
+        """Kernel diagonal ``B(z)`` for the truncated basis (a lower bound).
+
+        ``B(z) = |y|^2`` where L y = b(z), solved by forward substitution.
+        """
         z = self.center if z is None else complex(z)
-        b = (z - self.center) ** np.arange(self.matrix.shape[0])
-        sol = np.linalg.solve(self.matrix, b)
-        return float(np.real(np.vdot(b, sol)))
+        b = ((z - self.center) ** np.arange(self.matrix.shape[0])).tolist()
+        y, total = [], 0.0
+        for row, s in zip(self.factor, b):
+            for lk, yk in zip(row, y):
+                s -= lk * yk
+            yi = s / row[-1]
+            y.append(yi)
+            total += yi.real * yi.real + yi.imag * yi.imag
+        return total
 
 
 def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
@@ -184,9 +221,10 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     adaptive pass, and the lower triangle is its conjugate; nothing is
     symmetrized.  Where numpy's complex products take FMA kernels (X86_V3 and
     up), a diagonal entry keeps an imaginary part at roundoff level, which
-    the Cholesky check ignores.  A Cholesky failure or a condition number
-    beyond 1e12 raises IllConditioned rather than returning a silently
-    meaningless inverse.
+    the factor ignores.  G is factored once, by ``GramKernel``; a pivot that
+    is not positive or a condition number (``np.linalg.cond``) beyond 1e12
+    raises IllConditioned rather than returning a silently meaningless
+    inverse.
     """
     if degree < 0:
         raise InvalidParam("need degree >= 0")
@@ -206,16 +244,12 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     gram = np.empty((degree + 1, degree + 1), dtype=complex)
     gram[cols, rows] = np.conj(upper)
     gram[rows, cols] = upper
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned("gram matrix is not positive definite "
-                             "(degree too high for the mass present)") from exc
     cond = float(np.linalg.cond(gram))
+    kernel = GramKernel(matrix=gram, center=c, cond=cond)
     if cond > _COND_LIMIT:
         raise IllConditioned(f"gram matrix condition number {cond:.3e} exceeds "
                              f"{_COND_LIMIT:.0e}")
-    return GramKernel(matrix=gram, center=c, cond=cond)
+    return kernel
 
 
 def bergman_gram(w: WeightField, domain: Domain, t=(), at: complex = 0j,

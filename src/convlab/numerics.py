@@ -38,9 +38,12 @@ FMA kernels from X86_V3 up.  So an integrand, and any batched integrand to
 come, uses numpy only for exactly rounded operations on real values: +, -,
 *, /, sqrt, comparisons, ``np.where`` and ``np.maximum``.  It writes a
 square as ``x * x`` and keeps exp and log on ``math``, one value at a time.
-Two known exceptions have not moved a report: the Gram tensor's complex
-products, and the array panel's own error rescaling, which takes ``** 1.5``
-in numpy and so can move an error estimate by an ulp, never a sum.
+Three known exceptions have not moved a report: the Gram tensor's complex
+products; the array panel's own error rescaling, which takes ``** 1.5`` in
+numpy; and the array panel's ``np.abs`` of complex values (``resabs``,
+``resasc`` and the Kronrod-Gauss difference), whose bits change between
+X86_V3 and X86_V2.  The last two can move an error estimate by an ulp, never
+a sum.
 
 On a two-dimensional fiber the outer integrand F(x) = int slice(x) dy has
 square-root endpoints wherever a slice closes up or a seam circle turns (a

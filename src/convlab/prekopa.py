@@ -32,7 +32,7 @@ from .geometry import AffineFiberMap, Domain, fiber
 # perfbench/test_perfbench.py checks that the layer tracer wraps it.
 from .numerics import (integrate_1d, integrate_fiber, minimize_over_fiber,
                        skirt_ladder)
-from .weights import WeightField, convex_localizer
+from .weights import WeightField, _distance, convex_localizer
 
 __all__ = [
     "marginal_transform", "twisted_marginal", "min_principle_transform",
@@ -150,7 +150,7 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
 
         def g(x: np.ndarray) -> float:
             v = weight(x)
-            return v if v == math.inf else v + k * float(np.linalg.norm(x - c))
+            return v if v == math.inf else v + k * _distance(x, c)
         anchor = weight(c) if fib.member(c, closed=True) else None
         lo, hi = fib.bounds()
         box = None

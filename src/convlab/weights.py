@@ -286,21 +286,22 @@ class RadialProfile:
 # The weight catalog
 
 
-def _cone_about(cone, a: AffineFiberMap):
-    """The restriction of ``cone(|x - a(t)|)``, with a(t) computed once per fiber.
+def _distance(x: np.ndarray, c: np.ndarray) -> float:
+    """|x - c| as the square root of a plain left-to-right sum of squares.
 
-    |x - a(t)| is the square root of a plain left-to-right sum of squares:
     ``np.linalg.norm`` would take its bits from BLAS's CPU-specific kernels.
     """
+    d2 = 0.0
+    for d in (x - c).tolist():
+        d2 += d * d
+    return math.sqrt(d2)
+
+
+def _cone_about(cone, a: AffineFiberMap):
+    """The restriction of ``cone(|x - a(t)|)``, with a(t) computed once per fiber."""
     def restrict(t):
         c = a.at(t)
-
-        def weight(x):
-            d2 = 0.0
-            for d in (x - c).tolist():
-                d2 += d * d
-            return cone(math.sqrt(d2))
-        return weight
+        return lambda x: cone(_distance(x, c))
 
     return restrict
 

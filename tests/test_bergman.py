@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from convlab.geometry import (AffineFiberMap, Ball, Domain, Intersection, bidisc
 from convlab.prekopa import dent_marginal_closed
 from convlab.weights import RadialProfile, constant_weight, lemma3_weight
 from convlab.bergman import (
+    GramKernel,
     bergman_gram,
     bergman_radial,
     berndtsson_inner_laplacian,
@@ -141,6 +143,56 @@ class TestKernelValues:
     def test_base_point_of_the_wrong_size_rejected(self, t):
         with pytest.raises(InvalidParam):
             gram_kernel(constant_weight(0.0, 2, 2), bidisc(), t, degree=2)
+
+
+@lru_cache(maxsize=None)
+def _disc_gram(weight: str, degree: int):
+    w = {"flat": constant_weight(0.0, 0, 2), "lemma3": lemma3_weight(4, 0.5)}[weight]
+    return gram_kernel(w, disc_region(1.0), degree=degree)
+
+
+def _solve_value(gk, z):
+    """The kernel value through LAPACK's LU, a reference independent of the factor."""
+    b = (z - gk.center) ** np.arange(gk.matrix.shape[0])
+    return float(np.real(np.vdot(b, np.linalg.solve(gk.matrix, b))))
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("matrix", [
+        [[1, 2], [2, 1]],              # Hermitian, eigenvalues 3 and -1
+        [[math.nan, 0], [0, 1]],
+        [[1, 0], [0, math.nan]],
+    ], ids=["indefinite", "nan-first-pivot", "nan-second-pivot"])
+    def test_not_positive_definite_is_rejected(self, matrix):
+        with pytest.raises(IllConditioned, match="not positive definite"):
+            GramKernel(matrix=np.array(matrix, dtype=complex), center=0j, cond=3.0)
+
+    @pytest.mark.parametrize("weight", ["flat", "lemma3"])
+    def test_factor_reproduces_the_matrix(self, weight):
+        gk = _disc_gram(weight, 4)
+        n = gk.matrix.shape[0]
+        lower = np.array([row + (0.0,) * (n - len(row)) for row in gk.factor])
+        assert np.array_equal(lower, np.tril(lower))
+        assert all(type(row[-1]) is float and row[-1] > 0.0 for row in gk.factor)
+        np.testing.assert_allclose(lower @ lower.conj().T, gk.matrix,
+                                   rtol=0.0, atol=1e-15 * np.abs(gk.matrix).max())
+
+    @pytest.mark.parametrize("weight", ["flat", "lemma3"])
+    @pytest.mark.parametrize("degree", [0, 1, 4, 16])
+    def test_value_matches_the_lu_solve(self, weight, degree):
+        gk = _disc_gram(weight, degree)
+        for z in (0j, 0.3 + 0.2j, 0.5, -0.7j):
+            np.testing.assert_allclose(gk.value(z), _solve_value(gk, z), rtol=1e-13)
+
+    @pytest.mark.parametrize("weight", ["flat", "lemma3"])
+    def test_degree_zero_is_the_inverse_mass(self, weight):
+        # L = (sqrt g), so B = (1 / sqrt g)^2: 1 / g up to the rounding of the root
+        gk = _disc_gram(weight, 0)
+        g = gk.matrix[0, 0].real
+        y = 1.0 / math.sqrt(g)
+        assert gk.factor == ((math.sqrt(g),),)
+        assert gk.value() == y * y
+        assert abs(gk.value() - 1.0 / g) <= math.ulp(1.0 / g)
 
 
 class TestDomeWeight:

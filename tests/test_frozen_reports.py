@@ -15,8 +15,9 @@ and list the moved leaves, as the failure printed them, in CHANGES.md.
 Float bits depend on the host: the C library's ``exp`` and ``log`` reach the
 reports, and so do the numpy transcendentals of a few closed forms, whose
 SIMD code paths may differ with AVX512_SKX (the fiber density uses
-``math.exp``, so ``np.exp`` does not).  BLAS does not: every GK15 panel is summed left to right without it, so no
-report depends on OpenBLAS's core type
+``math.exp``, so ``np.exp`` does not).  BLAS does not: every GK15 panel is
+summed left to right without it and a Gram matrix is factored in plain
+Python, so no report depends on OpenBLAS's core type
 (``tests/test_prekopa.py::TestHostIndependence`` checks all ten reports on
 other cores and below AVX-512).  The file records the environment it was
 made in.  Non-float leaves are always compared exactly.  Floats are compared

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import convlab
+from convlab.bergman import bergman_gram
 from convlab.errors import InvalidParam, NonConvergent
-from convlab.geometry import (AffineFiberMap, ball_domain, dumbbell,
+from convlab.geometry import (AffineFiberMap, ball_domain, disc_region, dumbbell,
                               full_space, punctured_ball)
 from convlab.prekopa import (
     convexity_check,
@@ -255,6 +256,17 @@ class TestMinPrinciple:
         with pytest.raises(InvalidParam):
             min_principle_transform(w, STRIP, ANCHOR_ZERO, 0, 0.0)
 
+    def test_distance_takes_no_blas_dot(self, monkeypatch):
+        # on a two-dimensional fiber np.linalg.norm is a BLAS dot, whose bits
+        # follow the CPU's kernels; inf_x |x|^2 + |x - (1, 0)| is 3/4 at x = (1/2, 0)
+        def no_blas(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+        monkeypatch.setattr(np.linalg, "norm", no_blas)
+        w = weight_from_fn(lambda p: p[0] ** 2 + p[1] ** 2 + p[2] ** 2, 1, 2, lower_bound=0.0)
+        anchor = AffineFiberMap.constant((1.0, 0.0), base_rdim=1)
+        got = min_principle_transform(w, full_space((1, 2)), anchor, 1.0, 0.5)
+        np.testing.assert_allclose(got, 0.25 + 0.75, atol=1e-6)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_anchor_cannot_box_the_search(self):
         # t * t overflows in the dent, so the weight is +inf on the whole fiber
@@ -350,18 +362,26 @@ print(json.dumps([marginal_transform(w, full_space((1, 1)), t).hex() for t in ts
 """
 
 
+# the ten report digests, then C8's two Gram kernel values (held by no report)
 _REPORT_DIGESTS = """
 import hashlib, json
+from convlab.bergman import bergman_gram
+from convlab.geometry import disc_region
 from convlab.scenarios import run_scenario, scenario_names
+from convlab.weights import constant_weight
 print(json.dumps([hashlib.sha256(run_scenario(n).to_json(with_wall_time=False).encode())
-                  .hexdigest() for n in scenario_names()]))
+                  .hexdigest() for n in scenario_names()]
+                 + [bergman_gram(constant_weight(0.0, 0, 2), disc_region(1.0), at=a, degree=16)
+                    .hex() for a in (0.0, 0.5)]))
 """
 
 
 @pytest.fixture(scope="module")
 def report_digests():
-    return [hashlib.sha256(run_scenario(n).to_json(with_wall_time=False).encode()).hexdigest()
-            for n in scenario_names()]
+    return ([hashlib.sha256(run_scenario(n).to_json(with_wall_time=False).encode()).hexdigest()
+             for n in scenario_names()]
+            + [bergman_gram(constant_weight(0.0, 0, 2), disc_region(1.0), at=a, degree=16).hex()
+               for a in (0.0, 0.5)])
 
 
 def _with_src(**env) -> dict:
@@ -393,7 +413,8 @@ class TestHostIndependence:
     def test_every_report_keeps_its_bits_on_another_core(self, env, report_digests):
         # OPENBLAS_CORETYPE picks the BLAS kernels of another CPU family and
         # NPY_DISABLE_CPU_FEATURES caps numpy's dispatch; no GK15 panel calls
-        # BLAS, and no report takes a numpy ufunc whose bits follow the cap.
+        # BLAS, no report takes a numpy ufunc whose bits follow the cap, and
+        # the Gram kernel is factored and solved in plain Python.
         out = subprocess.run([sys.executable, "-c", _REPORT_DIGESTS], env=_with_src(**env),
                              capture_output=True, text=True, check=True)
         assert json.loads(out.stdout) == report_digests
