@@ -31,6 +31,13 @@ check, every radial moment) are summed in plain Python; arrays (the Gram
 tensor) are summed a whole row at a time, in the same order.  Nothing in a
 panel calls BLAS, so no panel depends on OpenBLAS's CPU kernels.
 
+Each node reaches the integrand as a Python float, and each point of a fiber
+as a tuple of them, ``(x,)`` or ``(x, y)``.  Numpy scalars would give the
+same IEEE results for every operation allowed below, at several times the
+cost per operation, so a scalar integrand computes in Python floats from node
+to value unless it brings numpy values of its own.  The rule below for a
+batched integrand is unchanged.
+
 The same results must not depend on numpy's SIMD level either.  Some numpy
 ufuncs (exp, log, log1p, powers other than squares) have AVX-512 kernels
 whose last bits differ from the narrower ones, and a complex product takes
@@ -191,31 +198,35 @@ def _panel_rule(f, a: float, b: float):
     Returns (kronrod_value, error_estimate) where the error estimate follows
     the QUADPACK rescaling: sharp for smooth panels, conservative near
     integrable singularities, floored at the roundoff level of the panel.
-    A panel with a non-finite node value gives an infinite value and error.
-    Every sum runs left to right over the ascending nodes.  Node values with
-    one entry each (real or complex numbers of any numeric type, 0-d and
-    single-entry arrays) are reduced by ``_scalar_rule`` as Python floats or
-    complexes.  Larger arrays are stacked to C-ordered ``(15, m)``, and
-    ``sum(axis=0)`` adds whole rows one after another: the same order.  The
-    signed sums start from the same -0.0 (numpy's own start is +0.0).  A
-    single column would be summed pairwise, which is why it takes the scalar
-    rule.
+    ``f`` receives the nodes as Python floats.  A panel with a non-finite
+    node value gives an infinite value and error, and so does an integrand
+    that raises OverflowError or ZeroDivisionError at a node.  Every sum runs
+    left to right over the ascending nodes.  Node values with one entry each
+    (real or complex numbers of any numeric type, 0-d and single-entry
+    arrays) are reduced by ``_scalar_rule`` as Python floats or complexes;
+    values that are Python floats already are passed on as they are.
+    Larger arrays are stacked to C-ordered ``(15, m)``, and ``sum(axis=0)``
+    adds whole rows one after another: the same order.  The signed sums
+    start from the same -0.0 (numpy's own start is +0.0).  A single column
+    would be summed pairwise, which is why it takes the scalar rule.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     try:
-        vals = [f(x) for x in mid + half * _NODES]
-        if all(isinstance(v, float) for v in vals):
-            return _scalar_rule([float(v) for v in vals], half, -0.0)
+        vals = [f(x) for x in (mid + half * _NODES).tolist()]
+        if all(type(v) is float for v in vals):
+            return _scalar_rule(vals, half, -0.0)
         stack = np.array(vals)  # (15, *shape)
         zero = complex(-0.0, -0.0) if stack.dtype.kind == "c" else -0.0
         if stack.size == 15:
             val, err = _scalar_rule([type(zero)(v) for v in stack.ravel().tolist()], half, zero)
             return (val if stack.ndim == 1 else np.full(stack.shape[1:], val)), err
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         # math.exp and friends raise where np.exp would return inf, and so
-        # does abs() of a complex number beyond the float range; either way
-        # the panel is non-finite.
+        # do abs() of a complex number beyond the float range and a float
+        # ** that leaves it; float division by a node at exactly 0.0 raises
+        # where a numpy scalar would return inf.  Either way the panel is
+        # non-finite.
         return math.inf, math.inf
     shape = stack.shape[1:]
     if not np.isfinite(stack).all():
@@ -418,7 +429,8 @@ def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpo
 def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TOL):
     """Integrate ``f`` over (a, b); either endpoint may be infinite.
 
-    ``f`` maps a float to a float, complex, or ndarray (fixed shape).
+    ``f`` maps a float to a float, complex, or ndarray (fixed shape); it is
+    called with Python floats only, never numpy scalars.
     ``breakpoints`` registers known kinks/seams so no panel straddles one.
     ``abs_tol`` is the absolute part of the error budget.  Raises
     NonConvergent when the panel budget is exhausted or finite panels sum
@@ -475,7 +487,8 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
 
     ``fiber`` must expose ``dim``, ``quad_intervals()`` (dimension 1),
     ``slice_intervals(x)`` and ``critical_xs()`` (dimension 2), and
-    ``bounds()``.  ``f`` takes an ndarray point of length ``dim``.
+    ``bounds()``.  ``f`` takes a point of length ``dim`` as a tuple of Python
+    floats, ``(x,)`` or ``(x, y)``, and reads it by index.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are ``((cx, cy), radius)`` kink circles (dimension 2).
     An empty fiber integrates to 0.  The tolerances are the module's; each
@@ -496,7 +509,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         intervals = fiber.quad_intervals()
         if not intervals:
             return 0.0
-        fn = lambda x: f(np.array([x]))
+        fn = lambda x: f((x,))
         values = []
         for (lo, hi) in intervals:
             values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams)))
@@ -524,7 +537,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         ybps = _circle_crossings(x, circles)
         parts = []
         for (ylo, yhi) in slices:
-            g = lambda y: f(np.array([x, y]))
+            g = lambda y: f((x, y))
             parts.append((ylo, integrate_1d(g, ylo, yhi, breakpoints=ybps, abs_tol=inner_tol)))
         parts.sort(key=lambda p: p[0])
         return kahan_total(v for (_, v) in parts)

@@ -272,10 +272,13 @@ def convexity_check(ts, values, tol: float = 1e-9) -> ConvexityReport:
         raise InvalidParam("need at least three samples")
     if not np.isfinite(ts).all():
         raise InvalidParam("grid points must be finite")
-    steps = np.diff(ts)
-    if np.any(steps <= 0.0):
+    if np.any(ts[1:] <= ts[:-1]):
         raise InvalidParam("grid must be strictly increasing")
-    if steps.max() - steps.min() > 1e-9 * (ts[-1] - ts[0]):
+    # a grid wider than the float range is compared at half scale, which is
+    # exact at that size, so no step or span overflows
+    scaled = ts if math.isfinite(float(ts[-1]) - float(ts[0])) else 0.5 * ts
+    steps = np.diff(scaled)
+    if steps.max() - steps.min() > 1e-9 * (scaled[-1] - scaled[0]):
         raise InvalidParam("grid must be uniform for exact midpoints")
     if any(math.isnan(v) or v == -math.inf for v in vals):
         raise InvalidParam("curve contains NaN or -inf")

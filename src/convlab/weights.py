@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -96,13 +96,17 @@ class WeightField:
     ``restrict`` maps a packed base point t to the function ``x -> w(t, x)``
     on the fiber, which returns a float; ``+inf`` is allowed and
     short-circuits ``e^{-w}`` to zero, ``-inf`` and NaN are never produced by
-    the catalog constructors.  ``fn``, the weight on a packed point (base
-    coordinates then fiber coordinates), is derived from it: ``restrict(())``
-    itself when the base is empty, else ``p -> restrict(p[:nb])(p[nb:])``.
-    It is not a constructor argument, and ``dataclasses.replace`` cannot set it.
+    the catalog constructors.  Both t and x are sequences of floats read by
+    index: ``on_fiber`` binds t as a tuple of Python floats, and quadrature
+    passes x as one (``integrate_fiber``'s point), while the grid minimizer
+    and ``__call__`` pass ndarrays.  ``fn``, the weight on a packed point
+    (base coordinates then fiber coordinates), is derived from it:
+    ``restrict(())`` itself when the base is empty, else
+    ``p -> restrict(p[:nb])(p[nb:])``.  It is not a constructor argument, and
+    ``dataclasses.replace`` cannot set it.
     """
 
-    restrict: Callable[[np.ndarray], Callable[[np.ndarray], float]]
+    restrict: Callable[[Sequence[float]], Callable[[Sequence[float]], float]]
     base_rdim: int
     fiber_rdim: int
     lower_bound: Optional[float] = None
@@ -111,7 +115,7 @@ class WeightField:
     radial_fn: Optional[Callable[[np.ndarray, float], float]] = None
     decay_rate: Optional[float] = None  # about radial_center
     constant: Optional[float] = None
-    fn: Callable[[np.ndarray], float] = field(init=False)
+    fn: Callable[[Sequence[float]], float] = field(init=False)
 
     def __post_init__(self):
         if self.base_rdim < 0 or self.fiber_rdim < 1:
@@ -148,14 +152,18 @@ class WeightField:
     def at(self, t, x) -> float:
         return self(np.hstack([t, x]))
 
-    def on_fiber(self, fib: FiberDomain) -> Callable[[np.ndarray], float]:
+    def on_fiber(self, fib: FiberDomain) -> Callable[[Sequence[float]], float]:
         """The weight restricted to the fiber ``fib`` over its base point t:
         ``restrict(t)``, ``x -> w(t, x)`` with the t-only terms bound once, here.
 
-        The result is the ``fn`` of a fiber-only WeightField, so that it is
-        still one weight evaluation per point.  Binding may compute squares
-        of t, so a caller that tolerates overflow at huge t calls this under
-        its ``np.errstate``.
+        t is bound as a tuple of Python floats, and the result takes x as a
+        tuple of them too (or an ndarray).  The result is the ``fn`` of a
+        fiber-only WeightField, so that it is still one weight evaluation per
+        point.  A catalog restriction's squares of a huge t overflow to inf
+        without a warning, as Python floats do; but a moving center a(t) and
+        a function from ``weight_from_fn`` compute in numpy, which warns.  So
+        a caller that tolerates overflow at huge t calls this, and the
+        result, under its ``np.errstate``.
 
         Raises InvalidParam when the weight's split is not the domain's."""
         dom = fib.parent
@@ -164,16 +172,17 @@ class WeightField:
                 f"weight split ({self.base_rdim},{self.fiber_rdim}) does not match "
                 f"domain split ({dom.base_rdim},{dom.fiber_rdim})"
             )
-        weight = self.restrict(fib.t)
+        weight = self.restrict(tuple(fib.t.tolist()))
         return WeightField(restrict=lambda t: weight, base_rdim=0,
                            fiber_rdim=self.fiber_rdim).fn
 
-    def fiber_density(self, fib: FiberDomain) -> Callable[[np.ndarray], float]:
+    def fiber_density(self, fib: FiberDomain) -> Callable[[Sequence[float]], float]:
         """The integrand ``x -> e^{-w(t, x)}`` on the fiber ``fib``: 0.0 where
-        the weight is +inf, through ``on_fiber``."""
+        the weight is +inf, through ``on_fiber``; x is read by index, as
+        ``integrate_fiber`` passes it."""
         weight = self.on_fiber(fib)
 
-        def density(x: np.ndarray) -> float:
+        def density(x: Sequence[float]) -> float:
             v = weight(x)
             return 0.0 if v == _INF else math.exp(-v)
         return density
@@ -239,10 +248,10 @@ def _combine_radial(a: WeightField, b: WeightField):
 def weight_from_fn(fn, base_rdim: int, fiber_rdim: int, *, lower_bound=None,
                    seams=(), radial_center=None, radial_fn=None) -> WeightField:
     """A weight from ``fn`` on a packed point (base coordinates, then fiber
-    coordinates).  Its restriction packs (t, x) at every point, or is ``fn``
-    itself when the base is empty; this is the only place a point is packed."""
-    restrict = (lambda t: fn) if not base_rdim \
-        else lambda t: lambda x: fn(np.concatenate((t, x)))
+    coordinates).  Its restriction packs (t, x) into one ndarray at every
+    point, so ``fn`` receives an ndarray whatever sequences of floats t and x
+    are; this is the only place a point is packed."""
+    restrict = lambda t: lambda x: fn(np.array((*t, *x)))
     return WeightField(restrict=restrict, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
                        lower_bound=lower_bound, seams=tuple(seams),
                        radial_center=radial_center, radial_fn=radial_fn)
@@ -286,13 +295,16 @@ class RadialProfile:
 # The weight catalog
 
 
-def _distance(x: np.ndarray, c: np.ndarray) -> float:
+def _distance(x: Sequence[float], c: Sequence[float]) -> float:
     """|x - c| as the square root of a plain left-to-right sum of squares.
 
-    ``np.linalg.norm`` would take its bits from BLAS's CPU-specific kernels.
+    Subtracts coordinate by coordinate, so two sequences of Python floats
+    never meet numpy; ``np.linalg.norm`` would take its bits from BLAS's
+    CPU-specific kernels.
     """
     d2 = 0.0
-    for d in (x - c).tolist():
+    for xi, ci in zip(x, c):
+        d = xi - ci
         d2 += d * d
     return math.sqrt(d2)
 
@@ -300,7 +312,7 @@ def _distance(x: np.ndarray, c: np.ndarray) -> float:
 def _cone_about(cone, a: AffineFiberMap):
     """The restriction of ``cone(|x - a(t)|)``, with a(t) computed once per fiber."""
     def restrict(t):
-        c = a.at(t)
+        c = a.at(t).tolist()
         return lambda x: cone(_distance(x, c))
 
     return restrict

@@ -77,6 +77,16 @@ class TestRadialMoments:
         mt = radial_moments(cone, 5)
         assert [mt.finite(j) for j in range(6)] == [True, True, True, True, False, False]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_coefficients_at_a_huge_cutoff_warn_nothing(self):
+        # the nodes are floats, but a profile with numpy coefficients, as the
+        # property suites draw them, computes in numpy scalars and overflows
+        # near r = 1e200 before r ** 4 raises
+        a2, a4 = np.float64(0.5), np.float64(1.5)
+        with pytest.raises(NonConvergent):
+            radial_moments(RadialProfile(fn=lambda r: a2 * r * r + a4 * r ** 4,
+                                         cutoff=1e200), 0)
+
     def test_csv_format(self):
         mt = radial_moments(FLAT_DISC, 1)
         lines = mt.to_csv().strip().split("\n")

@@ -2,9 +2,11 @@
 
 ``cli.main`` runs in process over pairs of flags of ``marginal``, ``bergman``
 and ``check-psh``, list flags included, with values at the edges of the float
-range, and over ``run`` with a defaults file at such a value or with an int
-parameter at -1.  RuntimeWarnings are errors here, as in the Tier-1 run, so a numpy
-warning that escapes counts as a failure too.  Sizes stay small, and nothing
+range, over ``run`` with a defaults file at such a value or with an int
+parameter at -1, over ``check-convex`` files with malformed, non-finite,
+repeated, descending or float-range-wide rows, and over ``--csv`` and
+``--json`` paths that cannot be written.  RuntimeWarnings are errors here, as
+in the Tier-1 run, so a numpy warning that escapes counts as a failure too.  Sizes stay small, and nothing
 starts a process or a thread.  A NaN at each positivity guard of the library
 raises InvalidParam, the usage error (exit 3).
 """
@@ -159,3 +161,60 @@ NAN_GUARDS = {
 def test_nan_fails_every_positivity_guard(guard):
     with pytest.raises(InvalidParam):
         NAN_GUARDS[guard]()
+
+
+# check-convex bodies: rows on a grid that may repeat, descend or leave the
+# float range, or rows of arbitrary cells, blank rows and wrong column counts
+CSV_CELLS = ("0", "1", "-2.5", "0.5", "1e-300", "1e308", "-1e308", "1.7e308", "-1.7e308",
+             "nan", "inf", "-inf", "", "x")
+
+
+@st.composite
+def csv_bodies(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 6))
+        start = draw(st.sampled_from((0.0, 1.0, -1e308, -1.7e308, 1.7e308)))
+        step = draw(st.sampled_from((1.0, 0.5, 0.0, -1.0, 1e308, 1.7e308)))
+        rows = [f"{start + i * step!r},{draw(st.sampled_from(CSV_CELLS))}" for i in range(n)]
+    else:
+        rows = draw(st.lists(st.lists(st.sampled_from(CSV_CELLS), max_size=3).map(",".join),
+                             max_size=6))
+    return "t,value\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+@given(body=csv_bodies())
+@example(body="t,value\n-1.7e308,0\n0.0,1\n1.7e308,0\n")  # a span beyond the float range
+@example(body="t,value\n-1.7e308,0\n1.7e308,1\n1.71e308,0\n")  # a step beyond it
+@example(body="t,value\n0,0\n\n1,1\n2,0\n")
+@example(body="t,value\n0,0\n1,1,1\n2,0\n")
+@example(body="t,value\n0,0\n1,1\n1,0\n")
+@example(body="t,value\n2,0\n1,1\n0,0\n")
+def test_every_check_convex_body_ends_in_a_documented_exit_code(body, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "curve.csv"
+    path.write_text(body)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check-convex", str(path)])
+    assert code in (0, 1, 3), (body, code)
+    assert "Traceback" not in err.getvalue(), body
+    if code == 3:
+        assert err.getvalue().startswith("error: "), body
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["marginal", "--n=5", "--csv", "{dir}"],
+    ["marginal", "--n=5", "--csv", "{dir}/missing/curve.csv"],
+    ["run", "psh-delta", "--json", "{dir}"],
+    ["run", "psh-delta", "--json", "{dir}/missing/report.json"],
+], ids=["csv-to-a-directory", "csv-parent-missing", "json-to-a-directory",
+        "json-parent-missing"])
+def test_an_unwritable_output_path_is_a_usage_error(argv, tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([a.format(dir=tmp_path) for a in argv])
+    assert code == 3, err.getvalue()
+    assert err.getvalue().startswith("error: cannot write the output file"), err.getvalue()
+    assert "Traceback" not in err.getvalue()

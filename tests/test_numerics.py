@@ -63,6 +63,13 @@ class TestIntegrate1d:
         with pytest.raises(DivergentIntegral):
             integrate_1d(lambda x: 1.0 / x, 1.0, math.inf)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_division_by_a_node_at_zero_is_non_convergent(self):
+        # the midpoint node of [-1, 1] is exactly 0.0, and a float raises
+        # ZeroDivisionError there; the panel is non-finite, as for an overflow
+        with pytest.raises(NonConvergent):
+            integrate_1d(lambda x: 1.0 / x, -1.0, 1.0)
+
     @pytest.mark.parametrize("a,b", [(1e20, math.inf), (-math.inf, -1e20)])
     def test_divergent_tail_from_a_huge_end_raises(self, a, b):
         # a window of radius _TAIL_RADIUS at 1e20 rounds to one float and
@@ -405,6 +412,42 @@ class TestKahanTotal:
 
     def test_numpy_scalars_stay_numpy_scalars(self):
         assert type(kahan_total([np.float64(0.1)] * 3)) is np.float64
+
+
+class TestIntegrandsSeePythonFloats:
+    """Every node and every fiber coordinate reaches an integrand as a Python
+    float, never a numpy scalar."""
+
+    @pytest.mark.parametrize("a,b,bps", [
+        (0.0, 1.0, ()),
+        (-2.0, 3.0, (0.5,)),
+        (0.0, math.inf, (1.0,)),
+        (-math.inf, math.inf, ()),
+    ])
+    def test_integrate_1d_nodes_are_floats(self, a, b, bps):
+        seen = set()
+
+        def f(x):
+            seen.add(type(x))
+            return math.exp(-abs(x))
+        integrate_1d(f, a, b, breakpoints=bps)
+        assert seen == {float}
+
+    @pytest.mark.parametrize("domain, seams", [
+        (box_domain((-1.0,), (2.0,), split=(0, 1)), {"point_seams": (0.5,)}),
+        (full_space(split=(0, 1)), {}),
+        (disc_region(0.75, 0.3 - 0.2j), {"circle_seams": (((0.0, 0.0), 0.5),)}),
+        (full_space(split=(0, 2)), {}),
+    ])
+    def test_integrate_fiber_points_are_tuples_of_floats(self, domain, seams):
+        seen = set()
+
+        def f(x):
+            seen.add((type(x), *map(type, x)))
+            return math.exp(-sum(v * v for v in x))
+        fib = fiber(domain, ())
+        integrate_fiber(f, fib, **seams)
+        assert seen == {(tuple, *[float] * fib.dim)}
 
 
 class TestIntegrateFiber:

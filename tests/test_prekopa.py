@@ -16,8 +16,8 @@ import pytest
 import convlab
 from convlab.bergman import bergman_gram
 from convlab.errors import InvalidParam, NonConvergent
-from convlab.geometry import (AffineFiberMap, ball_domain, disc_region, dumbbell,
-                              full_space, punctured_ball)
+from convlab.geometry import (AffineFiberMap, ball_domain, box_domain, disc_region,
+                              dumbbell, full_space, punctured_ball)
 from convlab.prekopa import (
     convexity_check,
     dent_marginal_closed,
@@ -192,6 +192,13 @@ class TestConvexityCheck:
         assert rep.worst_violation == 1.79e308 - 1.7e308
         assert not rep.verdict
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_wider_than_the_float_range_does_not_overflow(self):
+        rep = convexity_check([-1.7e308, 0.0, 1.7e308], [0.0, 1.0, 0.0])
+        assert (rep.checked, rep.worst_violation, rep.verdict) == (1, 1.0, False)
+        with pytest.raises(InvalidParam, match="uniform"):  # steps inf and 1e306
+            convexity_check([-1.7e308, 1.7e308, 1.71e308], [0.0, 1.0, 0.0])
+
     def test_no_checked_triple_fails(self):
         rep = convexity_check([0.0, 1.0, 2.0], [math.inf, 0.0, math.inf])
         assert (rep.checked, rep.skipped) == (0, 1)
@@ -255,6 +262,19 @@ class TestMinPrinciple:
         w = stock_weight("minprinciple_cex")
         with pytest.raises(InvalidParam):
             min_principle_transform(w, STRIP, ANCHOR_ZERO, 0, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("w", [
+        weight_from_fn(lambda p: float(p[0] ** 2 + p[1] ** 2), 1, 1, lower_bound=0.0),
+        convex_localizer(3, MOVING),
+    ], ids=["packed-function", "moving-cone"])
+    def test_huge_base_point_on_a_bounded_fiber_warns_nothing(self, w):
+        # a packed function gets an ndarray and the minimizer passes ndarray
+        # points, so these squares of t = 1e200 overflow in numpy scalars; the
+        # weight is +inf on the whole fiber, which is then the infimum
+        dom = box_domain((-1e300, -1.0), (1e300, 1.0), split=(1, 1))
+        assert min_principle_transform(w, dom, ANCHOR_ZERO, 1.0, 1e200) == math.inf
+        assert infimum_over_fiber(w, dom, 1e200)[1] == math.inf
 
     def test_distance_takes_no_blas_dot(self, monkeypatch):
         # on a two-dimensional fiber np.linalg.norm is a BLAS dot, whose bits

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from convlab import bergman
 from convlab.errors import InvalidParam, UnknownName
 from convlab.geometry import AffineFiberMap, fiber, full_space
+from convlab.prekopa import marginal_transform
 from convlab.weights import (
     RadialProfile,
     SphereSeam,
@@ -375,12 +376,15 @@ class TestFiberRestriction:
              + constant_weight(0.25, 2, 2), (0.2, -0.1), (0.5, 0.3)),
         ]
         restricted = [(w.on_fiber(fiber(full_space(split=(w.base_rdim, w.fiber_rdim)), t)),
-                       np.array(x), w.at(t, x)) for w, t, x in sums]
+                       x, w.at(t, x)) for w, t, x in sums]
 
         def packed(*args, **kwargs):
             raise AssertionError("the restriction packed (t, x)")
 
-        monkeypatch.setattr(np, "concatenate", packed)
+        # a point reaches a restriction as a tuple of floats, as quadrature
+        # passes it; packing it would need numpy
+        for name in ("array", "asarray", "concatenate", "hstack"):
+            monkeypatch.setattr(np, name, packed)
         for weight, x, want in restricted:
             assert weight(x) == want
 
@@ -406,6 +410,52 @@ class TestFiberRestriction:
         for x in (-0.7, 0.1, 2.0):
             restricted(np.array([x]))
         assert [p.tolist() for p in calls] == [[0.2, -0.7], [0.2, 0.1], [0.2, 2.0]]
+
+    def test_on_fiber_binds_t_as_a_tuple_of_floats(self):
+        seen = []
+
+        def restrict(t):
+            seen.append(t)
+            return lambda x: 0.0
+
+        w = WeightField(restrict=restrict, base_rdim=2, fiber_rdim=1)
+        fib = fiber(full_space(split=(2, 1)), np.array([0.25, -1.5]))
+        w.on_fiber(fib)
+        w.fiber_density(fib)
+        assert [(type(t), *map(type, t)) for t in seen] == [(tuple, float, float)] * 2
+        assert seen == [(0.25, -1.5)] * 2
+
+    def test_a_marginal_hands_its_restriction_floats_only(self):
+        # t once per fiber, and every quadrature point x, as tuples of floats
+        seen = set()
+
+        def restrict(t):
+            seen.add((type(t), *map(type, t)))
+
+            def weight(x):
+                seen.add((type(x), *map(type, x)))
+                return (t[0] - x[0]) ** 2
+            return weight
+
+        w = dataclasses.replace(stock_weight("prekopa_cex", eps=0.3), restrict=restrict)
+        np.testing.assert_allclose(marginal_transform(w, full_space(split=(1, 1)), 0.4),
+                                   -0.5 * math.log(math.pi), rtol=1e-12)
+        assert seen == {(tuple, float)}
+
+    @pytest.mark.parametrize("split", [(0, 1), (1, 1), (0, 2), (2, 2)])
+    def test_a_bare_function_receives_an_ndarray(self, split):
+        seen = []
+
+        def fn(p):
+            seen.append((type(p), p.dtype, p.tolist()))
+            return float(p[-1]) ** 2
+
+        w = weight_from_fn(fn, *split, lower_bound=0.0)
+        fib = fiber(full_space(split=split), (0.5,) * split[0])
+        w.fiber_density(fib)((0.25,) * split[1])
+        w.on_fiber(fib)(np.full(split[1], 0.25))
+        point = [0.5] * split[0] + [0.25] * split[1]
+        assert seen == [(np.ndarray, np.float64, point)] * 2
 
     def test_fiber_density_is_zero_where_the_weight_is_infinite(self):
         w = weight_from_fn(lambda p: math.inf if p[1] > 1.0 else float(p[1]), 1, 1)
