@@ -219,9 +219,13 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     The integrand is the upper triangle of the rank-one tensor
     ``b(z) b(z)^H e^{-w(t,z)}``, (d+1)(d+2)/2 entries integrated in one
     adaptive pass, and the lower triangle is its conjugate; nothing is
-    symmetrized.  Where numpy's complex products take FMA kernels (X86_V3 and
-    up), a diagonal entry keeps an imaginary part at roundoff level, which
-    the factor ignores.  G is factored once, by ``GramKernel``; a pivot that
+    symmetrized.  The density e^{-w} is the per-point integrand, and the
+    monomial products are its ``factor``: they are formed once per GK15 panel,
+    for all 15 points in one numpy expression, and rounded as per point:
+    ``(b[rows] * conj(b)[cols]) * density`` with ``b = (z - center) ** j``.
+    Where numpy's complex products take FMA kernels (X86_V3 and up), a
+    diagonal entry keeps an imaginary part at roundoff level, which the
+    factor of G ignores.  G is factored once, by ``GramKernel``; a pivot that
     is not positive or a condition number (``np.linalg.cond``) beyond 1e12
     raises IllConditioned rather than returning a silently meaningless
     inverse.
@@ -236,11 +240,12 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     js = np.arange(degree + 1)
     rows, cols = np.triu_indices(degree + 1)
 
-    def tensor(x: np.ndarray):
-        b = (complex(x[0], x[1]) - c) ** js
-        return b[rows] * b[cols].conj() * density(x)
+    def monomials(points):
+        b = np.array([complex(x, y) - c for (x, y) in points])[:, None] ** js
+        return b[:, rows] * b[:, cols].conj()
 
-    upper = integrate_fiber(tensor, fib, circle_seams=w.fiber_seams(fib.t))
+    upper = integrate_fiber(density, fib, circle_seams=w.fiber_seams(fib.t),
+                            factor=monomials)
     gram = np.empty((degree + 1, degree + 1), dtype=complex)
     gram[cols, rows] = np.conj(upper)
     gram[rows, cols] = upper

@@ -22,8 +22,8 @@ no randomness, no parallelism), integrands may be scalar-, vector- or
 complex-valued (error control uses the max-norm across components), and
 divergence is reported by exception rather than by a garbage value.
 
-A GK15 panel calls the integrand once per node (15 calls) and reduces the
-node values to four sums against the Kronrod and Gauss weights: the Kronrod
+A GK15 panel evaluates the integrand at its 15 nodes and reduces the node
+values to four sums against the Kronrod and Gauss weights: the Kronrod
 value, the Gauss value, the absolute-value integral and the residual about
 the panel mean.  Each sum is a plain sum, left to right over the ascending
 nodes, whatever the values are.  Numbers (the marginals of every Prekopa
@@ -31,26 +31,38 @@ check, every radial moment) are summed in plain Python; arrays (the Gram
 tensor) are summed a whole row at a time, in the same order.  Nothing in a
 panel calls BLAS, so no panel depends on OpenBLAS's CPU kernels.
 
-Each node reaches the integrand as a Python float, and each point of a fiber
-as a tuple of them, ``(x,)`` or ``(x, y)``.  Numpy scalars would give the
-same IEEE results for every operation allowed below, at several times the
-cost per operation, so a scalar integrand computes in Python floats from node
-to value unless it brings numpy values of its own.  The rule below for a
-batched integrand is unchanged.
+Inside the module there is one integrand protocol, batched: ``_panel_rule``,
+``_adaptive_segments`` and ``_tail_windows`` take an integrand over a
+panel's 15 nodes.  ``integrate_1d`` is the one adapter that builds it from
+what callers pass: a per-node ``f``, called once per node in ascending
+order, times an optional ``factor``, which is formed once per panel for all
+15 nodes (the Gram route's monomial products).  The product rounds as the
+per-node product would.  A batched array may come back in another memory
+layout than C order (numpy's advanced indexing returns a transposed one),
+and ``sum(axis=0)`` adds the rows one after another only on a C-ordered
+stack; so ``_panel_rule`` makes its stack C-ordered, and every batched
+integrand may rely on that.
+
+Each node reaches ``f`` as a Python float, and each point of a fiber as a
+tuple of them, ``(x,)`` or ``(x, y)``.  Numpy scalars would give the same
+IEEE results for every operation allowed below, at several times the cost
+per operation, so a scalar integrand computes in Python floats from node to
+value unless it brings numpy values of its own.  The rule below holds for a
+factor as for any batched integrand.
 
 The same results must not depend on numpy's SIMD level either.  Some numpy
 ufuncs (exp, log, log1p, powers other than squares) have AVX-512 kernels
 whose last bits differ from the narrower ones, and a complex product takes
-FMA kernels from X86_V3 up.  So an integrand, and any batched integrand to
-come, uses numpy only for exactly rounded operations on real values: +, -,
-*, /, sqrt, comparisons, ``np.where`` and ``np.maximum``.  It writes a
-square as ``x * x`` and keeps exp and log on ``math``, one value at a time.
-Three known exceptions have not moved a report: the Gram tensor's complex
-products; the array panel's own error rescaling, which takes ``** 1.5`` in
-numpy; and the array panel's ``np.abs`` of complex values (``resabs``,
-``resasc`` and the Kronrod-Gauss difference), whose bits change between
-X86_V3 and X86_V2.  The last two can move an error estimate by an ulp, never
-a sum.
+FMA kernels from X86_V3 up.  So an integrand, and any batched integrand,
+uses numpy only for exactly rounded operations on real values: +, -, *, /,
+sqrt, comparisons, ``np.where`` and ``np.maximum``.  It writes a square as
+``x * x`` and keeps exp and log on ``math``, one value at a time.  Three
+known exceptions have not moved a report: the Gram factor's complex
+products, now formed per panel (and its complex powers); the array panel's
+own error rescaling, which takes ``** 1.5`` in numpy; and the array panel's
+``np.abs`` of complex values (``resabs``, ``resasc`` and the Kronrod-Gauss
+difference), whose bits change between X86_V3 and X86_V2.  The last two can
+move an error estimate by an ulp, never a sum.
 
 On a two-dimensional fiber the outer integrand F(x) = int slice(x) dy has
 square-root endpoints wherever a slice closes up or a seam circle turns (a
@@ -198,25 +210,29 @@ def _panel_rule(f, a: float, b: float):
     Returns (kronrod_value, error_estimate) where the error estimate follows
     the QUADPACK rescaling: sharp for smooth panels, conservative near
     integrable singularities, floored at the roundoff level of the panel.
-    ``f`` receives the nodes as Python floats.  A panel with a non-finite
-    node value gives an infinite value and error, and so does an integrand
-    that raises OverflowError or ZeroDivisionError at a node.  Every sum runs
-    left to right over the ascending nodes.  Node values with one entry each
-    (real or complex numbers of any numeric type, 0-d and single-entry
-    arrays) are reduced by ``_scalar_rule`` as Python floats or complexes;
-    values that are Python floats already are passed on as they are.
-    Larger arrays are stacked to C-ordered ``(15, m)``, and ``sum(axis=0)``
-    adds whole rows one after another: the same order.  The signed sums
-    start from the same -0.0 (numpy's own start is +0.0).  A single column
-    would be summed pairwise, which is why it takes the scalar rule.
+    ``f`` is batched: it takes the 15 nodes, ascending, as a list of Python
+    floats and returns their values, as a list of 15 or as an array whose
+    first axis runs over the nodes (``integrate_1d`` builds it).  A panel
+    with a non-finite node value gives an infinite value and error, and so
+    does an integrand that raises OverflowError or ZeroDivisionError.  Every
+    sum runs left to right over the ascending nodes.  Node values with one
+    entry each (real or complex numbers of any numeric type, 0-d and
+    single-entry arrays) are reduced by ``_scalar_rule`` as Python floats or
+    complexes; a list of Python floats is passed on as it is.  Larger values
+    are stacked to a C-ordered ``(15, m)`` array, and ``sum(axis=0)`` adds
+    whole rows one after another: the same order.  The C order is made here,
+    because a batched product can come back in another memory layout, on
+    which numpy would sum the rows pairwise.  The signed sums start from the
+    same -0.0 (numpy's own start is +0.0).  A single column would be summed
+    pairwise, which is why it takes the scalar rule.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     try:
-        vals = [f(x) for x in (mid + half * _NODES).tolist()]
-        if all(type(v) is float for v in vals):
+        vals = f((mid + half * _NODES).tolist())
+        if type(vals) is list and all(type(v) is float for v in vals):
             return _scalar_rule(vals, half, -0.0)
-        stack = np.array(vals)  # (15, *shape)
+        stack = np.ascontiguousarray(vals)  # (15, *shape)
         zero = complex(-0.0, -0.0) if stack.dtype.kind == "c" else -0.0
         if stack.size == 15:
             val, err = _scalar_rule([type(zero)(v) for v in stack.ravel().tolist()], half, zero)
@@ -302,6 +318,7 @@ def _finite_total(parts, where: str):
 def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
     """Greedy bisection of [a, b], first cut at the breakpoints inside it.
 
+    ``f`` is a batched integrand, as ``_panel_rule`` takes it.
     The live panels form one heap: the worst error estimate is split first,
     and of two equal estimates the older panel.  A panel at roundoff width is
     set aside; the loop stalls when only such panels remain, and ends when
@@ -382,7 +399,8 @@ def skirt_ladder(points, rate: float | None = None) -> tuple:
 
 
 def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpoints):
-    """Integrate over [start, +inf) or (-inf, start] by doubling windows.
+    """Integrate the batched ``f`` over [start, +inf) or (-inf, start] by
+    doubling windows.
 
     Stops once a window contributes at most abs_tol/4 in max-norm; raises
     DivergentIntegral when the doubling budget runs out, when a window value
@@ -426,11 +444,19 @@ def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpo
     )
 
 
-def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TOL):
+def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TOL,
+                 factor=None):
     """Integrate ``f`` over (a, b); either endpoint may be infinite.
 
     ``f`` maps a float to a float, complex, or ndarray (fixed shape); it is
-    called with Python floats only, never numpy scalars.
+    called with Python floats only, never numpy scalars, once per node.
+    ``factor``, if given, is the part of the integrand that is cheaper per
+    panel than per node: it takes a panel's 15 nodes as a list of floats and
+    returns an array of shape ``(15, *shape)``, and the integrand at the i-th
+    node is ``factor(nodes)[i] * f(nodes[i])``, with ``f`` then real-valued.
+    The product rounds as the per-node one would, so the result has the
+    bits of ``integrate_1d(lambda x: factor([x])[0] * f(x), a, b)``, and
+    ``f`` is called at the same nodes in the same order.
     ``breakpoints`` registers known kinks/seams so no panel straddles one.
     ``abs_tol`` is the absolute part of the error budget.  Raises
     NonConvergent when the panel budget is exhausted or finite panels sum
@@ -450,9 +476,16 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
         raise InvalidParam(f"need a <= b, got a={a}, b={b}")
     if a == b:
         return 0.0
+    if factor is None:
+        panel = lambda xs: list(map(f, xs))
+    else:
+        def panel(xs):
+            vals = np.array(list(map(f, xs)))
+            rows = factor(xs)
+            return rows * vals.reshape(vals.shape + (1,) * (rows.ndim - 1))
     bps = [float(p) for p in breakpoints if math.isfinite(p)]
     if math.isfinite(a) and math.isfinite(b):
-        value, _ = _adaptive_segments(f, a, b, bps, abs_tol)
+        value, _ = _adaptive_segments(panel, a, b, bps, abs_tol)
         return value
 
     anchor = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
@@ -462,12 +495,12 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
              max((abs(p - anchor) for p in bps if a < p < b), default=0.0))
     lo = a if math.isfinite(a) else anchor - r0
     hi = b if math.isfinite(b) else anchor + r0
-    core, _ = _adaptive_segments(f, lo, hi, bps, abs_tol)
+    core, _ = _adaptive_segments(panel, lo, hi, bps, abs_tol)
     pieces = [(lo, core)]
     if math.isinf(b):
-        pieces.extend(_tail_windows(f, hi, +1, r0, abs_tol, bps))
+        pieces.extend(_tail_windows(panel, hi, +1, r0, abs_tol, bps))
     if math.isinf(a):
-        pieces.extend(_tail_windows(f, lo, -1, r0, abs_tol, bps))
+        pieces.extend(_tail_windows(panel, lo, -1, r0, abs_tol, bps))
     pieces.sort(key=lambda p: p[0])
     return _finite_total((p[1] for p in pieces), f"[{a}, {b}]")
 
@@ -482,13 +515,16 @@ def _circle_crossings(x: float, circles) -> list[float]:
     return out
 
 
-def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
+def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
     """Integrate ``f`` over a fiber region of dimension 1 or 2.
 
     ``fiber`` must expose ``dim``, ``quad_intervals()`` (dimension 1),
     ``slice_intervals(x)`` and ``critical_xs()`` (dimension 2), and
     ``bounds()``.  ``f`` takes a point of length ``dim`` as a tuple of Python
-    floats, ``(x,)`` or ``(x, y)``, and reads it by index.
+    floats, ``(x,)`` or ``(x, y)``, and reads it by index.  ``factor``, if
+    given, multiplies ``f`` as in ``integrate_1d``: it takes the 15 points
+    of an innermost panel as a list of such tuples (the points of one slice
+    in dimension 2) and returns an array of shape ``(15, *shape)``.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are ``((cx, cy), radius)`` kink circles (dimension 2).
     An empty fiber integrates to 0.  The tolerances are the module's; each
@@ -510,9 +546,10 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         if not intervals:
             return 0.0
         fn = lambda x: f((x,))
+        fac = None if factor is None else lambda xs: factor([(x,) for x in xs])
         values = []
         for (lo, hi) in intervals:
-            values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams)))
+            values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams, factor=fac)))
         values.sort(key=lambda p: p[0])
         return _finite_total((v for (_, v) in values), "the fiber")
     if dim != 2:
@@ -535,10 +572,12 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=()):
         if not slices:
             return 0.0
         ybps = _circle_crossings(x, circles)
+        g = lambda y: f((x, y))
+        fac = None if factor is None else lambda ys: factor([(x, y) for y in ys])
         parts = []
         for (ylo, yhi) in slices:
-            g = lambda y: f((x, y))
-            parts.append((ylo, integrate_1d(g, ylo, yhi, breakpoints=ybps, abs_tol=inner_tol)))
+            parts.append((ylo, integrate_1d(g, ylo, yhi, breakpoints=ybps,
+                                            abs_tol=inner_tol, factor=fac)))
         parts.sort(key=lambda p: p[0])
         return kahan_total(v for (_, v) in parts)
 
@@ -570,10 +609,12 @@ def minimize_over_fiber(f, fiber, search_box=None):
     ``search_box`` (pairs of (lo, hi) per axis) must be supplied when the
     fiber is unbounded; when the coarse-grid minimum sits on a truncated edge
     and runs downhill there, Unbounded is raised.  Ties on the grid resolve to
-    the lexicographically smallest point.  Returns (argmin, value) where the
-    returned value never exceeds f at any evaluated grid node; a NaN value
-    never wins, and where f has no value below +inf on the grid the result is
-    the first grid node in the fiber with +inf.
+    the lexicographically smallest point.  ``f`` and ``fiber.member`` take
+    each grid point as a tuple of Python floats.  Returns (argmin, value),
+    the argmin as an ndarray, where the returned value never exceeds f at any
+    evaluated grid node; a NaN value never wins, and where f has no value
+    below +inf on the grid the result is the first grid node in the fiber
+    with +inf.
     """
     dim = fiber.dim
     lo, hi = fiber.bounds()
@@ -594,7 +635,7 @@ def minimize_over_fiber(f, fiber, search_box=None):
     if np.any(lo > hi):
         raise OutOfDomain("search box does not meet the fiber")
 
-    axes = [np.linspace(lo[i], hi[i], _GRID_POINTS) for i in range(dim)]
+    axes = [np.linspace(lo[i], hi[i], _GRID_POINTS).tolist() for i in range(dim)]
 
     def scan(axes_list):
         """Evaluate on the tensor grid; returns (best_point, best_val, best_index)."""
@@ -602,8 +643,7 @@ def minimize_over_fiber(f, fiber, search_box=None):
         best_pt = None
         best_idx = None
         indices = itertools.product(*(range(len(ax)) for ax in axes_list))
-        for idx, coords in zip(indices, itertools.product(*axes_list)):
-            p = np.array(coords)
+        for idx, p in zip(indices, itertools.product(*axes_list)):
             if not fiber.member(p):
                 continue
             v = float(f(p))
@@ -626,7 +666,7 @@ def minimize_over_fiber(f, fiber, search_box=None):
                 step = 1 if i == 0 else -1
                 nb_idx = list(best_idx)
                 nb_idx[ax] += step
-                nb = np.array([axes[d][nb_idx[d]] for d in range(dim)])
+                nb = tuple(axes[d][nb_idx[d]] for d in range(dim))
                 if fiber.member(nb) and float(f(nb)) > best_val:
                     raise Unbounded(
                         f"grid minimum sits on the search-box edge along axis {ax} "
@@ -642,7 +682,7 @@ def minimize_over_fiber(f, fiber, search_box=None):
         for i in range(dim):
             a = max(lo[i], center[i] - spacing[i])
             b = min(hi[i], center[i] + spacing[i])
-            new_axes.append(np.linspace(a, b, _GRID_POINTS))
+            new_axes.append(np.linspace(a, b, _GRID_POINTS).tolist())
         pt, val, _ = scan(new_axes)
         if val < best_val:
             best_val = val
@@ -650,5 +690,5 @@ def minimize_over_fiber(f, fiber, search_box=None):
         if val < math.inf:
             center = pt
         spacing = np.array([(ax[-1] - ax[0]) / (_GRID_POINTS - 1) for ax in new_axes])
-    return best_pt, best_val
+    return np.array(best_pt), best_val
 

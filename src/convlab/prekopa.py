@@ -52,9 +52,9 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
     """
     fib = fiber(domain, t)
 
-    # a huge base point overflows squares in the seam query and in the
-    # weight's restriction to the fiber; the weight is then +inf and its
-    # density 0, so the warning is noise
+    # a huge base point overflows squares in the weight's restriction to the
+    # fiber where a moving center or a packed function computes in numpy;
+    # the weight is then +inf and its density 0, so the warning is noise
     with np.errstate(over="ignore"):
         density = w.fiber_density(fib)
         seams = w.fiber_seams(fib.t)

@@ -73,12 +73,19 @@ class SphereSeam:
                                tuple(float(b) for b in self.base_center))
 
     def in_fiber(self, t):
-        """``(fiber center, radius)`` of the slice at t, or None if it is empty."""
+        """``(fiber center, radius)`` of the slice at t, or None if it is empty.
+
+        t is a sequence of Python floats.  A base offset whose square leaves
+        the float range (``**`` raises OverflowError) leaves the sphere far
+        behind: the slice is empty."""
         if self.base_center is None:
             return self.center.at(t), self.radius
         off2 = 0.0
-        for ti, bi in zip(t, self.base_center):
-            off2 += (ti - bi) ** 2
+        try:
+            for ti, bi in zip(t, self.base_center):
+                off2 += (ti - bi) ** 2
+        except OverflowError:
+            return None
         rad2 = self.radius * self.radius - off2
         if rad2 <= 0.0:
             return None
@@ -98,9 +105,10 @@ class WeightField:
     short-circuits ``e^{-w}`` to zero, ``-inf`` and NaN are never produced by
     the catalog constructors.  Both t and x are sequences of floats read by
     index: ``on_fiber`` binds t as a tuple of Python floats, and quadrature
-    passes x as one (``integrate_fiber``'s point), while the grid minimizer
-    and ``__call__`` pass ndarrays.  ``fn``, the weight on a packed point
-    (base coordinates then fiber coordinates), is derived from it:
+    and the grid minimizer pass x as one (``integrate_fiber``'s point, a
+    grid point), while ``__call__`` passes an ndarray.  ``fn``, the weight
+    on a packed point (base coordinates then fiber coordinates), is derived
+    from it:
     ``restrict(())`` itself when the base is empty, else
     ``p -> restrict(p[:nb])(p[nb:])``.  It is not a constructor argument, and
     ``dataclasses.replace`` cannot set it.
@@ -188,8 +196,9 @@ class WeightField:
         return density
 
     def fiber_seams(self, t) -> tuple:
-        """The seams' slices at t as ``(fiber center, radius)`` pairs."""
-        t = np.asarray(t, dtype=float).ravel()
+        """The seams' slices at t as ``(fiber center, radius)`` pairs; t is
+        bound as a tuple of Python floats."""
+        t = tuple(np.asarray(t, dtype=float).ravel().tolist())
         return tuple(sl for sl in (s.in_fiber(t) for s in self.seams) if sl is not None)
 
     def __add__(self, other: "WeightField") -> "WeightField":
@@ -390,7 +399,7 @@ def lemma3_weight(k: int, r: float) -> WeightField:
         return kf * math.log(s / rf) if s > rf else 0.0
 
     return WeightField(
-        restrict=lambda t: lambda x: cone(float(np.hypot(x[0], x[1]))),
+        restrict=lambda t: lambda x: cone(math.hypot(x[0], x[1])),
         base_rdim=0, fiber_rdim=2, lower_bound=0.0,
         seams=(SphereSeam(origin, rf, base_center=()),),
         radial_center=origin,

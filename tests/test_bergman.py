@@ -12,7 +12,7 @@ from convlab import bergman
 from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, NonConvergent,
                             ZeroKernel)
 from convlab.geometry import (AffineFiberMap, Ball, Domain, Intersection, bidisc, disc_region,
-                              full_space, hartogs_figure, plane_region)
+                              fiber, full_space, hartogs_figure, plane_region)
 from convlab.prekopa import dent_marginal_closed
 from convlab.weights import RadialProfile, constant_weight, lemma3_weight
 from convlab.bergman import (
@@ -125,20 +125,44 @@ class TestKernelValues:
 
     @pytest.mark.parametrize("degree", [0, 4])
     def test_gram_integrates_the_upper_triangle(self, monkeypatch, degree):
-        # (d+1)(d+2)/2 entries; below the diagonal, their exact conjugates
-        shapes = []
+        # (d+1)(d+2)/2 entries, formed per panel of 15 points by the factor;
+        # the per-point integrand is the density alone.  Below the diagonal,
+        # the entries are the exact conjugates of those above it.
+        shapes, densities = set(), set()
         integrate = bergman.integrate_fiber
 
-        def spy(f, fib, **kwargs):
-            shapes.append(np.shape(f(np.array([0.3, -0.2]))))
-            return integrate(f, fib, **kwargs)
+        def spy(f, fib, factor, **kwargs):
+            densities.add(type(f((0.3, -0.2))))
+
+            def recorded(points):
+                rows = factor(points)
+                shapes.add(rows.shape)
+                return rows
+            return integrate(f, fib, factor=recorded, **kwargs)
 
         monkeypatch.setattr(bergman, "integrate_fiber", spy)
         gk = gram_kernel(lemma3_weight(4, 0.5), disc_region(1.0), center=0.2 + 0.1j,
                          degree=degree)
-        assert shapes == [((degree + 1) * (degree + 2) // 2,)]
+        assert shapes == {(15, (degree + 1) * (degree + 2) // 2)}
+        assert densities == {float}
         lower = np.tril_indices(degree + 1, -1)
         assert np.array_equal(gk.matrix[lower], gk.matrix.T[lower].conj())
+
+    def test_gram_matrix_has_the_bits_of_the_per_point_tensor(self):
+        # The triangle b b^H e^{-w} integrated one point at a time: the
+        # reference that the per-panel factor must match bit for bit.
+        w, dom, c, degree = lemma3_weight(4, 0.5), disc_region(1.0), 0.2 + 0.1j, 6
+        fib = fiber(dom, ())
+        density = w.fiber_density(fib)
+        js = np.arange(degree + 1)
+        rows, cols = np.triu_indices(degree + 1)
+
+        def tensor(x):
+            b = (complex(x[0], x[1]) - c) ** js
+            return b[rows] * b[cols].conj() * density(x)
+        upper = bergman.integrate_fiber(tensor, fib, circle_seams=w.fiber_seams(()))
+        gk = gram_kernel(w, dom, center=c, degree=degree)
+        assert gk.matrix[rows, cols].tobytes() == upper.tobytes()
 
     def test_concentrated_weight_is_rejected(self):
         with pytest.raises(IllConditioned):

@@ -268,6 +268,11 @@ def _integrand(kind, c0, c1, degree):
 _KINDS = st.sampled_from(["real", "complex", "vector", "matrix"])
 
 
+def _per_node(f):
+    """The batched panel integrand of a per-node ``f``, as ``integrate_1d`` makes it."""
+    return lambda xs: [f(x) for x in xs]
+
+
 class TestPanelRule:
     @given(kind=_KINDS, lo=st.floats(-20, 20), width=st.floats(1e-6, 10),
            c0=st.floats(-3, 3), c1=st.floats(-3, 3), degree=st.integers(0, 16))
@@ -278,7 +283,7 @@ class TestPanelRule:
         # Every sum runs left to right over the nodes: numbers in Python,
         # arrays a row at a time, a single-entry array as a number.
         f = _integrand(kind, c0, c1, degree)
-        val, err = _panel_rule(f, lo, lo + width)
+        val, err = _panel_rule(_per_node(f), lo, lo + width)
         ref_val, ref_err = _cumsum_panel_rule(f, lo, lo + width)
         assert _bits(val) == _bits(ref_val)
         assert err == ref_err
@@ -290,8 +295,8 @@ class TestPanelRule:
         # Ints, numpy scalars and 0-d arrays are summed as the Python numbers
         # they convert to.
         f = _integrand("real", 0.7, 1.3, 0)
-        val, err = _panel_rule(lambda x: wrap(f(x)), -0.4, 2.1)
-        ref_val, ref_err = _panel_rule(lambda x: as_python(wrap(f(x))), -0.4, 2.1)
+        val, err = _panel_rule(_per_node(lambda x: wrap(f(x))), -0.4, 2.1)
+        ref_val, ref_err = _panel_rule(_per_node(lambda x: as_python(wrap(f(x)))), -0.4, 2.1)
         assert type(val) is as_python
         assert _bits(val) == _bits(ref_val)
         assert err == ref_err
@@ -309,7 +314,7 @@ class TestPanelRule:
             return scale * c if kind == "real" else complex(scale * c, scale * s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, err = _panel_rule(f, lo, lo + width)
+            val, err = _panel_rule(_per_node(f), lo, lo + width)
         assert (val, err) == (math.inf, math.inf) or (
             math.isfinite(err) and np.isfinite(val))
 
@@ -318,7 +323,7 @@ class TestPanelRule:
     def test_an_overflowing_panel_is_inf(self, value, width):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _panel_rule(lambda x: value, 0.0, width) == (math.inf, math.inf)
+            assert _panel_rule(_per_node(lambda x: value), 0.0, width) == (math.inf, math.inf)
 
     @given(kind=_KINDS, node=st.integers(0, 14), bad=st.sampled_from([math.inf, math.nan]),
            degree=st.integers(0, 8))
@@ -327,7 +332,7 @@ class TestPanelRule:
         smooth = _integrand(kind, 0.5, 1.5, degree)
         x_bad = 0.5 + 0.5 * _NODES[node]
         f = lambda x: smooth(x) + bad if x == x_bad else smooth(x)
-        val, err = _panel_rule(f, 0.0, 1.0)
+        val, err = _panel_rule(_per_node(f), 0.0, 1.0)
         assert err == math.inf
         assert np.all(np.asarray(val) == math.inf)
         assert np.shape(val) == np.shape(smooth(0.5))
@@ -338,6 +343,72 @@ class TestPanelRule:
         f = lambda x: math.exp(-rate * abs(x)) * complex(math.cos(freq * x), 1.0)
         first = integrate_1d(f, start, math.inf)
         assert _bits(integrate_1d(f, start, math.inf)) == _bits(first)
+
+
+def _monomials(c, degree):
+    """A panel factor shaped like the Gram route's: the upper triangle of
+    b b^H at the points x + 0.3i, with b = (z - c)^j.  Numpy hands the
+    product back in a transposed memory layout."""
+    js = np.arange(degree + 1)
+    rows, cols = np.triu_indices(degree + 1)
+
+    def factor(xs):
+        b = np.array([complex(x, 0.3) - c for x in xs])[:, None] ** js
+        return b[:, rows] * b[:, cols].conj()
+    return factor
+
+
+def _recorded(seen):
+    def f(x):
+        seen.append(x)
+        return math.exp(-x * x)
+    return f
+
+
+_FACTOR_RANGES = [(-1.0, 2.0, ()), (0.0, 1.5, (0.4,)), (0.5, math.inf, ()),
+                  (-math.inf, math.inf, (0.0,))]
+
+
+class TestFactor:
+    """``integrate_1d(f, a, b, factor=F)``: the integrand at a node is
+    ``F(nodes)[i] * f(x_i)``, with F formed once per panel."""
+
+    @pytest.mark.parametrize("a, b, bps", _FACTOR_RANGES)
+    @pytest.mark.parametrize("degree", [0, 3, 8])
+    def test_equals_the_per_node_product_bit_for_bit(self, a, b, bps, degree):
+        factor = _monomials(0.2 - 0.1j, degree)
+        batched, per_node = [], []
+        got = integrate_1d(_recorded(batched), a, b, breakpoints=bps, factor=factor)
+        f = _recorded(per_node)
+        want = integrate_1d(lambda x: factor([x])[0] * f(x), a, b, breakpoints=bps)
+        assert _bits(got) == _bits(want)
+        assert batched == per_node
+
+    @pytest.mark.parametrize("a, b, bps", _FACTOR_RANGES)
+    def test_a_fortran_ordered_factor_gives_the_same_bits(self, a, b, bps):
+        # Numpy sums the columns of a Fortran-ordered stack pairwise, not row
+        # after row, so the panel rule makes the stack C-ordered first.
+        factor = _monomials(0.2 - 0.1j, 8)
+        f = lambda x: math.exp(-x * x)
+        c_order = integrate_1d(f, a, b, breakpoints=bps,
+                               factor=lambda xs: np.ascontiguousarray(factor(xs)))
+        f_order = integrate_1d(f, a, b, breakpoints=bps,
+                               factor=lambda xs: np.asfortranarray(factor(xs)))
+        assert _bits(f_order) == _bits(c_order)
+
+    @pytest.mark.parametrize("domain, seams", [
+        (box_domain((-1.0,), (2.0,), split=(0, 1)), {"point_seams": (0.5,)}),
+        (disc_region(0.75, 0.3 - 0.2j), {"circle_seams": (((0.0, 0.0), 0.5),)}),
+    ])
+    def test_integrate_fiber_passes_the_factor_to_its_inner_integrals(self, domain, seams):
+        # the factor takes the points of a panel; here, the monomials of x
+        js = np.arange(4)
+        factor = lambda pts: np.array([p[0] for p in pts])[:, None] ** js
+        f = lambda p: math.exp(-sum(v * v for v in p))
+        fib = fiber(domain, ())
+        got = integrate_fiber(f, fib, factor=factor, **seams)
+        want = integrate_fiber(lambda p: factor([p])[0] * f(p), fib, **seams)
+        assert _bits(got) == _bits(want)
 
 
 class TestSkirtLadder:
@@ -561,6 +632,34 @@ class TestMinimizeOverFiber:
         arg, val = minimize_over_fiber(f, fd)
         np.testing.assert_allclose(arg, [0.2, -0.1], atol=1e-7)
         assert val < 1e-13
+
+    @pytest.mark.parametrize("domain, box, f", [
+        (disc_region(1.0), None, lambda p: (p[0] - 0.2) ** 2 + (p[1] + 0.1) ** 2),
+        (full_space(split=(0, 1)), ((-4.0, 4.0),), lambda p: (p[0] - 0.3) ** 2),
+        # a flat minimum on the box's edge, compared with its inward neighbour
+        (full_space(split=(0, 1)), ((-1.0, 2.0),), lambda p: 1.0),
+    ])
+    def test_grid_points_are_tuples_of_floats(self, domain, box, f):
+        seen = set()
+
+        class Spy:  # the fiber, recording what its member test is handed
+            def __init__(self, fib):
+                self.fib = fib
+
+            def __getattr__(self, name):
+                return getattr(self.fib, name)
+
+            def member(self, p, closed=False):
+                seen.add(("member", type(p), *map(type, p)))
+                return self.fib.member(p, closed)
+
+        def g(p):
+            seen.add(("f", type(p), *map(type, p)))
+            return f(p)
+        fib = fiber(domain, ())
+        arg, _ = minimize_over_fiber(g, Spy(fib), search_box=box)
+        assert seen == {(who, tuple, *[float] * fib.dim) for who in ("member", "f")}
+        assert type(arg) is np.ndarray and arg.shape == (fib.dim,)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_everywhere_gives_the_first_node_and_infinity(self):

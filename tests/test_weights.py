@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,40 @@ class TestSphereSeam:
         assert seam.in_fiber(np.array([0.5, 0.0])) is None
 
 
+class TestFiberSeams:
+    """``fiber_seams`` binds t as a tuple of Python floats."""
+
+    DENTS = {
+        "prekopa_cex": stock_weight("prekopa_cex", 0.3),
+        "minprinciple_cex": stock_weight("minprinciple_cex"),
+        "berndtsson_cex": stock_weight("berndtsson_cex", 0.3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DENTS))
+    @pytest.mark.parametrize("t", [1e200, -1e200, 1.7e308])
+    def test_a_huge_base_point_has_no_seam_and_warns_nothing(self, name, t):
+        # the square of the offset leaves the float range: no slice
+        w = self.DENTS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert w.fiber_seams((t,) * w.base_rdim) == ()
+
+    @pytest.mark.parametrize("name", sorted(DENTS))
+    def test_same_seams_as_with_an_ndarray_base_point(self, name):
+        w = self.DENTS[name]
+        rng = np.random.default_rng(7)
+        sweep = [*np.linspace(-1.5, 1.5, 301), *rng.uniform(-1.5, 1.5, 2000),
+                 0.3, math.nextafter(0.3, 0.0), 1.0, math.nextafter(1.0, 0.0), 1e200]
+        for s in sweep:
+            t = (float(s), 0.5 * float(s))[:w.base_rdim]
+            arr = np.array(t)
+            with np.errstate(over="ignore"):
+                want = [sl for sl in (seam.in_fiber(arr) for seam in w.seams) if sl is not None]
+            got = w.fiber_seams(t)
+            assert [(c.tolist(), r.hex()) for (c, r) in got] == \
+                [(c.tolist(), float(r).hex()) for (c, r) in want]
+
+
 class TestRadialProfile:
     def test_seam_radii_need_a_seam_centered_exactly_on_the_radial_center(self, monkeypatch):
         # kernel_curve's radial route hands the profile the radii of the
@@ -234,7 +269,7 @@ class TestRadialProfile:
 
     # Every radial catalog weight, and whether fn and radial_fn compute the
     # same expression from the same distance (then they agree bit for bit).
-    # logshell measures with np.hypot and berndtsson_cex adds the squares of
+    # logshell measures with math.hypot and berndtsson_cex adds the squares of
     # t to those of x, where the test takes the root of the sum of squares.
     RADIAL_CATALOG = {
         "cone2": (convex_localizer(8, MOVING), True),
