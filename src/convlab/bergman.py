@@ -111,8 +111,8 @@ def radial_moments(profile: RadialProfile, max_index: int) -> MomentTable:
     values, statuses = [], []
     for j in range(max_index + 1):
         try:
-            # a divergent tail overflows r ** (2j + 1); the non-finite panel
-            # that follows is the divergence verdict, so the warning is noise
+            # on a divergent tail a float r ** (2j + 1) raises, but a profile
+            # with numpy coefficients warns first; the inf panel is the verdict
             with np.errstate(over="ignore"):
                 value = integrate_1d(moment(j), 0.0, profile.cutoff, breakpoints=seams)
             values.append(float(value))
@@ -598,7 +598,7 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
             if isinstance(node, Full):
                 cutoff = math.inf
             elif (isinstance(node, Ball) and tuple(node.axes) == (0, 1)
-                  and np.array_equal(node.center, center)):
+                  and node.center == center):
                 cutoff = node.radius
             else:
                 raise MethodUnavailable(
@@ -607,13 +607,12 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
                 fn=lambda rr, t=t: combined.radial_fn(t, rr),
                 cutoff=cutoff,
                 seam_radii=tuple(r for (c, r) in combined.fiber_seams(t)
-                                 if np.array_equal(c, center)),
+                                 if c == center),
             )
             out.append(1.0 / _radial_mass(prof))
         elif method == "gram":
-            c = a.at(t)
-            out.append(bergman_gram(combined, domain, t,
-                                    at=complex(c[0], c[1]), degree=degree))
+            out.append(bergman_gram(combined, domain, t, at=complex(*a.at(t)),
+                                    degree=degree))
         else:
             raise MethodUnavailable(f"no kernel route named {method!r}")
     return out

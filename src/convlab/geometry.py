@@ -41,9 +41,9 @@ keeps that set.  Unions and intersections share one slicing rule: a part
 that slices to the absorbing node (``Full`` for a union, ``Empty`` for an
 intersection) is the whole slice, and one that slices to the other drops out.
 
-Points are real coordinate vectors.  The rules take one point -- an
-``(rdim,)`` array or a list of Python floats -- or a coordinate-major batch of
-N points, shape ``(rdim, N)``: ``p[a]`` is then coordinate ``a`` of every
+Points are real coordinate vectors.  One point is a tuple of Python floats
+(a list serves too); a batch of N points is a coordinate-major array of
+shape ``(rdim, N)``: ``p[a]`` is then coordinate ``a`` of every
 point at once.  They answer per point: a scalar for one point, an ``(N,)``
 array for a batch.  The same code serves both; on scalars it uses
 ``math.sqrt`` and comparisons where a batch uses ``np.sqrt``,
@@ -52,14 +52,16 @@ included, so a batch column gets exactly the bits that the same point gets
 alone.  Exact flags broadcast against the values: a plain ``True``/``False``
 where the flag is the same for every point.
 
-The ``Domain`` and ``FiberDomain`` methods and the probes built on them
-(``boundary_distance``, ``fiber_distance``, ``midpoint_closure_check``) take
-one point, pack it as a list of Python floats (a complex coordinate becomes
-its real and imaginary parts, in that order) and return Python scalars: a
+Outside input is packed in one place, ``_as_real_point``, which checks its
+size, splits a complex coordinate into its real and imaginary parts, in that
+order, and returns a tuple of Python floats.  ``Domain.point``,
+``Domain.base_point``, ``FiberDomain.t`` and ``AffineFiberMap.at`` are such
+tuples, and every other module uses them as they come.  The ``Domain`` and
+``FiberDomain`` methods and the probes built on them (``boundary_distance``,
+``fiber_distance``, ``midpoint_closure_check``) return Python scalars: a
 ``bool`` for membership, a ``float`` for a distance.
 
-A base point is packed in one place, ``Domain.base_point``, which also
-checks its size.  ``fiber`` slices the domain there and keeps the packed
+``fiber`` slices the domain at ``Domain.base_point(t)`` and keeps the packed
 point as ``FiberDomain.t``; the fiberwise transforms of ``prekopa`` and
 ``bergman`` read it from the fiber and restrict their weight to it with
 ``WeightField.on_fiber``, which binds the weight's restriction at t once per
@@ -218,7 +220,8 @@ class Ball(Node):
         fib_axes, fib_center = [], []
         for a, c in zip(self.axes, self.center):
             if a < nb:
-                off2 = off2 + (t[a] - c) ** 2
+                d = t[a] - c  # d * d, not pow: a huge offset squares to inf
+                off2 = off2 + d * d
             else:
                 fib_axes.append(a - nb)
                 fib_center.append(c)
@@ -620,17 +623,17 @@ def dist_to_set(node: Node, p):
 # Domains
 
 
-def _as_real_point(p, kind: str, rdim: int) -> np.ndarray:
+def _as_real_point(p, kind: str, rdim: int) -> tuple:
     arr = np.asarray(p)
     if kind == "complex" and arr.dtype.kind == "c":
         if 2 * arr.size != rdim:
             raise InvalidParam(f"expected {rdim // 2} complex coordinates, got {arr.size}")
-        # interleaved (re, im) pairs, in a copy the caller cannot alias
-        return arr.astype(complex).ravel().view(float)
+        # interleaved (re, im) pairs
+        return tuple(arr.astype(complex).ravel().view(float).tolist())
     arr = np.asarray(arr, dtype=float).ravel()
     if arr.size != rdim:
         raise InvalidParam(f"expected a real point of dimension {rdim}, got {arr.size}")
-    return arr
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -668,16 +671,16 @@ class Domain:
     def rdim(self) -> int:
         return self.base_rdim + self.fiber_rdim
 
-    def point(self, p) -> np.ndarray:
+    def point(self, p) -> tuple:
         return _as_real_point(p, self.kind, self.rdim)
 
-    def base_point(self, t) -> np.ndarray:
+    def base_point(self, t) -> tuple:
         """The base coordinates of ``t``, packed as reals: the one place a
         base point is checked for size and packed."""
         return _as_real_point(t, self.kind, self.base_rdim)
 
     def member(self, p, closed: bool = False) -> bool:
-        return bool(self.csg.member(self.point(p).tolist(), closed))
+        return bool(self.csg.member(self.point(p), closed))
 
 
 @dataclass(frozen=True)
@@ -689,15 +692,13 @@ class FiberDomain:
     """
 
     parent: Domain
-    t: np.ndarray
+    t: tuple
     node: Node
     dim: int
 
-    def _point(self, x) -> list:
-        return self.t.tolist() + _as_real_point(x, self.parent.kind, self.dim).tolist()
-
     def member(self, x, closed: bool = False) -> bool:
-        return bool(self.parent.csg.member(self._point(x), closed))
+        x = _as_real_point(x, self.parent.kind, self.dim)
+        return bool(self.parent.csg.member(self.t + x, closed))
 
     def quad_intervals(self) -> list:
         if self.dim != 1:
@@ -717,9 +718,9 @@ class FiberDomain:
 
 
 def fiber(domain: Domain, t) -> FiberDomain:
-    t_arr = domain.base_point(t)
-    node = domain.csg.slice_first(t_arr.tolist(), domain.base_rdim)
-    return FiberDomain(domain, t_arr, node, domain.fiber_rdim)
+    t = domain.base_point(t)
+    return FiberDomain(domain, t, domain.csg.slice_first(t, domain.base_rdim),
+                       domain.fiber_rdim)
 
 
 @dataclass(frozen=True)
@@ -742,8 +743,9 @@ def _ray_directions(dim: int) -> np.ndarray:
     return np.concatenate([eyes, dirs])
 
 
-def _ray_exit_upper_bound(node: Node, p: np.ndarray, lower: float) -> float:
+def _ray_exit_upper_bound(node: Node, q: tuple, lower: float) -> float:
     """Smallest boundary crossing found along a deterministic ray fan."""
+    p = np.array(q)
     best = _INF
     for d in _ray_directions(p.size):
         lam = max(lower, 1e-9)
@@ -767,12 +769,11 @@ def _ray_exit_upper_bound(node: Node, p: np.ndarray, lower: float) -> float:
     return best
 
 
-def _distance_in(node: Node, q: np.ndarray) -> DistanceInfo:
+def _distance_in(node: Node, q: tuple) -> DistanceInfo:
     """Distance from the packed point ``q`` of ``node`` to its complement."""
-    x = q.tolist()
-    if not node.member(x):
-        raise PointOutsideDomain(f"point {x} is not in the domain")
-    v, exact = dist_to_complement(node, x)
+    if not node.member(q):
+        raise PointOutsideDomain(f"point {list(q)} is not in the domain")
+    v, exact = dist_to_complement(node, q)
     if exact:
         return DistanceInfo(float(v), True, 0.0)
     lower = max(float(v), 0.0)
@@ -800,9 +801,9 @@ def fiber_distance(domain: Domain, t, x) -> float:
     sliced node as ``boundary_distance`` measures on a domain."""
     fd = fiber(domain, t)
     q = _as_real_point(x, domain.kind, fd.dim)
-    if not domain.csg.member(fd.t.tolist() + q.tolist()):
+    if not domain.csg.member(fd.t + q):
         raise PointOutsideDomain(
-            f"fiber point {q.tolist()} is not in the slice over {fd.t.tolist()}"
+            f"fiber point {list(q)} is not in the slice over {list(fd.t)}"
         )
     return _distance_in(fd.node, q).value
 
@@ -840,18 +841,23 @@ class AffineFiberMap:
     def fiber_rdim(self) -> int:
         return len(self.x0)
 
-    def at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float).ravel()
-        if t.size != self.base_rdim:
-            raise InvalidParam(f"expected base point of dimension {self.base_rdim}")
-        dt = t - np.array(self.t0)
-        return np.array(self.x0) + np.array(self.mat) @ dt
+    def at(self, t) -> tuple:
+        """Each row of A (t - t0) summed left to right from -0.0, with no BLAS
+        call: a one-column row gives exactly ``x0 + a (t - t0)``."""
+        t = _as_real_point(t, "real", self.base_rdim)
+        dt = [ti - si for ti, si in zip(t, self.t0)]
+        out = []
+        for xi, row in zip(self.x0, self.mat):
+            s = -0.0
+            for aij, dj in zip(row, dt):
+                s = s + aij * dj
+            out.append(xi + s)
+        return tuple(out)
 
     @staticmethod
     def constant(x0, base_rdim: int) -> "AffineFiberMap":
-        x0 = tuple(float(v) for v in np.atleast_1d(x0))
-        return AffineFiberMap(x0, tuple(tuple(0.0 for _ in range(base_rdim)) for _ in x0),
-                              tuple(0.0 for _ in range(base_rdim)))
+        x0, zeros = np.atleast_1d(x0), (0.0,) * base_rdim
+        return AffineFiberMap(x0, (zeros,) * len(x0), zeros)
 
     @staticmethod
     def through(t0, x0, t1, x1) -> "AffineFiberMap":
@@ -859,10 +865,8 @@ class AffineFiberMap:
         t0, t1 = float(t0), float(t1)
         if t0 == t1:
             raise InvalidParam("through() needs distinct base points")
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        slope = (x1 - x0) / (t1 - t0)
-        return AffineFiberMap(tuple(x0), tuple((s,) for s in slope), (t0,))
+        x0, x1 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x0, x1))
+        return AffineFiberMap(x0, [(s,) for s in (x1 - x0) / (t1 - t0)], (t0,))
 
     @staticmethod
     def complex_affine(a0: complex, slope: complex = 0.0, t0: complex = 0.0) -> "AffineFiberMap":
@@ -1007,10 +1011,10 @@ def midpoint_closure_check(domain: Domain, p0, p1) -> MidpointReport:
     a = domain.point(p0)
     b = domain.point(p1)
     for name, q in (("p0", a), ("p1", b)):
-        if not domain.csg.member(q.tolist()):
-            raise PointOutsideDomain(f"{name} = {q.tolist()} is not in the domain")
-    mid = (0.5 * (a + b)).tolist()
-    return MidpointReport(tuple(mid), bool(domain.csg.member(mid, closed=True)))
+        if not domain.csg.member(q):
+            raise PointOutsideDomain(f"{name} = {list(q)} is not in the domain")
+    mid = tuple(0.5 * (ai + bi) for ai, bi in zip(a, b))
+    return MidpointReport(mid, bool(domain.csg.member(mid, closed=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -611,15 +611,13 @@ def minimize_over_fiber(f, fiber, search_box=None):
     and runs downhill there, Unbounded is raised.  Ties on the grid resolve to
     the lexicographically smallest point.  ``f`` and ``fiber.member`` take
     each grid point as a tuple of Python floats.  Returns (argmin, value),
-    the argmin as an ndarray, where the returned value never exceeds f at any
-    evaluated grid node; a NaN value never wins, and where f has no value
-    below +inf on the grid the result is the first grid node in the fiber
-    with +inf.
+    the argmin as the tuple of floats that was scanned, where the returned
+    value never exceeds f at any evaluated grid node; a NaN value never
+    wins, and where f has no value below +inf on the grid the result is the
+    first grid node in the fiber with +inf.
     """
     dim = fiber.dim
-    lo, hi = fiber.bounds()
-    lo = np.array([float(v) for v in lo])
-    hi = np.array([float(v) for v in hi])
+    lo, hi = (np.array(v, dtype=float) for v in fiber.bounds())
     if search_box is not None:
         box = [(float(a), float(b)) for (a, b) in search_box]
         if len(box) != dim:
@@ -690,5 +688,5 @@ def minimize_over_fiber(f, fiber, search_box=None):
         if val < math.inf:
             center = pt
         spacing = np.array([(ax[-1] - ax[0]) / (_GRID_POINTS - 1) for ax in new_axes])
-    return np.array(best_pt), best_val
+    return best_pt, best_val
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParam, NonConvergent, PointOutsideDomain
-from .geometry import AffineFiberMap, Domain, fiber
+from .geometry import AffineFiberMap, Domain, _sum_squares, fiber
 # integrate_1d is unused here but stays importable as prekopa.integrate_1d:
 # perfbench/test_perfbench.py checks that the layer tracer wraps it.
 from .numerics import (integrate_1d, integrate_fiber, minimize_over_fiber,
@@ -53,8 +53,8 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
     fib = fiber(domain, t)
 
     # a huge base point overflows squares in the weight's restriction to the
-    # fiber where a moving center or a packed function computes in numpy;
-    # the weight is then +inf and its density 0, so the warning is noise
+    # fiber where a packed function computes in numpy; the weight is then
+    # +inf and its density 0, so the warning is noise
     with np.errstate(over="ignore"):
         density = w.fiber_density(fib)
         seams = w.fiber_seams(fib.t)
@@ -99,10 +99,13 @@ def localization_rows(w: WeightField, domain: Domain, a: AffineFiberMap,
 
     Each row holds the sharpness index, the twisted marginal at t, the target
     value ``w(t, a(t))``, and the absolute gap.  The gap is expected to shrink
-    like 1/k when a(t) lies in the open fiber.
+    like 1/k when a(t) lies in the open fiber; a target that is not finite
+    raises NonConvergent.
     """
     t_arr = domain.base_point(t)
     target = w.at(t_arr, a.at(t_arr))
+    if not math.isfinite(target):
+        raise NonConvergent(f"weight on the moving center is {target}")
     rows = []
     for k in ks:
         psi = convex_localizer(int(k), a)
@@ -141,20 +144,19 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
         raise InvalidParam("penalty slope k must be positive")
     fib = fiber(domain, t)
     c = a.at(fib.t)
-    if c.size != domain.fiber_rdim:
+    if len(c) != domain.fiber_rdim:
         raise InvalidParam("anchor map does not match the fiber dimension")
 
-    # as in marginal_transform, a huge t overflows to a weight of +inf
+    # as in marginal_transform: only a packed function warns at a huge t
     with np.errstate(over="ignore"):
         weight = w.on_fiber(fib)
 
-        def g(x: np.ndarray) -> float:
+        def g(x) -> float:
             v = weight(x)
             return v if v == math.inf else v + k * _distance(x, c)
         anchor = weight(c) if fib.member(c, closed=True) else None
-        lo, hi = fib.bounds()
         box = None
-        if any(math.isinf(float(v)) for v in tuple(lo) + tuple(hi)):
+        if not np.isfinite(fib.bounds()).all():
             if anchor is None:
                 raise PointOutsideDomain("anchor point is outside the closed fiber")
             if w.lower_bound is None:
@@ -163,7 +165,7 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
             if anchor == math.inf:
                 raise NonConvergent("anchor value is +inf; the search cannot be boxed")
             radius = (anchor - w.lower_bound) / k + 1.0
-            box = [(float(ci) - radius, float(ci) + radius) for ci in c]
+            box = [(ci - radius, ci + radius) for ci in c]
 
         _, val = minimize_over_fiber(g, fib, search_box=box)
     if anchor is not None:
@@ -211,15 +213,14 @@ def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
             raise PointOutsideDomain("probe point is outside the closed domain")
     t0, x0 = p0[:nb], p0[nb:]
     t1, x1 = p1[:nb], p1[nb:]
-    d = t1 - t0
-    denom = float(d @ d)
+    d = [b - a for a, b in zip(t0, t1)]
+    denom = _sum_squares(d)
     if denom == 0.0:
         raise InvalidParam("probe points share the same base point")
-    mat = tuple(tuple(float((x1[i] - x0[i]) * d[j] / denom) for j in range(nb))
+    mat = tuple(tuple((x1[i] - x0[i]) * d[j] / denom for j in range(nb))
                 for i in range(nf))
-    center = AffineFiberMap(tuple(float(v) for v in x0), mat,
-                            tuple(float(v) for v in t0))
-    tm = (t0 + t1) / 2.0
+    center = AffineFiberMap(x0, mat, t0)
+    tm = tuple((a + b) / 2.0 for a, b in zip(t0, t1))
 
     rows = []
     for k in ks:
@@ -236,8 +237,7 @@ def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
         rows.append(MidpointProbeRow(k=int(k), left=left, mid=mid, right=right,
                                      violation=violation))
     verdict = bool(rows and rows[-1].violation > 1.0)
-    return MidpointProbeReport(rows=tuple(rows), midpoint=tuple(float(v) for v in tm),
-                               verdict=verdict)
+    return MidpointProbeReport(rows=tuple(rows), midpoint=tm, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

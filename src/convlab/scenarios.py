@@ -36,8 +36,8 @@ from .geometry import (AffineFiberMap, AnalyticDisc, ball_domain, bidisc,
                        disc_distance_check, disc_region, dumbbell, fiber_distance,
                        full_space, hartogs_figure, midpoint_closure_check,
                        punctured_ball)
-from .weights import (RadialProfile, constant_weight, convex_localizer,
-                      stock_weight, weight_from_fn)
+from .weights import (RadialProfile, WeightField, constant_weight, convex_localizer,
+                      stock_weight)
 
 __all__ = ["Check", "RunReport", "run_scenario", "list_scenarios",
            "scenario_names", "load_defaults", "DEFAULTS_VERSION"]
@@ -326,7 +326,8 @@ def _twisted_nonconvex(p):
            "cone-twisted marginals collapse to the weight value on the moving center")
 def _lemma1(p):
     line = full_space((1, 1))
-    sq = weight_from_fn(lambda q: q[1] * q[1], 1, 1, lower_bound=0.0)
+    sq = WeightField(restrict=lambda t: lambda x: x[0] * x[0], base_rdim=1, fiber_rdim=1,
+                     lower_bound=0.0)
     amap = AffineFiberMap.through(0.0, (0.0,), 1.0, (1.0,))
     rows = prekopa.localization_rows(sq, line, amap, p["ks"], p["t"])
     errs = [r.error for r in rows]

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParam, UnknownName
-from .geometry import AffineFiberMap, FiberDomain
+from .geometry import AffineFiberMap, FiberDomain, _as_real_point
 from .numerics import BallVolume
 
 __all__ = [
@@ -103,12 +103,13 @@ class WeightField:
     ``restrict`` maps a packed base point t to the function ``x -> w(t, x)``
     on the fiber, which returns a float; ``+inf`` is allowed and
     short-circuits ``e^{-w}`` to zero, ``-inf`` and NaN are never produced by
-    the catalog constructors.  Both t and x are sequences of floats read by
-    index: ``on_fiber`` binds t as a tuple of Python floats, and quadrature
-    and the grid minimizer pass x as one (``integrate_fiber``'s point, a
-    grid point), while ``__call__`` passes an ndarray.  ``fn``, the weight
-    on a packed point (base coordinates then fiber coordinates), is derived
-    from it:
+    the catalog constructors.  Both t and x are tuples of Python floats,
+    read by index: ``on_fiber`` binds t as ``FiberDomain.t``, quadrature and
+    the grid minimizer pass x as one (``integrate_fiber``'s point, a grid
+    point), and ``__call__`` packs its point as one too, so a catalog
+    restriction never computes in numpy scalars.  ``fn``, the weight on a
+    packed point (base coordinates then fiber coordinates), is derived from
+    it:
     ``restrict(())`` itself when the base is empty, else
     ``p -> restrict(p[:nb])(p[nb:])``.  It is not a constructor argument, and
     ``dataclasses.replace`` cannot set it.
@@ -152,10 +153,7 @@ class WeightField:
         return self.base_rdim + self.fiber_rdim
 
     def __call__(self, p) -> float:
-        p = np.asarray(p, dtype=float).ravel()
-        if p.size != self.rdim:
-            raise InvalidParam(f"expected a packed point of dimension {self.rdim}")
-        return float(self.fn(p))
+        return float(self.fn(_as_real_point(p, "real", self.rdim)))
 
     def at(self, t, x) -> float:
         return self(np.hstack([t, x]))
@@ -167,11 +165,11 @@ class WeightField:
         t is bound as a tuple of Python floats, and the result takes x as a
         tuple of them too (or an ndarray).  The result is the ``fn`` of a
         fiber-only WeightField, so that it is still one weight evaluation per
-        point.  A catalog restriction's squares of a huge t overflow to inf
-        without a warning, as Python floats do; but a moving center a(t) and
-        a function from ``weight_from_fn`` compute in numpy, which warns.  So
-        a caller that tolerates overflow at huge t calls this, and the
-        result, under its ``np.errstate``.
+        point.  A catalog restriction and a moving center a(t) compute in
+        Python floats, whose squares of a huge t overflow to inf without a
+        warning; only a function from ``weight_from_fn`` computes in numpy,
+        which warns.  So a caller that tolerates overflow at huge t calls
+        this, and the result, under its ``np.errstate``.
 
         Raises InvalidParam when the weight's split is not the domain's."""
         dom = fib.parent
@@ -180,7 +178,7 @@ class WeightField:
                 f"weight split ({self.base_rdim},{self.fiber_rdim}) does not match "
                 f"domain split ({dom.base_rdim},{dom.fiber_rdim})"
             )
-        weight = self.restrict(tuple(fib.t.tolist()))
+        weight = self.restrict(fib.t)
         return WeightField(restrict=lambda t: weight, base_rdim=0,
                            fiber_rdim=self.fiber_rdim).fn
 
@@ -198,7 +196,7 @@ class WeightField:
     def fiber_seams(self, t) -> tuple:
         """The seams' slices at t as ``(fiber center, radius)`` pairs; t is
         bound as a tuple of Python floats."""
-        t = tuple(np.asarray(t, dtype=float).ravel().tolist())
+        t = tuple(map(float, t))
         return tuple(sl for sl in (s.in_fiber(t) for s in self.seams) if sl is not None)
 
     def __add__(self, other: "WeightField") -> "WeightField":
@@ -321,7 +319,7 @@ def _distance(x: Sequence[float], c: Sequence[float]) -> float:
 def _cone_about(cone, a: AffineFiberMap):
     """The restriction of ``cone(|x - a(t)|)``, with a(t) computed once per fiber."""
     def restrict(t):
-        c = a.at(t).tolist()
+        c = a.at(t)
         return lambda x: cone(_distance(x, c))
 
     return restrict

@@ -110,6 +110,22 @@ def test_min_principle_at_a_huge_base_point_is_a_numerical_failure(tmp_path, mon
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, key, message", [
+    # x^2 on the moving center a(t) = t is +inf, so no localization gap exists
+    ("lemma1", "t", "moving center is inf"),
+    # the witness disc reaches w = 1e200, far outside the Hartogs figure
+    ("psh-delta", "witness_radius", "is not in the slice"),
+])
+def test_a_huge_input_is_a_numerical_failure(name, key, message, tmp_path, monkeypatch):
+    data = load_defaults()
+    data["scenarios"][name][key] = 1e200
+    code, err = _run_with_defaults(data, name, tmp_path, monkeypatch)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 # every int parameter of the packaged defaults, lists of ints included
 INT_PARAMETERS = [(name, key) for name, params in load_defaults()["scenarios"].items()
                   for key, value in params.items()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from convlab.geometry import (
     AnalyticDisc,
     Ball,
     Domain,
+    Empty,
     Intersection,
     Union,
     ball_domain,
@@ -103,6 +105,13 @@ class TestFiberSlices:
         dom = dumbbell(bulge=0.3, neck=0.02)
         np.testing.assert_allclose(fiber_distance(dom, (0.0,), (0.0,)), 0.02)
 
+    @pytest.mark.parametrize("t", [1e200, -1e200, 1.7e308])
+    def test_a_huge_base_offset_slices_a_ball_to_nothing(self, t):
+        # the square of the offset leaves the float range: inf, not OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fiber(ball_domain((1, 1)), t).node == Empty()
+
 
 class TestMidpointClosure:
     def test_dumbbell_drops_the_midpoint(self):
@@ -118,6 +127,65 @@ class TestMidpointClosure:
         rep = midpoint_closure_check(punctured_ball(split=(1, 1), radius=1.0), (-0.5, 0.0), (0.5, 0.0))
         assert rep.midpoint == (0.0, 0.0)
         assert rep.in_closure
+
+
+def floats(p) -> tuple:
+    """The type of a packed point and of each coordinate."""
+    return (type(p), *map(type, p))
+
+
+class TestPackedPoints:
+    """One packed point is a tuple of Python floats, whatever the input."""
+
+    @pytest.mark.parametrize("domain, p", [
+        (ball_domain((1, 1)), np.array([0.1, 0.2])),
+        (ball_domain((1, 1)), [np.float32(0.1), 0.2]),
+        (bidisc(), (0.1 + 0.2j, np.complex64(0.3j))),
+    ])
+    def test_points_base_points_and_fibers(self, domain, p):
+        nb = domain.split[0]
+        for got in (domain.point(p), domain.base_point(p[:nb]), fiber(domain, p[:nb]).t):
+            assert floats(got) == (tuple, *[float] * len(got))
+        assert domain.base_point(p[:nb]) == domain.point(p)[:domain.base_rdim]
+
+    @pytest.mark.parametrize("a", [
+        AffineFiberMap.through(0.0, 0.0, 1.0, 1.0),
+        AffineFiberMap.through(-0.3, (0.1, 2.0), 0.7, (-1.3, 0.4)),
+        AffineFiberMap.constant((0.7, -0.2), base_rdim=1),
+        AffineFiberMap.constant((0.7, -0.2), base_rdim=2),
+    ])
+    def test_at_gives_the_bits_of_the_matrix_product(self, a):
+        # one column, or none that is not zero: x0 + A (t - t0) has a single
+        # product per row, so numpy's matmul and the row sum agree bit for bit
+        rng = np.random.default_rng(7)
+        pts = [*rng.uniform(-3.0, 3.0, (64, a.base_rdim)), a.t0, (1e200,) * a.base_rdim]
+        for t in pts:
+            got = a.at(t)
+            with np.errstate(over="ignore"):
+                want = np.array(a.x0) + np.array(a.mat) @ (np.asarray(t) - np.array(a.t0))
+            assert floats(got) == (tuple, *[float] * a.fiber_rdim)
+            assert np.array(got).tobytes() == want.tobytes()
+
+    def test_at_sums_each_row_left_to_right(self):
+        a0, s, t0 = 0.2 - 0.1j, 0.5 + 1.3j, 0.1 + 0.7j
+        a = AffineFiberMap.complex_affine(a0, s, t0)
+        rng = np.random.default_rng(7)
+        for t in rng.uniform(-3.0, 3.0, (64, 2)).tolist():
+            d0, d1 = t[0] - t0.real, t[1] - t0.imag
+            want = (a0.real + (s.real * d0 + -s.imag * d1),
+                    a0.imag + (s.imag * d0 + s.real * d1))
+            assert a.at(t) == want
+            assert floats(a.at(t)) == (tuple, float, float)
+
+    def test_the_minimizer_returns_the_tuple_it_scanned(self):
+        seen = []
+
+        def f(p):
+            seen.append(p)
+            return (p[0] - 0.3) ** 2
+        arg, _ = minimize_over_fiber(f, fiber(box_domain((-1.0,), (2.0,), (0, 1)), ()))
+        assert floats(arg) == (tuple, float)
+        assert any(p is arg for p in seen)
 
 
 class TestAffineFiberMap:
@@ -333,9 +401,9 @@ class TestBatchedRules:
             want = np.empty(12)
             want[0::2] = flat.real
             want[1::2] = flat.imag
-            assert got.tobytes() == want.tobytes()
-            assert not np.shares_memory(got, p)
-        assert geometry._as_real_point(0.3 - 0.2j, "complex", 2).tolist() == [0.3, -0.2]
+            assert (type(got), *map(type, got)) == (tuple, *[float] * 12)
+            assert np.array(got).tobytes() == want.tobytes()
+        assert geometry._as_real_point(0.3 - 0.2j, "complex", 2) == (0.3, -0.2)
 
     def test_reports_hold_python_scalars(self):
         info = boundary_distance(bidisc(), (0.3 + 0j, 0.1j))

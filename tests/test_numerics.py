@@ -659,13 +659,13 @@ class TestMinimizeOverFiber:
         fib = fiber(domain, ())
         arg, _ = minimize_over_fiber(g, Spy(fib), search_box=box)
         assert seen == {(who, tuple, *[float] * fib.dim) for who in ("member", "f")}
-        assert type(arg) is np.ndarray and arg.shape == (fib.dim,)
+        assert (type(arg), *map(type, arg)) == (tuple, *[float] * fib.dim)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_everywhere_gives_the_first_node_and_infinity(self):
         fd = fiber(full_space(split=(0, 1)), ())
         arg, val = minimize_over_fiber(lambda x: math.inf, fd, search_box=((-1.0, 2.0),))
-        assert arg.tolist() == [-1.0] and val == math.inf
+        assert arg == (-1.0,) and val == math.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_never_wins_over_a_finite_value(self):

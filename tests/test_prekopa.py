@@ -30,7 +30,8 @@ from convlab.prekopa import (
     twisted_marginal,
 )
 from convlab.scenarios import load_defaults, run_scenario, scenario_names
-from convlab.weights import constant_weight, convex_localizer, stock_weight, weight_from_fn
+from convlab.weights import (WeightField, constant_weight, convex_localizer, stock_weight,
+                             weight_from_fn)
 
 STRIP = full_space(split=(1, 1))
 ANCHOR_ZERO = AffineFiberMap.constant(0.0, base_rdim=1)
@@ -59,16 +60,28 @@ class TestForwardTransform:
             rtol=1e-12,
         )
 
-    @pytest.mark.parametrize("twisted", [False, True])
-    def test_huge_base_point_warns_nothing(self, twisted):
-        # the dent's restriction squares t once per fiber, and that square
-        # overflows; the weight is +inf on the whole fiber and the mass is 0
-        w = stock_weight("prekopa_cex", eps=0.1)
-        if twisted:
-            w = w + convex_localizer(8, MOVING)
+    HUGE_T_WEIGHTS = {
+        "dent": stock_weight("prekopa_cex", eps=0.1),
+        "twisted": stock_weight("prekopa_cex", eps=0.1) + convex_localizer(8, MOVING),
+        # a packed function squares in numpy, which warns but for the guard
+        "packed-function": weight_from_fn(lambda p: float(p[0] ** 2 + p[1] ** 2), 1, 1,
+                                          lower_bound=0.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HUGE_T_WEIGHTS))
+    @pytest.mark.parametrize("t", [2.5e307, 1e200])
+    def test_huge_base_point_warns_nothing(self, name, t):
+        # the restriction squares t, and that square overflows; the weight is
+        # +inf on the whole fiber and the mass is 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert marginal_transform(w, STRIP, 2.5e307) == math.inf
+            assert marginal_transform(self.HUGE_T_WEIGHTS[name], STRIP, t) == math.inf
+
+    def test_huge_base_point_outside_a_ball_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert marginal_transform(constant_weight(0.0, 1, 1), ball_domain((1, 1)),
+                                      1e200) == math.inf
 
     def test_empty_fiber_gives_infinity(self):
         dom = ball_domain(split=(1, 1), radius=1.0)
@@ -223,6 +236,14 @@ class TestLocalization:
         assert errs[0] > errs[1] > errs[2]
         np.testing.assert_allclose(rows[0].value, 0.875460923604, rtol=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_infinite_target_is_a_numerical_failure(self):
+        # x^2 at a(t) = t squares to +inf: no gap to the target can be measured
+        w = WeightField(restrict=lambda t: lambda x: x[0] * x[0], base_rdim=1,
+                        fiber_rdim=1, lower_bound=0.0)
+        with pytest.raises(NonConvergent, match="moving center is inf"):
+            localization_rows(w, STRIP, MOVING, (8, 16), 1e200)
+
     def test_twist_requires_a_certified_bound(self):
         w = quadratic_weight()
         bad = weight_from_fn(lambda p: 0.0, 1, 1)  # no lower bound
@@ -298,7 +319,7 @@ class TestMinPrinciple:
     def test_fiber_infimum_at_a_huge_base_point_is_infinite(self):
         w = stock_weight("minprinciple_cex")
         arg, val = infimum_over_fiber(w, STRIP, 1e200, search_box=((-3.0, 3.0),))
-        assert arg.tolist() == [-3.0] and val == math.inf
+        assert arg == (-3.0,) and val == math.inf
 
 
 class TestMidpointProbe:

@@ -29,7 +29,7 @@ ORIGIN2 = AffineFiberMap.constant((0.0, 0.0), base_rdim=0)
 
 def slices(w, t):
     """The weight's seams at t as (center list, radius) pairs."""
-    return [(c.tolist(), r) for (c, r) in w.fiber_seams(t)]
+    return [(list(c), r) for (c, r) in w.fiber_seams(t)]
 
 
 class TestConvexLocalizer:
@@ -198,7 +198,7 @@ class TestSphereSeam:
     def test_a_fixed_sphere_slices_by_the_base_offset(self):
         seam = SphereSeam(AffineFiberMap.constant((0.5,), 2), 0.5, base_center=(0.1, -0.2))
         c, r = seam.in_fiber(np.array([0.3, 0.1]))
-        assert c.tolist() == [0.5]
+        assert c == (0.5,)
         assert r == math.sqrt(0.5 * 0.5 - ((0.3 - 0.1) ** 2 + (0.1 + 0.2) ** 2))
 
     def test_a_tangent_fiber_has_no_slice(self):
@@ -236,8 +236,8 @@ class TestFiberSeams:
             with np.errstate(over="ignore"):
                 want = [sl for sl in (seam.in_fiber(arr) for seam in w.seams) if sl is not None]
             got = w.fiber_seams(t)
-            assert [(c.tolist(), r.hex()) for (c, r) in got] == \
-                [(c.tolist(), float(r).hex()) for (c, r) in want]
+            assert [(c, r.hex()) for (c, r) in got] == \
+                [(c, float(r).hex()) for (c, r) in want]
 
 
 class TestRadialProfile:
@@ -459,6 +459,24 @@ class TestFiberRestriction:
         w.fiber_density(fib)
         assert [(type(t), *map(type, t)) for t in seen] == [(tuple, float, float)] * 2
         assert seen == [(0.25, -1.5)] * 2
+
+    def test_a_packed_point_reaches_the_restriction_as_floats(self):
+        seen = []
+
+        def restrict(t):
+            seen.append((type(t), *map(type, t)))
+
+            def weight(x):
+                seen.append((type(x), *map(type, x)))
+                return t[0] * t[0] + x[0] * x[0]
+            return weight
+
+        w = WeightField(restrict=restrict, base_rdim=1, fiber_rdim=1)
+        assert w(np.array([0.5, 0.25])) == w.at(0.5, (np.float32(0.25),)) == 0.3125
+        assert seen == [(tuple, float)] * 4
+        with warnings.catch_warnings():  # Python floats square to inf silently
+            warnings.simplefilter("error")
+            assert w.at(1e200, 0.0) == math.inf
 
     def test_a_marginal_hands_its_restriction_floats_only(self):
         # t once per fiber, and every quadrature point x, as tuples of floats
