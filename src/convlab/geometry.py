@@ -979,11 +979,14 @@ def disc_distance_check(domain: Domain, disc: AnalyticDisc,
     d_boundary = d_disc = _INF
     for on_boundary, w in _disc_samples(n_boundary, n_interior):
         p = disc.eval_real(w)
-        inside = domain.csg.member(p)
-        if not inside.all():
-            first = complex(w[np.argmin(inside)])
-            raise DiscEscapesDomain(f"disc point at w={first!r} leaves the domain")
-        v, e = dist_to_complement(domain.csg, p)
+        # a batch square past the float range is inf with no warning, as a
+        # float's is; guarded here, once per chunk, the per-point path pays nothing
+        with np.errstate(over="ignore"):
+            inside = domain.csg.member(p)
+            if not inside.all():
+                first = complex(w[np.argmin(inside)])
+                raise DiscEscapesDomain(f"disc point at w={first!r} leaves the domain")
+            v, e = dist_to_complement(domain.csg, p)
         exact_all = exact_all and bool(np.all(e))
         chunk_min = float(v.min())
         d_disc = min(d_disc, chunk_min)

@@ -51,19 +51,14 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
     integrands are still integrated at full accuracy.
     """
     fib = fiber(domain, t)
-
-    # a huge base point overflows squares in the weight's restriction to the
-    # fiber where a packed function computes in numpy; the weight is then
-    # +inf and its density 0, so the warning is noise
-    with np.errstate(over="ignore"):
-        density = w.fiber_density(fib)
-        seams = w.fiber_seams(fib.t)
-        if fib.dim == 1:
-            ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]
-            mass = integrate_fiber(density, fib,
-                                   point_seams=skirt_ladder(ends, w.decay_rate))
-        else:
-            mass = integrate_fiber(density, fib, circle_seams=seams)
+    density = w.fiber_density(fib)
+    seams = w.fiber_seams(fib.t)
+    if fib.dim == 1:
+        ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]
+        mass = integrate_fiber(density, fib,
+                               point_seams=skirt_ladder(ends, w.decay_rate))
+    else:
+        mass = integrate_fiber(density, fib, circle_seams=seams)
     if mass <= 0.0:
         return math.inf
     return -math.log(mass)
@@ -125,8 +120,7 @@ def infimum_over_fiber(w: WeightField, domain: Domain, t, search_box=None):
     Returns (argmin, value).  Unbounded fibers need an explicit search box.
     """
     fib = fiber(domain, t)
-    with np.errstate(over="ignore"):  # as in min_principle_transform
-        return minimize_over_fiber(w.on_fiber(fib), fib, search_box=search_box)
+    return minimize_over_fiber(w.on_fiber(fib), fib, search_box=search_box)
 
 
 def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
@@ -147,27 +141,25 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
     if len(c) != domain.fiber_rdim:
         raise InvalidParam("anchor map does not match the fiber dimension")
 
-    # as in marginal_transform: only a packed function warns at a huge t
-    with np.errstate(over="ignore"):
-        weight = w.on_fiber(fib)
+    weight = w.on_fiber(fib)
 
-        def g(x) -> float:
-            v = weight(x)
-            return v if v == math.inf else v + k * _distance(x, c)
-        anchor = weight(c) if fib.member(c, closed=True) else None
-        box = None
-        if not np.isfinite(fib.bounds()).all():
-            if anchor is None:
-                raise PointOutsideDomain("anchor point is outside the closed fiber")
-            if w.lower_bound is None:
-                raise InvalidParam(
-                    "unbounded fiber: the weight needs a lower bound to box the search")
-            if anchor == math.inf:
-                raise NonConvergent("anchor value is +inf; the search cannot be boxed")
-            radius = (anchor - w.lower_bound) / k + 1.0
-            box = [(ci - radius, ci + radius) for ci in c]
+    def g(x) -> float:
+        v = weight(x)
+        return v if v == math.inf else v + k * _distance(x, c)
+    anchor = weight(c) if fib.member(c, closed=True) else None
+    box = None
+    if not np.isfinite(fib.bounds()).all():
+        if anchor is None:
+            raise PointOutsideDomain("anchor point is outside the closed fiber")
+        if w.lower_bound is None:
+            raise InvalidParam(
+                "unbounded fiber: the weight needs a lower bound to box the search")
+        if anchor == math.inf:
+            raise NonConvergent("anchor value is +inf; the search cannot be boxed")
+        radius = (anchor - w.lower_bound) / k + 1.0
+        box = [(ci - radius, ci + radius) for ci in c]
 
-        _, val = minimize_over_fiber(g, fib, search_box=box)
+    _, val = minimize_over_fiber(g, fib, search_box=box)
     if anchor is not None:
         val = min(val, anchor)
     return float(val)

@@ -4,8 +4,11 @@ A :class:`WeightField` is a weight w(t, x) on base x fiber, given by its fiber
 restriction ``restrict``: t -> (x -> w(t, x)), which computes the terms that
 depend on t alone once per fiber; every transform evaluates a weight through
 it.  The weight on a packed point, ``fn``, is derived from it and cannot be
-set, and ``weight_from_fn`` is the only place that packs (t, x).  With the
-restriction come the metadata the transforms need:
+set, and ``weight_from_fn`` is the only place that packs (t, x): its
+function receives the point as a tuple of Python floats, and an
+OverflowError there is +inf when the weight has a lower bound and
+NonConvergent when it has none.  With the restriction come the metadata the
+transforms need:
 
 * a certified global lower bound, required before a weight may be used as a
   twist (the integrals only stay finite because ``e^{-weight}`` is bounded);
@@ -35,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParam, UnknownName
+from .errors import InvalidParam, NonConvergent, UnknownName
 from .geometry import AffineFiberMap, FiberDomain, _as_real_point
 from .numerics import BallVolume
 
@@ -163,13 +166,11 @@ class WeightField:
         ``restrict(t)``, ``x -> w(t, x)`` with the t-only terms bound once, here.
 
         t is bound as a tuple of Python floats, and the result takes x as a
-        tuple of them too (or an ndarray).  The result is the ``fn`` of a
-        fiber-only WeightField, so that it is still one weight evaluation per
-        point.  A catalog restriction and a moving center a(t) compute in
-        Python floats, whose squares of a huge t overflow to inf without a
-        warning; only a function from ``weight_from_fn`` computes in numpy,
-        which warns.  So a caller that tolerates overflow at huge t calls
-        this, and the result, under its ``np.errstate``.
+        tuple of them too.  The result is the ``fn`` of a fiber-only
+        WeightField, so that it is still one weight evaluation per point.
+        A huge t gives no warning: a catalog restriction squares Python
+        floats, which overflow to +inf, and a function from
+        ``weight_from_fn`` is +inf or NonConvergent there, as it documents.
 
         Raises InvalidParam when the weight's split is not the domain's."""
         dom = fib.parent
@@ -255,10 +256,24 @@ def _combine_radial(a: WeightField, b: WeightField):
 def weight_from_fn(fn, base_rdim: int, fiber_rdim: int, *, lower_bound=None,
                    seams=(), radial_center=None, radial_fn=None) -> WeightField:
     """A weight from ``fn`` on a packed point (base coordinates, then fiber
-    coordinates).  Its restriction packs (t, x) into one ndarray at every
-    point, so ``fn`` receives an ndarray whatever sequences of floats t and x
-    are; this is the only place a point is packed."""
-    restrict = lambda t: lambda x: fn(np.array((*t, *x)))
+    coordinates).  Its restriction packs (t, x) into one tuple at every
+    point, so ``fn`` receives a tuple of Python floats; this is the only
+    place a point is packed.
+
+    Python floats raise OverflowError where numpy returns inf (``x ** 2`` at
+    1e200).  A weight with a lower bound can only overflow upward, so there
+    it is +inf; without one the sign is unknown, and the point raises
+    NonConvergent."""
+    def restrict(t):
+        def weight(x):
+            try:
+                return fn((*t, *x))
+            except OverflowError:
+                if lower_bound is None:
+                    raise NonConvergent(
+                        "weight overflowed, and no lower bound gives its sign") from None
+                return _INF
+        return weight
     return WeightField(restrict=restrict, base_rdim=base_rdim, fiber_rdim=fiber_rdim,
                        lower_bound=lower_bound, seams=tuple(seams),
                        radial_center=radial_center, radial_fn=radial_fn)

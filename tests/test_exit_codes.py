@@ -116,6 +116,9 @@ def test_min_principle_at_a_huge_base_point_is_a_numerical_failure(tmp_path, mon
     ("lemma1", "t", "moving center is inf"),
     # the witness disc reaches w = 1e200, far outside the Hartogs figure
     ("psh-delta", "witness_radius", "is not in the slice"),
+    # a batch of disc samples squares 1e200 past the float range
+    ("disc-distance", "witness_slope", "leaves the domain"),
+    ("disc-distance", "const_fiber", "leaves the domain"),
 ])
 def test_a_huge_input_is_a_numerical_failure(name, key, message, tmp_path, monkeypatch):
     data = load_defaults()
@@ -123,6 +126,18 @@ def test_a_huge_input_is_a_numerical_failure(name, key, message, tmp_path, monke
     code, err = _run_with_defaults(data, name, tmp_path, monkeypatch)
     assert code == 2
     assert message in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ts", [[0.0, 1e200], [1e200, 0.0]])
+def test_an_infinite_sample_passes_in_either_order(ts, tmp_path, monkeypatch):
+    # at t = 1e200 the quadrature and the closed form are both +inf, which is
+    # no error, wherever that sample comes
+    data = load_defaults()
+    data["scenarios"]["prekopa-cex"]["sample_ts"] = ts
+    code, err = _run_with_defaults(data, "prekopa-cex", tmp_path, monkeypatch)
+    assert code == 0
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 

@@ -63,7 +63,7 @@ class TestForwardTransform:
     HUGE_T_WEIGHTS = {
         "dent": stock_weight("prekopa_cex", eps=0.1),
         "twisted": stock_weight("prekopa_cex", eps=0.1) + convex_localizer(8, MOVING),
-        # a packed function squares in numpy, which warns but for the guard
+        # a packed function squares Python floats, which raise OverflowError
         "packed-function": weight_from_fn(lambda p: float(p[0] ** 2 + p[1] ** 2), 1, 1,
                                           lower_bound=0.0),
     }
@@ -290,12 +290,35 @@ class TestMinPrinciple:
         convex_localizer(3, MOVING),
     ], ids=["packed-function", "moving-cone"])
     def test_huge_base_point_on_a_bounded_fiber_warns_nothing(self, w):
-        # a packed function gets an ndarray and the minimizer passes ndarray
-        # points, so these squares of t = 1e200 overflow in numpy scalars; the
-        # weight is +inf on the whole fiber, which is then the infimum
+        # these squares of t = 1e200 leave the float range; the weight is
+        # +inf on the whole fiber, which is then the infimum
         dom = box_domain((-1e300, -1.0), (1e300, 1.0), split=(1, 1))
         assert min_principle_transform(w, dom, ANCHOR_ZERO, 1.0, 1e200) == math.inf
         assert infimum_over_fiber(w, dom, 1e200)[1] == math.inf
+
+    HUGE_T_TRANSFORMS = {
+        "marginal": lambda w, dom: marginal_transform(w, dom, 1e200),
+        "infimum": lambda w, dom: infimum_over_fiber(w, dom, 1e200)[1],
+        "min-principle": lambda w, dom: min_principle_transform(w, dom, ANCHOR_ZERO,
+                                                                1.0, 1e200),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HUGE_T_TRANSFORMS))
+    def test_an_overflowing_packed_function_is_infinite_when_bounded_below(self, name):
+        # p[0] ** 2 raises OverflowError on floats; a lower bound signs it +inf
+        dom = box_domain((-1e300, -1.0), (1e300, 1.0), split=(1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.HUGE_T_TRANSFORMS[name](quadratic_weight(), dom) == math.inf
+
+    @pytest.mark.parametrize("name", sorted(HUGE_T_TRANSFORMS))
+    def test_an_overflowing_packed_function_without_a_bound_does_not_converge(self, name):
+        w = weight_from_fn(lambda p: p[0] ** 2 + p[1] ** 2, 1, 1)
+        dom = box_domain((-1e300, -1.0), (1e300, 1.0), split=(1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent, match="no lower bound"):
+                self.HUGE_T_TRANSFORMS[name](w, dom)
 
     def test_distance_takes_no_blas_dot(self, monkeypatch):
         # on a two-dimensional fiber np.linalg.norm is a BLAS dot, whose bits

@@ -13,6 +13,7 @@ from convlab.scenarios import (
     DEFAULTS_VERSION,
     Check,
     RunReport,
+    _max_error,
     list_scenarios,
     load_defaults,
     run_scenario,
@@ -85,6 +86,16 @@ class TestRegistry:
         check = next(c for c in rep.checks if c.name == "fiber-infimum-convex-envelope")
         assert check.detail["rows"][1]["value"] == check.detail["rows"][1]["target"] == math.inf
         assert check.passed and rep.passed
+
+
+@pytest.mark.parametrize("pairs, want", [
+    ([(math.nan, 0.0), (0.0, 0.5)], math.nan),  # a NaN error is never hidden
+    ([(math.inf, math.inf), (0.0, 0.5)], 0.5),  # equal infinities are no error
+], ids=["nan", "inf"])
+def test_max_error_is_the_same_in_either_order(pairs, want):
+    for order in (pairs, pairs[::-1]):
+        got, ref = zip(*order)
+        assert repr(_max_error(got, ref)) == repr(want)
 
 
 def _no_bare_constant(name):
