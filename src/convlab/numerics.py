@@ -27,9 +27,14 @@ values to four sums against the Kronrod and Gauss weights: the Kronrod
 value, the Gauss value, the absolute-value integral and the residual about
 the panel mean.  Each sum is a plain sum, left to right over the ascending
 nodes, whatever the values are.  Numbers (the marginals of every Prekopa
-check, every radial moment) are summed in plain Python; arrays (the Gram
-tensor) are summed a whole row at a time, in the same order.  Nothing in a
-panel calls BLAS, so no panel depends on OpenBLAS's CPU kernels.
+check, every radial moment) are summed in plain Python, each sum written out
+as one expression, ``zero + k0 * v0 + k1 * v1 + ... + k0 * v14``: Python's
+``+`` is left-associative, so the expression adds term by term in node
+order, with no loop.  The builtin ``sum()`` is not used, because from Python
+3.12 on it compensates float sums, and neither is ``math.fsum``; either
+would round otherwise than the array sums.  Arrays (the Gram tensor) are
+summed a whole row at a time, in the same order.  Nothing in a panel calls
+BLAS, so no panel depends on OpenBLAS's CPU kernels.
 
 Inside the module there is one integrand protocol, batched: ``_panel_rule``,
 ``_adaptive_segments`` and ``_tail_windows`` take an integrand over a
@@ -43,12 +48,15 @@ and ``sum(axis=0)`` adds the rows one after another only on a C-ordered
 stack; so ``_panel_rule`` makes its stack C-ordered, and every batched
 integrand may rely on that.
 
-Each node reaches ``f`` as a Python float, and each point of a fiber as a
-tuple of them, ``(x,)`` or ``(x, y)``.  Numpy scalars would give the same
-IEEE results for every operation allowed below, at several times the cost
-per operation, so a scalar integrand computes in Python floats from node to
-value unless it brings numpy values of its own.  The rule below holds for a
-factor as for any batched integrand.
+Each node reaches ``f`` as a Python float, formed as ``mid + half * u`` in
+Python floats (two roundings, as numpy's array expression rounds them), and
+each point of a fiber as a tuple of them, ``(x,)`` or ``(x, y)``.  Numpy
+scalars would give the same IEEE results for every operation allowed below,
+at several times the cost per operation, so a scalar integrand computes in
+Python floats from node to value unless it brings numpy values of its own
+(the randomized test suites draw their coefficients as Python floats for
+this reason).  The rule below holds for a factor as for any batched
+integrand.
 
 The same results must not depend on numpy's SIMD level either.  Some numpy
 ufuncs (exp, log, log1p, powers other than squares) have AVX-512 kernels
@@ -135,14 +143,13 @@ _WG = (
     0.417959183673469,
 )
 
-# Ascending node layout with matching Kronrod weights, and the Gauss weights
-# of the odd-indexed Kronrod nodes, which are the Gauss nodes.
-_NODES = np.array([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7])])
+# Ascending node layout, as Python floats, with matching Kronrod weights, and
+# the Gauss weights of the odd-indexed Kronrod nodes, which are the Gauss
+# nodes.  The weight rows serve the array reduction; the scalar one reads
+# the symmetric halves _WGK and _WG directly.
+_NODES_ROW = tuple([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7])])
 _KW = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
 _GW = np.array(list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3])))
-# The same rows as Python floats for the scalar reduction.
-_KW_ROW = tuple(_KW.tolist())
-_GW_ROW = tuple(_GW.tolist())
 
 # Quadrature: the panel-error budget max(abs_tol, _REL_TOL * |I|) and the
 # panel cap of one adaptive pass.  An improper integral integrates a core of
@@ -211,14 +218,16 @@ def _panel_rule(f, a: float, b: float):
     the QUADPACK rescaling: sharp for smooth panels, conservative near
     integrable singularities, floored at the roundoff level of the panel.
     ``f`` is batched: it takes the 15 nodes, ascending, as a list of Python
-    floats and returns their values, as a list of 15 or as an array whose
-    first axis runs over the nodes (``integrate_1d`` builds it).  A panel
-    with a non-finite node value gives an infinite value and error, and so
-    does an integrand that raises OverflowError or ZeroDivisionError.  Every
-    sum runs left to right over the ascending nodes.  Node values with one
-    entry each (real or complex numbers of any numeric type, 0-d and
-    single-entry arrays) are reduced by ``_scalar_rule`` as Python floats or
-    complexes; a list of Python floats is passed on as it is.  Larger values
+    floats (``mid + half * u`` for each node ``u`` of [-1, 1]) and returns
+    their values, as a list of 15 or as an array whose first axis runs over
+    the nodes (``integrate_1d`` builds it).  A panel with a non-finite node
+    value gives an infinite value and error, and so does an integrand that
+    raises OverflowError or ZeroDivisionError.  Every sum runs left to right
+    over the ascending nodes.  Node values with one entry each (real or
+    complex numbers of any numeric type, 0-d and single-entry arrays) are
+    reduced by ``_scalar_rule`` as Python floats or complexes; a list of
+    Python floats is passed on as it is, so a scalar panel makes no numpy
+    call from node to sum.  Larger values
     are stacked to a C-ordered ``(15, m)`` array, and ``sum(axis=0)`` adds
     whole rows one after another: the same order.  The C order is made here,
     because a batched product can come back in another memory layout, on
@@ -229,7 +238,7 @@ def _panel_rule(f, a: float, b: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     try:
-        vals = f((mid + half * _NODES).tolist())
+        vals = f([mid + half * u for u in _NODES_ROW])
         if type(vals) is list and all(type(v) is float for v in vals):
             return _scalar_rule(vals, half, -0.0)
         stack = np.ascontiguousarray(vals)  # (15, *shape)
@@ -269,25 +278,36 @@ def _scalar_rule(vals, half: float, zero):
 
     Each sum runs left to right over the ascending nodes from ``zero``, the
     additive identity -0.0 of the values' type, so it equals a cumulative
-    sum of the weighted values.
+    sum of the weighted values, written out as one left-associative
+    expression over the unpacked values and the symmetric weights (the
+    module docstring says why not ``sum()``); ``abs()`` of a complex value
+    is its ``hypot``.
     A sum of |f| or of the residual beyond the float range makes the panel
     non-finite, as a non-finite node value does; otherwise value and error
     are finite.  The rescaling takes its power only below 1, where
     ``min(1, s ** 1.5)`` needs it, so ``**`` never overflows.
     """
-    resk = resg = zero
-    resabs = resasc = -0.0
-    for v, w in zip(vals, _KW_ROW):
-        resk = resk + w * v
-        resabs = resabs + w * abs(v)
-    for v, w in zip(vals[1::2], _GW_ROW):
-        resg = resg + w * v
-    resk = resk * half
-    resg = resg * half
-    resabs = resabs * abs(half)
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 = vals
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
+    resk = (zero + k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3 + k4 * v4 + k5 * v5
+            + k6 * v6 + k7 * v7 + k6 * v8 + k5 * v9 + k4 * v10 + k3 * v11
+            + k2 * v12 + k1 * v13 + k0 * v14) * half
+    resg = (zero + g0 * v1 + g1 * v3 + g2 * v5 + g3 * v7 + g2 * v9 + g1 * v11
+            + g0 * v13) * half
+    resabs = (-0.0 + k0 * abs(v0) + k1 * abs(v1) + k2 * abs(v2) + k3 * abs(v3)
+              + k4 * abs(v4) + k5 * abs(v5) + k6 * abs(v6) + k7 * abs(v7)
+              + k6 * abs(v8) + k5 * abs(v9) + k4 * abs(v10) + k3 * abs(v11)
+              + k2 * abs(v12) + k1 * abs(v13) + k0 * abs(v14)) * abs(half)
     reskh = resk * 0.5
-    for v, w in zip(vals, _KW_ROW):
-        resasc = resasc + w * abs(v * half - reskh)
+    resasc = (-0.0 + k0 * abs(v0 * half - reskh) + k1 * abs(v1 * half - reskh)
+              + k2 * abs(v2 * half - reskh) + k3 * abs(v3 * half - reskh)
+              + k4 * abs(v4 * half - reskh) + k5 * abs(v5 * half - reskh)
+              + k6 * abs(v6 * half - reskh) + k7 * abs(v7 * half - reskh)
+              + k6 * abs(v8 * half - reskh) + k5 * abs(v9 * half - reskh)
+              + k4 * abs(v10 * half - reskh) + k3 * abs(v11 * half - reskh)
+              + k2 * abs(v12 * half - reskh) + k1 * abs(v13 * half - reskh)
+              + k0 * abs(v14 * half - reskh))
     if not (resabs < math.inf and resasc < math.inf):  # also false for NaN
         return math.inf, math.inf
 
@@ -423,7 +443,7 @@ def _tail_windows(f, start: float, sign: int, r0: float, abs_tol: float, breakpo
                 f"tail window [{lo}, {hi}] did not stabilize: {exc}"
             ) from exc
         pieces.append((lo, val))
-        mag = float(np.max(np.abs(val)))
+        mag = abs(val) if type(val) is float else float(np.max(np.abs(val)))
         if mag <= abs_tol / 4.0:
             return pieces
         if prev_mag is not None and mag > prev_mag * (1.0 + 1e-12):

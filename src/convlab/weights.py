@@ -78,17 +78,16 @@ class SphereSeam:
     def in_fiber(self, t):
         """``(fiber center, radius)`` of the slice at t, or None if it is empty.
 
-        t is a sequence of Python floats.  A base offset whose square leaves
-        the float range (``**`` raises OverflowError) leaves the sphere far
-        behind: the slice is empty."""
+        t is a sequence of Python floats.  The base offset is squared as
+        ``d * d``, as ``Ball.slice_first`` squares it, so a seam sphere and a
+        ball slice of the same sphere round alike; an offset whose square
+        leaves the float range squares to inf, and the slice is empty."""
         if self.base_center is None:
             return self.center.at(t), self.radius
         off2 = 0.0
-        try:
-            for ti, bi in zip(t, self.base_center):
-                off2 += (ti - bi) ** 2
-        except OverflowError:
-            return None
+        for ti, bi in zip(t, self.base_center):
+            d = ti - bi
+            off2 += d * d
         rad2 = self.radius * self.radius - off2
         if rad2 <= 0.0:
             return None

@@ -11,6 +11,12 @@ un-shifted marginal, the un-bumped moment table, the reference base point),
 which halves the quadrature bill without weakening anything: every case still
 checks its own freshly randomized instance of the property.
 
+Every coefficient an integrand closes over is a Python float: a scalar draw
+already is one, and a vector draw is unpacked through ``.tolist()``.  So the
+integrands compute in Python floats from node to value, as ``numerics``
+asks; numpy scalars would give the same bits at several times the cost per
+operation.
+
 Summary shape::
 
     {"suite": str, "cases": int, "failures": [str, ...], "worst": {...}}
@@ -60,7 +66,7 @@ def _tilted_gaussian(rng):
     ga = rng.uniform(0.4, 3.0)
     be = rng.uniform(-1.2, 1.2)
     al = be * be / ga + rng.uniform(0.0, 2.5)
-    t0, x0 = rng.uniform(-1.0, 1.0, 2)
+    t0, x0 = rng.uniform(-1.0, 1.0, 2).tolist()
     c = rng.uniform(-1.0, 1.0)
 
     def fn(p, al=al, be=be, ga=ga, t0=t0, x0=x0, c=c):
@@ -84,7 +90,7 @@ def _nonneg_quadratic_twist(rng):
 
 
 def _radial_quartic(rng, cutoff):
-    a2, a4 = rng.uniform(0.0, 2.0, 2)
+    a2, a4 = rng.uniform(0.0, 2.0, 2).tolist()
     return RadialProfile(
         fn=lambda r, a2=a2, a4=a4: a2 * r * r + a4 * r ** 4, cutoff=cutoff)
 
@@ -363,7 +369,7 @@ def product_split_suite(seed: int, cases: int = 1000) -> dict:
     done = 0
 
     for b in range(_batches(cases)):
-        au, bu, cu = rng.uniform(-2.0, 2.0, 3)
+        au, bu, cu = rng.uniform(-2.0, 2.0, 3).tolist()
         ga = rng.uniform(0.4, 3.0)
         x0 = rng.uniform(-1.0, 1.0)
         cv = rng.uniform(-1.0, 1.0)
@@ -378,7 +384,7 @@ def product_split_suite(seed: int, cases: int = 1000) -> dict:
         t_ref = rng.uniform(-1.2, 1.2)
         peel_ref = marginal_transform(w, STRIP, t_ref) - u(t_ref)
 
-        q0, q1, s2 = rng.uniform(-1.0, 1.0, 3)
+        q0, q1, s2 = rng.uniform(-1.0, 1.0, 3).tolist()
         a2 = rng.uniform(0.0, 2.0)
 
         def u2(t, q0=q0, q1=q1, s2=s2):

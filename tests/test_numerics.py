@@ -15,7 +15,7 @@ from convlab.numerics import (
     _GW,
     _KW,
     _MAX_PANELS,
-    _NODES,
+    _NODES_ROW,
     _REL_TOL,
     _panel_rule,
     integrate_1d,
@@ -26,6 +26,7 @@ from convlab.numerics import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+_NODES = np.array(_NODES_ROW)
 
 
 class TestIntegrate1d:
@@ -287,6 +288,39 @@ class TestPanelRule:
         ref_val, ref_err = _cumsum_panel_rule(f, lo, lo + width)
         assert _bits(val) == _bits(ref_val)
         assert err == ref_err
+
+    @given(mid=st.floats(allow_nan=False, allow_infinity=False),
+           half=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    @example(mid=-0.0, half=-0.0)
+    @example(mid=0.0, half=-0.0)
+    @example(mid=-0.0, half=5e-324)
+    @example(mid=5e-324, half=-2.2250738585072014e-308)
+    @example(mid=1.7976931348623157e308, half=1.7976931348623157e308)
+    @example(mid=-1e308, half=1e308)
+    @example(mid=1e300, half=1e-300)
+    def test_nodes_in_python_floats_match_the_array_expression(self, mid, half):
+        # Each node rounds a product and a sum, as numpy's array expression
+        # does, including at overflow, in the subnormal range and at zeros.
+        with np.errstate(over="ignore"):
+            want = (mid + half * _NODES).tolist()
+        got = [mid + half * u for u in _NODES_ROW]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("zero, value", [
+        (-0.0, -0.0), (0.0, 0.0),
+        # a real weight times complex(-0.0, -0.0) is a complex product: +0.0
+        (complex(-0.0, -0.0), complex(0.0, 0.0))])
+    def test_a_panel_of_zeros_keeps_the_signed_zero_start(self, zero, value):
+        # Sums start from -0.0, so a panel of -0.0 values is worth -0.0 (a
+        # +0.0 start would give +0.0), one of +0.0 values +0.0; the error
+        # of either is +0.0, as the left-to-right rule gives it.
+        val, err = _panel_rule(_per_node(lambda x: zero), -1.0, 2.0)
+        ref_val, ref_err = _cumsum_panel_rule(lambda x: zero, -1.0, 2.0)
+        assert type(val) is type(zero)
+        assert _bits(val) == _bits(ref_val) == _bits(value)
+        assert math.copysign(1.0, err) == math.copysign(1.0, ref_err) == 1.0
+        assert err == ref_err == 0.0
 
     @pytest.mark.parametrize("wrap, as_python", [
         (np.float32, float), (np.asarray, float), (lambda v: round(1e6 * v), float),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from convlab import bergman
 from convlab.errors import InvalidParam, UnknownName
-from convlab.geometry import AffineFiberMap, fiber, full_space
+from convlab.geometry import AffineFiberMap, Ball, Empty, fiber, full_space
 from convlab.prekopa import marginal_transform
 from convlab.weights import (
     RadialProfile,
@@ -204,6 +204,31 @@ class TestSphereSeam:
     def test_a_tangent_fiber_has_no_slice(self):
         seam = SphereSeam(AffineFiberMap.constant((0.0,), 2), 0.5, base_center=(0.0, 0.0))
         assert seam.in_fiber(np.array([0.5, 0.0])) is None
+
+    @pytest.mark.parametrize("t", [(1e200, 0.0), (0.0, -1e200), (1e155, 1e155)])
+    def test_a_huge_base_offset_has_no_slice_and_no_warning(self, t):
+        # the offset squares to inf (or to more than the radius squared)
+        seam = SphereSeam(AffineFiberMap.constant((0.0,), 2), 0.5, base_center=(0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert seam.in_fiber(t) is None
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_slices_like_a_ball_to_the_bit(self, seed):
+        # seeded draws have full mantissas, where x ** 2 and x * x can part
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-2.0, 2.0, 2).tolist()
+        radius = float(rng.uniform(0.1, 3.0))
+        seam = SphereSeam(AffineFiberMap.constant((0.25,), 2), radius, base_center=base)
+        sphere = Ball((*base, 0.25), radius, (0, 1, 2))
+        for t in rng.uniform(-2.0, 2.0, (64, 2)).tolist():
+            ball = sphere.slice_first(t, 2)
+            got = seam.in_fiber(t)
+            if isinstance(ball, Empty):
+                assert got is None
+            else:
+                assert got is not None and got[1].hex() == ball.radius.hex()
 
 
 class TestFiberSeams:
