@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import (DivergentIntegral, IllConditioned, InvalidParam,
                      MethodUnavailable, NonConvergent, ZeroKernel)
-from .geometry import (AffineFiberMap, Ball, Domain, Full, boundary_distance,
-                       disc_region, fiber)
+from .geometry import (AffineFiberMap, Domain, boundary_distance, disc_region,
+                       fiber)
 from .numerics import integrate_1d, integrate_fiber, skirt_ladder
 from .weights import RadialProfile, WeightField, lemma3_weight, psh_localizer
 
@@ -578,9 +578,9 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
     Adds the log-cone penalty of sharpness k about the moving center and
     evaluates the kernel at the center by the requested route.  The radial
     route needs the combined weight to be rotation invariant about a(tau) and
-    the fiber to be a full plane or a disc whose center equals a(tau) exactly;
-    anything else raises MethodUnavailable so a silently wrong fast path
-    cannot exist.
+    the fiber to be a full plane or a disc whose center equals a(tau) exactly,
+    which the fiber's node answers through ``disc_radius``; anything else
+    raises MethodUnavailable so a silently wrong fast path cannot exist.
     """
     if domain.kind != "complex" or domain.fiber_rdim != 2:
         raise InvalidParam("kernel curves need one-dimensional complex fibers")
@@ -593,14 +593,9 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
             if combined.radial_fn is None:
                 raise MethodUnavailable(
                     "weight is not rotation invariant about the moving center")
-            node = fiber(domain, t).node
             center = a.at(t)
-            if isinstance(node, Full):
-                cutoff = math.inf
-            elif (isinstance(node, Ball) and tuple(node.axes) == (0, 1)
-                  and node.center == center):
-                cutoff = node.radius
-            else:
+            cutoff = fiber(domain, t).node.disc_radius(center)
+            if cutoff is None:
                 raise MethodUnavailable(
                     "fiber is not a plane or a disc centered on the moving center")
             prof = RadialProfile(

@@ -20,26 +20,29 @@ Three consumers drive the design:
 * the disc criterion wants deterministic sampling of closed analytic discs
   with the boundary samples a literal subset of the disc samples.
 
-Each node class holds its own rules as methods: ``member``, ``slice_first``
-and ``bounds``; ``intervals``, the open-interval decomposition of a
-one-dimensional node; ``critical_points``, the abscissae where a slice can
-change shape; ``dist_to_complement``; and ``dist_outside``, the distance to
-the closure from a point outside it.  A compound node reaches each child's
-``intervals`` and ``critical_points`` directly.  The distance rules go
-through the module functions ``dist_to_complement`` and ``dist_to_set``,
-which are the entry points and also the recursion step: a union,
-intersection or complement reaches each child through them, one call per
-node visited.  ``dist_to_set`` answers ``0.0`` inside the closure and asks
-``dist_outside`` elsewhere.  A union's ``dist_to_complement`` and an
-intersection's ``dist_outside`` share one rule, ``_by_axis_groups``.
+Each node class holds its own rules as methods: ``member``, ``slice_first``,
+``bounds`` (tuples of Python floats), ``complement`` and ``disc_radius``;
+``intervals``, the open-interval decomposition of a one-dimensional node;
+``critical_points``, the abscissae where a slice can change shape;
+``dist_to_complement``; and ``dist_outside``, the distance to the closure
+from a point outside it.  Other modules ask a node and never test its
+class.  A compound node reaches each child's ``intervals`` and
+``critical_points`` directly.  The distance rules go through the module functions
+``dist_to_complement`` and ``dist_to_set``, which are the entry points and
+also the recursion step: a union, intersection or complement reaches each
+child through them, one call per node visited.  ``dist_to_set`` answers
+``0.0`` inside the closure and asks ``dist_outside`` elsewhere.  A union's
+``dist_to_complement`` and an intersection's ``dist_outside`` share one
+rule, ``_by_axis_groups``.
 
 ``member(p, closed=False)`` tests the open set, or with ``closed`` its
 closure, and ``slice_first(t, nb, closed=False)`` slices the same set (a
 ball cut on its rim leaves a radius-0 ball).  A complement asks its part the
 other way, so a fiber over a base point on the boundary of a removed set
-keeps that set.  Unions and intersections share one slicing rule: a part
-that slices to the absorbing node (``Full`` for a union, ``Empty`` for an
-intersection) is the whole slice, and one that slices to the other drops out.
+keeps that set, and a double complement slices to its part.  Unions and
+intersections share one slicing rule: a part that slices to the absorbing
+node (``Full`` for a union, ``Empty`` for an intersection) is the whole
+slice, and one that slices to the other drops out.
 
 Points are real coordinate vectors.  One point is a tuple of Python floats
 (a list serves too); a batch of N points is a coordinate-major array of
@@ -54,12 +57,13 @@ where the flag is the same for every point.
 
 Outside input is packed in one place, ``_as_real_point``, which checks its
 size, splits a complex coordinate into its real and imaginary parts, in that
-order, and returns a tuple of Python floats.  ``Domain.point``,
-``Domain.base_point``, ``FiberDomain.t`` and ``AffineFiberMap.at`` are such
-tuples, and every other module uses them as they come.  The ``Domain`` and
-``FiberDomain`` methods and the probes built on them (``boundary_distance``,
-``fiber_distance``, ``midpoint_closure_check``) return Python scalars: a
-``bool`` for membership, a ``float`` for a distance.
+order (a real point refuses one), and returns a tuple of Python floats.
+``Domain.point``, ``Domain.base_point``, ``FiberDomain.t`` and
+``AffineFiberMap.at`` are such tuples, and every other module uses them as
+they come.  The ``Domain`` and ``FiberDomain`` methods and the probes built
+on them (``boundary_distance``, ``fiber_distance``,
+``midpoint_closure_check``) return Python scalars: a ``bool`` for
+membership, a ``float`` for a distance.
 
 ``fiber`` slices the domain at ``Domain.base_point(t)`` and keeps the packed
 point as ``FiberDomain.t``; the fiberwise transforms of ``prekopa`` and
@@ -71,6 +75,7 @@ fiber, or take the fiber density ``e^{-w(t, x)}`` from
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,8 +172,17 @@ class Node:
         Unions and intersections share one rule, ``_Compound.slice_first``."""
         raise NotImplementedError
 
-    def bounds(self, dim: int):
-        raise NotImplementedError
+    def bounds(self, dim: int) -> tuple:
+        """(lo, hi): tuples of Python floats per axis; the whole space here."""
+        return (-_INF,) * dim, (_INF,) * dim
+
+    def complement(self) -> "Node":
+        """The open complement of the closure, as simple as the node allows."""
+        return Complement(self)
+
+    def disc_radius(self, center):
+        """The radius of a disc on axes (0, 1) about ``center`` (inf: the plane), else None."""
+        return None
 
     def intervals(self) -> list:
         """Open-interval decomposition, for a one-dimensional node."""
@@ -234,12 +248,13 @@ class Ball(Node):
         return Ball(tuple(fib_center), math.sqrt(rad2), tuple(fib_axes))
 
     def bounds(self, dim):
-        lo = np.full(dim, -_INF)
-        hi = np.full(dim, _INF)
+        lo, hi = [-_INF] * dim, [_INF] * dim
         for a, c in zip(self.axes, self.center):
-            lo[a] = c - self.radius
-            hi[a] = c + self.radius
-        return lo, hi
+            lo[a], hi[a] = c - self.radius, c + self.radius
+        return tuple(lo), tuple(hi)
+
+    def disc_radius(self, center):
+        return self.radius if self.axes == (0, 1) and self.center == tuple(center) else None
 
     def intervals(self):
         (c,) = self.center
@@ -301,12 +316,10 @@ class Box(Node):
         return Box(tuple(keep_lo), tuple(keep_hi), tuple(keep_axes))
 
     def bounds(self, dim):
-        lo = np.full(dim, -_INF)
-        hi = np.full(dim, _INF)
+        lo, hi = [-_INF] * dim, [_INF] * dim
         for a, l, h in zip(self.axes, self.lo, self.hi):
-            lo[a] = l
-            hi[a] = h
-        return lo, hi
+            lo[a], hi[a] = l, h
+        return tuple(lo), tuple(hi)
 
     def intervals(self):
         (l,), (h,) = self.lo, self.hi
@@ -341,8 +354,11 @@ class Full(Node):
     def slice_first(self, t, nb, closed=False):
         return Full()
 
-    def bounds(self, dim):
-        return np.full(dim, -_INF), np.full(dim, _INF)
+    def complement(self):
+        return Empty()
+
+    def disc_radius(self, center):
+        return _INF
 
     def intervals(self):
         return [(-_INF, _INF)]
@@ -363,7 +379,10 @@ class Empty(Node):
         return Empty()
 
     def bounds(self, dim):
-        return np.full(dim, _INF), np.full(dim, -_INF)
+        return (_INF,) * dim, (-_INF,) * dim
+
+    def complement(self):
+        return Full()
 
     def intervals(self):
         return []
@@ -377,10 +396,11 @@ class Empty(Node):
 
 @dataclass(frozen=True)
 class _Compound(Node):
-    """What a union and an intersection share: the parts, their axes and the
-    slicing rule.  A part that slices to ``_absorbing`` is the whole slice; a
-    part that slices to ``_neutral`` drops out.  ``member`` stays on each
-    subclass, where the benchmark's tracer counts the outermost call."""
+    """What a union and an intersection share: the parts, their axes, the
+    bounds and the slicing rule.  ``_ends`` folds the parts' lower and upper
+    bounds per axis.  A part that slices to ``_absorbing`` is the whole
+    slice; a part that slices to ``_neutral`` drops out.  ``member`` stays on
+    each subclass, where the benchmark's tracer counts the outermost call."""
 
     parts: tuple
 
@@ -397,6 +417,12 @@ class _Compound(Node):
         for q in self.parts:
             out.extend(q.critical_points(axis))
         return out
+
+    def bounds(self, dim):
+        los, his = zip(*(q.bounds(dim) for q in self.parts))
+        lo_end, hi_end = self._ends
+        return (tuple(functools.reduce(lo_end, ax) for ax in zip(*los)),
+                tuple(functools.reduce(hi_end, ax) for ax in zip(*his)))
 
     def slice_first(self, t, nb, closed=False):
         out = []
@@ -415,17 +441,13 @@ class _Compound(Node):
 
 @dataclass(frozen=True)
 class Union(_Compound):
-    _absorbing, _neutral = Full, Empty
+    _absorbing, _neutral, _ends = Full, Empty, (_minimum, _maximum)
 
     def member(self, p, closed=False):
         out = False
         for q in self.parts:
             out = out | q.member(p, closed)
         return out
-
-    def bounds(self, dim):
-        los, his = zip(*(q.bounds(dim) for q in self.parts))
-        return np.minimum.reduce(los), np.maximum.reduce(his)
 
     def intervals(self):
         parts = []
@@ -446,17 +468,13 @@ class Union(_Compound):
 
 @dataclass(frozen=True)
 class Intersection(_Compound):
-    _absorbing, _neutral = Empty, Full
+    _absorbing, _neutral, _ends = Empty, Full, (_maximum, _minimum)
 
     def member(self, p, closed=False):
         out = True
         for q in self.parts:
             out = out & q.member(p, closed)
         return out
-
-    def bounds(self, dim):
-        los, his = zip(*(q.bounds(dim) for q in self.parts))
-        return np.maximum.reduce(los), np.minimum.reduce(his)
 
     def intervals(self):
         acc = [(-_INF, _INF)]
@@ -488,15 +506,10 @@ class Complement(Node):
         return self.part.axes_set()
 
     def slice_first(self, t, nb, closed=False):
-        s = self.part.slice_first(t, nb, not closed)
-        if isinstance(s, Full):
-            return Empty()
-        if isinstance(s, Empty):
-            return Full()
-        return Complement(s)
+        return self.part.slice_first(t, nb, not closed).complement()
 
-    def bounds(self, dim):
-        return np.full(dim, -_INF), np.full(dim, _INF)
+    def complement(self):
+        return self.part
 
     def intervals(self):
         return _complement_of_closure(self.part.intervals())
@@ -625,7 +638,9 @@ def dist_to_set(node: Node, p):
 
 def _as_real_point(p, kind: str, rdim: int) -> tuple:
     arr = np.asarray(p)
-    if kind == "complex" and arr.dtype.kind == "c":
+    if arr.dtype.kind == "c":
+        if kind != "complex":
+            raise InvalidParam("expected a real point, got complex coordinates")
         if 2 * arr.size != rdim:
             raise InvalidParam(f"expected {rdim // 2} complex coordinates, got {arr.size}")
         # interleaved (re, im) pairs
@@ -861,12 +876,15 @@ class AffineFiberMap:
 
     @staticmethod
     def through(t0, x0, t1, x1) -> "AffineFiberMap":
-        """The affine map on a one-dimensional base with a(t0)=x0, a(t1)=x1."""
-        t0, t1 = float(t0), float(t1)
-        if t0 == t1:
-            raise InvalidParam("through() needs distinct base points")
-        x0, x1 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x0, x1))
-        return AffineFiberMap(x0, [(s,) for s in (x1 - x0) / (t1 - t0)], (t0,))
+        """a(t0) = x0 and a(t1) = x1, changing only along d = t1 - t0: A is
+        (x1 - x0) d^T / |d|^2, each entry ``(x1[i] - x0[i]) * d[j] / |d|^2``."""
+        t0, x0, t1, x1 = (_as_real_point(v, "real", np.size(v)) for v in (t0, x0, t1, x1))
+        d = [b - a for a, b in zip(t0, t1)]
+        denom = _sum_squares(d)
+        if denom == 0.0 or len(t0) != len(t1) or len(x0) != len(x1):
+            raise InvalidParam("through() needs distinct base points and matching sizes")
+        return AffineFiberMap(x0, tuple(tuple((b - a) * dj / denom for dj in d)
+                                        for a, b in zip(x0, x1)), t0)
 
     @staticmethod
     def complex_affine(a0: complex, slope: complex = 0.0, t0: complex = 0.0) -> "AffineFiberMap":

@@ -540,11 +540,12 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
 
     ``fiber`` must expose ``dim``, ``quad_intervals()`` (dimension 1),
     ``slice_intervals(x)`` and ``critical_xs()`` (dimension 2), and
-    ``bounds()``.  ``f`` takes a point of length ``dim`` as a tuple of Python
-    floats, ``(x,)`` or ``(x, y)``, and reads it by index.  ``factor``, if
-    given, multiplies ``f`` as in ``integrate_1d``: it takes the 15 points
-    of an innermost panel as a list of such tuples (the points of one slice
-    in dimension 2) and returns an array of shape ``(15, *shape)``.
+    ``bounds()``, which gives (lo, hi) as sequences of Python floats.  ``f``
+    takes a point of length ``dim`` as a tuple of Python floats, ``(x,)`` or
+    ``(x, y)``, and reads it by index.  ``factor``, if given, multiplies
+    ``f`` as in ``integrate_1d``: it takes the 15 points of an innermost
+    panel as a list of such tuples (the points of one slice in dimension 2)
+    and returns an array of shape ``(15, *shape)``.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are ``((cx, cy), radius)`` kink circles (dimension 2).
     An empty fiber integrates to 0.  The tolerances are the module's; each
@@ -576,7 +577,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
         raise InvalidParam("integrate_fiber supports fiber dimension 1 or 2 only")
 
     lo, hi = fiber.bounds()
-    x_lo, x_hi = float(lo[0]), float(hi[0])
+    x_lo, x_hi = lo[0], hi[0]
     if x_lo >= x_hi:
         return 0.0
     if math.isinf(x_lo) or math.isinf(x_hi):
@@ -637,7 +638,7 @@ def minimize_over_fiber(f, fiber, search_box=None):
     first grid node in the fiber with +inf.
     """
     dim = fiber.dim
-    lo, hi = (np.array(v, dtype=float) for v in fiber.bounds())
+    lo, hi = (list(v) for v in fiber.bounds())
     if search_box is not None:
         box = [(float(a), float(b)) for (a, b) in search_box]
         if len(box) != dim:
@@ -650,7 +651,7 @@ def minimize_over_fiber(f, fiber, search_box=None):
         raise Unbounded(
             f"fiber unbounded along axes {unbounded}; declare a search_box"
         )
-    if np.any(lo > hi):
+    if any(a > b for a, b in zip(lo, hi)):
         raise OutOfDomain("search box does not meet the fiber")
 
     axes = [np.linspace(lo[i], hi[i], _GRID_POINTS).tolist() for i in range(dim)]
@@ -691,10 +692,10 @@ def minimize_over_fiber(f, fiber, search_box=None):
                         "and decreases outward"
                     )
 
-    spacing = np.array([(hi[i] - lo[i]) / (_GRID_POINTS - 1) for i in range(dim)])
+    spacing = [(hi[i] - lo[i]) / (_GRID_POINTS - 1) for i in range(dim)]
     center = best_pt
     for _ in range(_REFINE_ROUNDS):
-        if np.all(spacing <= _MIN_SPACING):
+        if all(s <= _MIN_SPACING for s in spacing):
             break
         new_axes = []
         for i in range(dim):
@@ -707,6 +708,6 @@ def minimize_over_fiber(f, fiber, search_box=None):
             best_pt = pt
         if val < math.inf:
             center = pt
-        spacing = np.array([(ax[-1] - ax[0]) / (_GRID_POINTS - 1) for ax in new_axes])
+        spacing = [(ax[-1] - ax[0]) / (_GRID_POINTS - 1) for ax in new_axes]
     return best_pt, best_val
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParam, NonConvergent, PointOutsideDomain
-from .geometry import AffineFiberMap, Domain, _sum_squares, fiber
+from .geometry import AffineFiberMap, Domain, fiber
 # integrate_1d is unused here but stays importable as prekopa.integrate_1d:
 # perfbench/test_perfbench.py checks that the layer tracer wraps it.
 from .numerics import (integrate_1d, integrate_fiber, minimize_over_fiber,
@@ -148,7 +148,8 @@ def min_principle_transform(w: WeightField, domain: Domain, a: AffineFiberMap,
         return v if v == math.inf else v + k * _distance(x, c)
     anchor = weight(c) if fib.member(c, closed=True) else None
     box = None
-    if not np.isfinite(fib.bounds()).all():
+    lo, hi = fib.bounds()
+    if not all(map(math.isfinite, lo + hi)):
         if anchor is None:
             raise PointOutsideDomain("anchor point is outside the closed fiber")
         if w.lower_bound is None:
@@ -198,20 +199,13 @@ def midpoint_divergence_probe(w: WeightField, domain: Domain, p0, p1,
     what happens when the segment between two fiber components leaves the
     domain.
     """
-    nb, nf = domain.base_rdim, domain.fiber_rdim
+    nb = domain.base_rdim
     p0, p1 = domain.point(p0), domain.point(p1)
     for p in (p0, p1):
         if not domain.member(p, closed=True):
             raise PointOutsideDomain("probe point is outside the closed domain")
-    t0, x0 = p0[:nb], p0[nb:]
-    t1, x1 = p1[:nb], p1[nb:]
-    d = [b - a for a, b in zip(t0, t1)]
-    denom = _sum_squares(d)
-    if denom == 0.0:
-        raise InvalidParam("probe points share the same base point")
-    mat = tuple(tuple((x1[i] - x0[i]) * d[j] / denom for j in range(nb))
-                for i in range(nf))
-    center = AffineFiberMap(x0, mat, t0)
+    t0, t1 = p0[:nb], p1[:nb]
+    center = AffineFiberMap.through(t0, p0[nb:], t1, p1[nb:])
     tm = tuple((a + b) / 2.0 for a, b in zip(t0, t1))
 
     rows = []

@@ -11,8 +11,11 @@ from convlab.geometry import (
     AffineFiberMap,
     AnalyticDisc,
     Ball,
+    Box,
+    Complement,
     Domain,
     Empty,
+    Full,
     Intersection,
     Union,
     ball_domain,
@@ -31,7 +34,7 @@ from convlab.geometry import (
 )
 from convlab.numerics import minimize_over_fiber
 from convlab.prekopa import midpoint_divergence_probe
-from convlab.weights import stock_weight
+from convlab.weights import lemma3_weight, stock_weight
 
 
 def vesica() -> Domain:
@@ -148,6 +151,23 @@ class TestPackedPoints:
             assert floats(got) == (tuple, *[float] * len(got))
         assert domain.base_point(p[:nb]) == domain.point(p)[:domain.base_rdim]
 
+    @pytest.mark.parametrize("query", [
+        lambda: ball_domain((1, 1)).member((0.1 + 5j, 0.0)),
+        lambda: ball_domain((1, 1)).member(np.array([0.1, 0.2], dtype=complex)),
+        lambda: fiber(ball_domain((1, 1)), 0.1).member(0.2 + 0j),
+        lambda: lemma3_weight(10, 0.5)((0.3 + 0.4j, 0.0)),
+        lambda: lemma3_weight(10, 0.5).at((0.3,), (0.4j,)),
+        lambda: AffineFiberMap.through(0.0, 0.0, 1.0, 1.0).at((0.3 + 0j,)),
+        lambda: AffineFiberMap.through(0.0, 0.0, 1.0, 1j),
+    ], ids=["domain-member", "complex-array", "fiber-member", "weight-call",
+            "weight-at", "map-at", "map-through"])
+    def test_a_complex_coordinate_is_no_real_point(self, query):
+        # the cast to float would drop the imaginary part with only a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParam):
+                query()
+
     @pytest.mark.parametrize("a", [
         AffineFiberMap.through(0.0, 0.0, 1.0, 1.0),
         AffineFiberMap.through(-0.3, (0.1, 2.0), 0.7, (-1.3, 0.4)),
@@ -213,6 +233,31 @@ class TestAffineFiberMap:
     def test_coincident_points_rejected(self):
         with pytest.raises(InvalidParam):
             AffineFiberMap.through(0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(InvalidParam):
+            AffineFiberMap.through((0.3, -0.2), 0.0, (0.3, -0.2), 1.0)
+
+    def test_mismatched_sizes_rejected(self):
+        with pytest.raises(InvalidParam):
+            AffineFiberMap.through((0.0, 0.0), 0.0, (1.0,), 1.0)
+        with pytest.raises(InvalidParam):
+            AffineFiberMap.through(0.0, (0.0, 0.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_two_dimensional_base_gives_the_probe_matrix_to_the_bit(self, seed):
+        # the midpoint probe's matrix, (x1 - x0) d^T / |d|^2, written out entry by entry
+        rng = np.random.default_rng(seed)
+        t0, t1 = rng.uniform(-2.0, 2.0, (2, 2)).tolist()
+        x0, x1 = rng.uniform(-2.0, 2.0, (2, 3)).tolist()
+        d = [b - a for a, b in zip(t0, t1)]
+        denom = 0.0
+        for dj in d:
+            denom = denom + dj * dj
+        want = tuple(tuple((x1[i] - x0[i]) * d[j] / denom for j in range(2))
+                     for i in range(3))
+        a = AffineFiberMap.through(t0, x0, t1, x1)
+        assert a.mat == want
+        assert (a.t0, a.x0) == (tuple(t0), tuple(x0))
+        assert floats(a.mat[0]) == (tuple, float, float)
 
 
 class TestAnalyticDisc:
@@ -419,6 +464,76 @@ class TestBatchedRules:
         assert type(fiber_distance(hf, 0.8 + 0j, 0.6j)) is float
         assert type(hf.member((0.8 + 0j, 0.6j))) is bool
         assert type(fiber(hf, 0.8 + 0j).member(0.6j)) is bool
+
+
+ONE_OF_EACH = {
+    "ball": Ball((0.0, 0.0), 1.0, (0, 1)),
+    "box": Box((-1.0, -0.5), (1.0, 0.5), (0, 1)),
+    "full": Full(),
+    "empty": Empty(),
+    "union": Union((Ball((-0.5, 0.0), 1.0, (0, 1)), Ball((0.5, 0.0), 1.0, (0, 1)))),
+    "intersection": Intersection((Ball((0.0, 0.0), 1.0, (0, 1)),
+                                  Box((-0.5, -2.0), (2.0, 0.25), (0, 2)))),
+    "complement": Complement(Ball((0.0, 0.0), 0.5, (0, 1))),
+}
+
+
+class TestNodeQuestions:
+    """Other modules ask a node about its shape; they do not test its class."""
+
+    def test_complement_of_each_node(self):
+        want = {"full": Empty(), "empty": Full(),
+                "complement": Ball((0.0, 0.0), 0.5, (0, 1))}
+        for name, node in ONE_OF_EACH.items():
+            assert node.complement() == want.get(name, Complement(node)), name
+
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_double_complement_answers_like_its_part(self, name, seed):
+        node = STOCK[name].csg
+        twice = Complement(Complement(node))
+        pts = probe_points(STOCK[name], seed)
+        columns = [pts[:, j].tolist() for j in range(pts.shape[1])]
+        for p in (pts, *columns):
+            for closed in (False, True):
+                assert np.array_equal(twice.member(p, closed), node.member(p, closed))
+            for rule in (dist_to_set, dist_to_complement):
+                got, want = rule(twice, p), rule(node, p)
+                inside = node.member(p) if rule is dist_to_complement else True
+                # the same bits where the rule is asked: signed zeros too
+                assert np.array_equal(np.where(inside, np.float64(got[0]), 0.0).view(np.int64),
+                                      np.where(inside, np.float64(want[0]), 0.0).view(np.int64))
+                assert np.array_equal(np.where(inside, got[1], True),
+                                      np.where(inside, want[1], True))
+
+    def test_a_slice_drops_a_double_complement(self):
+        assert fiber(hartogs_figure(), 0j).node == Intersection(
+            (Ball((0.0, 0.0), 1.0, (0, 1)), Ball((0.0, 0.0), 0.5, (0, 1))))
+
+    def test_disc_radius_of_each_node(self):
+        for name, node in ONE_OF_EACH.items():
+            want = {"ball": 1.0, "full": math.inf}.get(name)
+            assert node.disc_radius((0.0, 0.0)) == want, name
+        ball = ONE_OF_EACH["ball"]
+        assert ball.disc_radius([0.0, 0.0]) == 1.0
+        assert ball.disc_radius((0.0, 1e-300)) is None
+        assert Ball((0.0, 0.0), 1.0, (2, 3)).disc_radius((0.0, 0.0)) is None
+
+    def test_bounds_are_tuples_of_python_floats(self):
+        want = {
+            "ball": ((-1.0, -1.0, -math.inf), (1.0, 1.0, math.inf)),
+            "box": ((-1.0, -0.5, -math.inf), (1.0, 0.5, math.inf)),
+            "full": ((-math.inf,) * 3, (math.inf,) * 3),
+            "empty": ((math.inf,) * 3, (-math.inf,) * 3),
+            "union": ((-1.5, -1.0, -math.inf), (1.5, 1.0, math.inf)),
+            "intersection": ((-0.5, -1.0, -2.0), (1.0, 1.0, 0.25)),
+            "complement": ((-math.inf,) * 3, (math.inf,) * 3),
+        }
+        for name, node in ONE_OF_EACH.items():
+            lo, hi = node.bounds(3)
+            assert (floats(lo), floats(hi)) == ((tuple, float, float, float),) * 2, name
+            assert (lo, hi) == want[name], name
+        assert fiber(hartogs_figure(), 0.8 + 0j).bounds() == ((-1.0, -1.0), (1.0, 1.0))
 
 
 _UNIT_DISC = ball_domain((1, 1))

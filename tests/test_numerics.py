@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from convlab.errors import DivergentIntegral, InvalidParam, NonConvergent, Unbounded
@@ -372,7 +372,10 @@ class TestPanelRule:
         assert np.shape(val) == np.shape(smooth(0.5))
 
     @given(rate=st.floats(0.05, 4.0), freq=st.floats(-3, 3), start=st.floats(-5, 5))
-    @settings(max_examples=25, deadline=None)
+    # no shrink phase: a broken panel rule makes tail integrals hit the panel
+    # cap, and shrinking through them took minutes before reporting
+    @settings(max_examples=25, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_tail_integral_repeats_bit_for_bit(self, rate, freq, start):
         f = lambda x: math.exp(-rate * abs(x)) * complex(math.cos(freq * x), 1.0)
         first = integrate_1d(f, start, math.inf)
