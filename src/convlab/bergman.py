@@ -104,9 +104,11 @@ def radial_moments(profile: RadialProfile, max_index: int) -> MomentTable:
     if max_index < 0:
         raise InvalidParam("need max_index >= 0")
     seams = skirt_ladder(profile.seam_radii)
+    two_pi, fn, exp = 2.0 * math.pi, profile.fn, math.exp
 
     def moment(j):
-        return lambda r: 2.0 * math.pi * r ** (2 * j + 1) * math.exp(-profile.fn(r))
+        power = 2 * j + 1
+        return lambda r: two_pi * r ** power * exp(-fn(r))
 
     values, statuses = [], []
     for j in range(max_index + 1):
@@ -220,9 +222,12 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
     ``b(z) b(z)^H e^{-w(t,z)}``, (d+1)(d+2)/2 entries integrated in one
     adaptive pass, and the lower triangle is its conjugate; nothing is
     symmetrized.  The density e^{-w} is the per-point integrand, and the
-    monomial products are its ``factor``: they are formed once per GK15 panel,
-    for all 15 points in one numpy expression, and rounded as per point:
-    ``(b[rows] * conj(b)[cols]) * density`` with ``b = (z - center) ** j``.
+    monomial products are its ``factor``: they are formed once per call of
+    the panel rule, for the 15 points of every panel in the call in one numpy
+    expression, and rounded as per point: ``(b[rows] * conj(b)[cols]) *
+    density`` with ``b = (z - center) ** j``.  ``np.take`` gathers the rows
+    and columns, so the products come back C-ordered and the panel rule
+    stacks them without a copy.
     Where numpy's complex products take FMA kernels (X86_V3 and up), a
     diagonal entry keeps an imaginary part at roundoff level, which the
     factor of G ignores.  G is factored once, by ``GramKernel``; a pivot that
@@ -242,7 +247,7 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
 
     def monomials(points):
         b = np.array([complex(x, y) - c for (x, y) in points])[:, None] ** js
-        return b[:, rows] * b[:, cols].conj()
+        return np.take(b, rows, 1) * np.take(b.conj(), cols, 1)
 
     upper = integrate_fiber(density, fib, circle_seams=w.fiber_seams(fib.t),
                             factor=monomials)

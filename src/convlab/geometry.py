@@ -57,7 +57,10 @@ where the flag is the same for every point.
 
 Outside input is packed in one place, ``_as_real_point``, which checks its
 size, splits a complex coordinate into its real and imaginary parts, in that
-order (a real point refuses one), and returns a tuple of Python floats.
+order (a real point refuses one), and returns a tuple of Python floats.  The
+real coordinates of a ``Ball``, a ``Box`` and an ``AffineFiberMap`` pass
+through it too, unless they are Python floats already, and a ``Ball`` or
+``Box`` refuses a NaN coordinate.
 ``Domain.point``, ``Domain.base_point``, ``FiberDomain.t`` and
 ``AffineFiberMap.at`` are such tuples, and every other module uses them as
 they come.  The ``Domain`` and ``FiberDomain`` methods and the probes built
@@ -98,6 +101,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_FLOAT = frozenset((float,))  # coordinates of only this type need no packing
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Disc samples per array pass in disc_distance_check: enough to amortize the
 # per-call cost of the CSG recursion, few enough that memory stays flat.
@@ -213,10 +217,14 @@ class Ball(Node):
             raise InvalidParam("ball center and axes lengths differ")
         if not self.axes:
             raise InvalidParam("ball needs at least one axis")
-        if not self.radius >= 0.0:
+        center = _real_tuple(self.center)
+        (radius,) = _real_tuple((self.radius,))
+        if any(map(math.isnan, center)):
+            raise InvalidParam("ball center must not be NaN")
+        if not radius >= 0.0:
             raise InvalidParam("ball radius must be nonnegative")
-        object.__setattr__(self, "center", tuple(map(float, self.center)))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "axes", tuple(map(int, self.axes)))
 
     def _dist2(self, p):
@@ -287,8 +295,11 @@ class Box(Node):
             raise InvalidParam("box lo/hi/axes lengths differ")
         if not self.axes:
             raise InvalidParam("box needs at least one axis")
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        lo, hi = _real_tuple(self.lo), _real_tuple(self.hi)
+        if any(map(math.isnan, lo + hi)):  # +-inf bounds are allowed
+            raise InvalidParam("box bounds must not be NaN")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
 
     def member(self, p, closed=False):
@@ -651,6 +662,16 @@ def _as_real_point(p, kind: str, rdim: int) -> tuple:
     return tuple(arr.tolist())
 
 
+def _real_tuple(values) -> tuple:
+    """Real coordinates of a node or map as a tuple of Python floats, packed
+    by ``_as_real_point`` unless they are Python floats already (as a slice's
+    are), so that a complex value raises InvalidParam."""
+    values = tuple(values)
+    if _FLOAT.issuperset(map(type, values)):
+        return values
+    return _as_real_point(values, "real", len(values))
+
+
 @dataclass(frozen=True)
 class Domain:
     """An open set in R^(m+n) or C^(m+n) with a declared base/fiber split."""
@@ -836,9 +857,8 @@ class AffineFiberMap:
     t0: tuple
 
     def __post_init__(self):
-        x0 = tuple(float(v) for v in self.x0)
-        t0 = tuple(float(v) for v in self.t0)
-        mat = tuple(tuple(float(v) for v in row) for row in self.mat)
+        x0, t0 = _real_tuple(self.x0), _real_tuple(self.t0)
+        mat = tuple(_real_tuple(row) for row in self.mat)
         if len(mat) != len(x0):
             raise InvalidParam("matrix row count must match fiber dimension")
         for row in mat:

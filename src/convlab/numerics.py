@@ -37,16 +37,21 @@ summed a whole row at a time, in the same order.  Nothing in a panel calls
 BLAS, so no panel depends on OpenBLAS's CPU kernels.
 
 Inside the module there is one integrand protocol, batched: ``_panel_rule``,
-``_adaptive_segments`` and ``_tail_windows`` take an integrand over a
-panel's 15 nodes.  ``integrate_1d`` is the one adapter that builds it from
-what callers pass: a per-node ``f``, called once per node in ascending
-order, times an optional ``factor``, which is formed once per panel for all
-15 nodes (the Gram route's monomial products).  The product rounds as the
-per-node product would.  A batched array may come back in another memory
-layout than C order (numpy's advanced indexing returns a transposed one),
-and ``sum(axis=0)`` adds the rows one after another only on a C-ordered
-stack; so ``_panel_rule`` makes its stack C-ordered, and every batched
-integrand may rely on that.
+``_adaptive_segments`` and ``_tail_windows`` take an integrand over the 15
+nodes of every panel in a call, panel after panel.  An adaptive pass makes
+one call for its first panels (the pieces between its sorted breakpoints)
+and one for both halves of each bisection, as QUADPACK's QAG evaluates both
+halves at every step; the nodes, and the order in which the integrand sees
+them, are those of one panel at a time.  ``integrate_1d`` is the one adapter
+that builds the batched integrand from what callers pass: a per-node ``f``,
+called once per node in that order, times an optional ``factor``, which is
+formed once per call for all its nodes (the Gram route's monomial
+products).  The product rounds as the per-node product would.  Arrays are
+reduced as one ``(panels, 15, m)`` stack, and its ``sum(axis=1)`` adds each
+panel's rows one after another only if the stack is C-ordered; a batched
+array may come back in another memory layout (numpy's advanced indexing
+returns a transposed one), so ``_panel_rule`` makes its stack C-ordered,
+and every batched integrand may rely on that.
 
 Each node reaches ``f`` as a Python float, formed as ``mid + half * u`` in
 Python floats (two roundings, as numpy's array expression rounds them), and
@@ -66,11 +71,11 @@ uses numpy only for exactly rounded operations on real values: +, -, *, /,
 sqrt, comparisons, ``np.where`` and ``np.maximum``.  It writes a square as
 ``x * x`` and keeps exp and log on ``math``, one value at a time.  Three
 known exceptions have not moved a report: the Gram factor's complex
-products, now formed per panel (and its complex powers); the array panel's
-own error rescaling, which takes ``** 1.5`` in numpy; and the array panel's
-``np.abs`` of complex values (``resabs``, ``resasc`` and the Kronrod-Gauss
-difference), whose bits change between X86_V3 and X86_V2.  The last two can
-move an error estimate by an ulp, never a sum.
+products, formed per call of the panel rule (and its complex powers); the
+array panel's own error rescaling, which takes ``** 1.5`` in numpy; and the
+array panel's ``np.abs`` of complex values (``resabs``, ``resasc`` and the
+Kronrod-Gauss difference), whose bits change between X86_V3 and X86_V2.
+The last two can move an error estimate by an ulp, never a sum.
 
 On a two-dimensional fiber the outer integrand F(x) = int slice(x) dy has
 square-root endpoints wherever a slice closes up or a seam circle turns (a
@@ -150,6 +155,8 @@ _WG = (
 _NODES_ROW = tuple([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7])])
 _KW = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
 _GW = np.array(list(_WG[:3]) + [_WG[3]] + list(reversed(_WG[:3])))
+# Node values whose types all lie in this set take the scalar rule as they come.
+_FLOAT = frozenset((float,))
 
 # Quadrature: the panel-error budget max(abs_tol, _REL_TOL * |I|) and the
 # panel cap of one adaptive pass.  An improper integral integrates a core of
@@ -211,66 +218,87 @@ def kahan_total(parts: Iterable):
     return total
 
 
-def _panel_rule(f, a: float, b: float):
-    """One GK15 evaluation on [a, b].
+def _panel_rule(f, intervals):
+    """One GK15 evaluation on each interval [a, b] of ``intervals``.
 
-    Returns (kronrod_value, error_estimate) where the error estimate follows
-    the QUADPACK rescaling: sharp for smooth panels, conservative near
-    integrable singularities, floored at the roundoff level of the panel.
-    ``f`` is batched: it takes the 15 nodes, ascending, as a list of Python
-    floats (``mid + half * u`` for each node ``u`` of [-1, 1]) and returns
-    their values, as a list of 15 or as an array whose first axis runs over
-    the nodes (``integrate_1d`` builds it).  A panel with a non-finite node
-    value gives an infinite value and error, and so does an integrand that
-    raises OverflowError or ZeroDivisionError.  Every sum runs left to right
-    over the ascending nodes.  Node values with one entry each (real or
-    complex numbers of any numeric type, 0-d and single-entry arrays) are
-    reduced by ``_scalar_rule`` as Python floats or complexes; a list of
-    Python floats is passed on as it is, so a scalar panel makes no numpy
-    call from node to sum.  Larger values
-    are stacked to a C-ordered ``(15, m)`` array, and ``sum(axis=0)`` adds
-    whole rows one after another: the same order.  The C order is made here,
-    because a batched product can come back in another memory layout, on
-    which numpy would sum the rows pairwise.  The signed sums start from the
-    same -0.0 (numpy's own start is +0.0).  A single column would be summed
-    pairwise, which is why it takes the scalar rule.
+    Returns one (kronrod_value, error_estimate) pair per interval, in order.
+    The error estimate follows the QUADPACK rescaling: sharp for smooth
+    panels, conservative near integrable singularities, floored at the
+    roundoff level of the panel.  ``f`` is batched: it takes the 15 nodes of
+    every panel in one list of Python floats, ascending within a panel and
+    panel after panel (``mid + half * u`` for each node ``u`` of [-1, 1]),
+    and returns their values, as a list or as an array whose first axis runs
+    over the nodes (``integrate_1d`` builds it).  A panel with a non-finite
+    node value gives an infinite value and error, and so does a panel whose
+    integrand raises OverflowError or ZeroDivisionError: a call that raises
+    is made again one panel at a time, so a failure stays with its panel.
+    Every sum runs left to right over a panel's ascending nodes.  Node values
+    with one entry each (real or complex numbers of any numeric type, 0-d
+    and single-entry arrays) are reduced panel by panel by ``_scalar_rule``
+    as Python floats or complexes; a list of Python floats is passed on as it
+    is, so a scalar panel makes no numpy call from node to sum.  Larger
+    values are stacked to one C-ordered ``(panels, 15, m)`` array, and
+    ``sum(axis=1)`` adds each panel's rows one after another: the same order.
+    The C order is made here, because a batched product can come back in
+    another memory layout, on which numpy would sum the rows pairwise.  The
+    signed sums start from the same -0.0 (numpy's own start is +0.0).  A
+    single column would be summed pairwise, which is why it takes the scalar
+    rule.  Numbers and arrays share one finiteness rule: a panel is finite
+    where its sums of |f| and of the residual are.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    halves, nodes = [], []
+    for (a, b) in intervals:
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        halves.append(half)
+        nodes += [mid + half * u for u in _NODES_ROW]
     try:
-        vals = f([mid + half * u for u in _NODES_ROW])
-        if type(vals) is list and all(type(v) is float for v in vals):
-            return _scalar_rule(vals, half, -0.0)
-        stack = np.ascontiguousarray(vals)  # (15, *shape)
-        zero = complex(-0.0, -0.0) if stack.dtype.kind == "c" else -0.0
-        if stack.size == 15:
-            val, err = _scalar_rule([type(zero)(v) for v in stack.ravel().tolist()], half, zero)
-            return (val if stack.ndim == 1 else np.full(stack.shape[1:], val)), err
+        vals = f(nodes)
     except (OverflowError, ZeroDivisionError):
         # math.exp and friends raise where np.exp would return inf, and so
         # do abs() of a complex number beyond the float range and a float
         # ** that leaves it; float division by a node at exactly 0.0 raises
         # where a numpy scalar would return inf.  Either way the panel is
-        # non-finite.
-        return math.inf, math.inf
+        # non-finite, and the other panels of the call are not.
+        if len(halves) == 1:
+            return [(math.inf, math.inf)]
+        return [pair for iv in intervals for pair in _panel_rule(f, [iv])]
+    if type(vals) is list and _FLOAT.issuperset(map(type, vals)):
+        return _scalar_panels(vals, halves, -0.0)
+    stack = np.ascontiguousarray(vals)  # (15 * panels, *shape)
+    zero = complex(-0.0, -0.0) if stack.dtype.kind == "c" else -0.0
     shape = stack.shape[1:]
-    if not np.isfinite(stack).all():
-        return np.full(shape, np.inf), math.inf
-    flat = stack.reshape(15, -1)
-    resk = (_KW[:, None] * flat).sum(axis=0, initial=zero) * half
-    resg = (_GW[:, None] * flat[1::2]).sum(axis=0, initial=zero) * half
-    resabs = (_KW[:, None] * np.abs(flat)).sum(axis=0) * abs(half)
-    reskh = resk * 0.5
-    resasc = (_KW[:, None] * np.abs(flat * half - reskh)).sum(axis=0)
+    if stack.size == len(nodes):
+        pairs = _scalar_panels([type(zero)(v) for v in stack.ravel().tolist()], halves, zero)
+        return pairs if not shape else [(np.full(shape, v), e) for (v, e) in pairs]
 
-    raw = np.abs(resk - resg)
-    err = np.where(
-        (resasc != 0.0) & (raw != 0.0),
-        resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc == 0.0, 1.0, resasc)) ** 1.5),
-        raw,
-    )
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk.reshape(shape), float(err.max())
+    flat = stack.reshape(len(halves), 15, -1)
+    half = np.array(halves)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite panels
+        resk = (_KW[:, None] * flat).sum(axis=1, initial=zero) * half
+        resg = (_GW[:, None] * flat[:, 1::2]).sum(axis=1, initial=zero) * half
+        resabs = (_KW[:, None] * np.abs(flat)).sum(axis=1).max(axis=1) * np.abs(half[:, 0])
+        reskh = resk * 0.5
+        resasc = (_KW[:, None] * np.abs(flat * half[:, :, None] - reskh[:, None])).sum(axis=1)
+        raw = np.abs(resk - resg)
+        err = np.where(
+            (resasc != 0.0) & (raw != 0.0),
+            resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc == 0.0, 1.0, resasc)) ** 1.5),
+            raw,
+        ).max(axis=1)
+        err = np.maximum(err, 50.0 * _EPS * resabs)
+        finite = (resabs < math.inf) & (resasc.max(axis=1) < math.inf)
+    return [(val.reshape(shape), e) if ok else (np.full(shape, np.inf), math.inf)
+            for val, e, ok in zip(resk, err.tolist(), finite.tolist())]
+
+
+def _scalar_panels(vals, halves, zero):
+    """``_scalar_rule`` on each run of 15 values, one run per panel."""
+    pairs, i = [], 0
+    for half in halves:
+        pairs.append(_scalar_rule(vals[i:i + 15], half, zero))
+        i += 15
+    return pairs
 
 
 def _scalar_rule(vals, half: float, zero):
@@ -295,19 +323,22 @@ def _scalar_rule(vals, half: float, zero):
             + k2 * v12 + k1 * v13 + k0 * v14) * half
     resg = (zero + g0 * v1 + g1 * v3 + g2 * v5 + g3 * v7 + g2 * v9 + g1 * v11
             + g0 * v13) * half
-    resabs = (-0.0 + k0 * abs(v0) + k1 * abs(v1) + k2 * abs(v2) + k3 * abs(v3)
-              + k4 * abs(v4) + k5 * abs(v5) + k6 * abs(v6) + k7 * abs(v7)
-              + k6 * abs(v8) + k5 * abs(v9) + k4 * abs(v10) + k3 * abs(v11)
-              + k2 * abs(v12) + k1 * abs(v13) + k0 * abs(v14)) * abs(half)
     reskh = resk * 0.5
-    resasc = (-0.0 + k0 * abs(v0 * half - reskh) + k1 * abs(v1 * half - reskh)
-              + k2 * abs(v2 * half - reskh) + k3 * abs(v3 * half - reskh)
-              + k4 * abs(v4 * half - reskh) + k5 * abs(v5 * half - reskh)
-              + k6 * abs(v6 * half - reskh) + k7 * abs(v7 * half - reskh)
-              + k6 * abs(v8 * half - reskh) + k5 * abs(v9 * half - reskh)
-              + k4 * abs(v10 * half - reskh) + k3 * abs(v11 * half - reskh)
-              + k2 * abs(v12 * half - reskh) + k1 * abs(v13 * half - reskh)
-              + k0 * abs(v14 * half - reskh))
+    try:  # abs() of a complex number beyond the float range raises
+        resabs = (-0.0 + k0 * abs(v0) + k1 * abs(v1) + k2 * abs(v2) + k3 * abs(v3)
+                  + k4 * abs(v4) + k5 * abs(v5) + k6 * abs(v6) + k7 * abs(v7)
+                  + k6 * abs(v8) + k5 * abs(v9) + k4 * abs(v10) + k3 * abs(v11)
+                  + k2 * abs(v12) + k1 * abs(v13) + k0 * abs(v14)) * abs(half)
+        resasc = (-0.0 + k0 * abs(v0 * half - reskh) + k1 * abs(v1 * half - reskh)
+                  + k2 * abs(v2 * half - reskh) + k3 * abs(v3 * half - reskh)
+                  + k4 * abs(v4 * half - reskh) + k5 * abs(v5 * half - reskh)
+                  + k6 * abs(v6 * half - reskh) + k7 * abs(v7 * half - reskh)
+                  + k6 * abs(v8 * half - reskh) + k5 * abs(v9 * half - reskh)
+                  + k4 * abs(v10 * half - reskh) + k3 * abs(v11 * half - reskh)
+                  + k2 * abs(v12 * half - reskh) + k1 * abs(v13 * half - reskh)
+                  + k0 * abs(v14 * half - reskh))
+    except OverflowError:
+        return math.inf, math.inf
     if not (resabs < math.inf and resasc < math.inf):  # also false for NaN
         return math.inf, math.inf
 
@@ -338,7 +369,9 @@ def _finite_total(parts, where: str):
 def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
     """Greedy bisection of [a, b], first cut at the breakpoints inside it.
 
-    ``f`` is a batched integrand, as ``_panel_rule`` takes it.
+    ``f`` is a batched integrand, as ``_panel_rule`` takes it: the first
+    panels (the pieces between the sorted breakpoints) take one call, and so
+    do both halves of each bisection.
     The live panels form one heap: the worst error estimate is split first,
     and of two equal estimates the older panel.  A panel at roundoff width is
     set aside; the loop stalls when only such panels remain, and ends when
@@ -353,8 +386,8 @@ def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
     live = []  # heap of (-err, order, a, b, value, err)
     settled = []  # panels at roundoff width
     running = 0.0
-    for (lo, hi) in zip(edges, edges[1:]):
-        val, err = _panel_rule(f, lo, hi)
+    firsts = list(zip(edges, edges[1:]))
+    for (lo, hi), (val, err) in zip(firsts, _panel_rule(f, firsts)):
         if not _finite(val):
             raise NonConvergent(f"non-finite panel value on [{lo}, {hi}]")
         heapq.heappush(live, (-err, next(order), lo, hi, val, err))
@@ -381,8 +414,7 @@ def _adaptive_segments(f, a: float, b: float, breakpoints, abs_tol: float):
             settled.append(panel)
             continue
         mid = 0.5 * (lo + hi)
-        lval, lerr = _panel_rule(f, lo, mid)
-        rval, rerr = _panel_rule(f, mid, hi)
+        (lval, lerr), (rval, rerr) = _panel_rule(f, [(lo, mid), (mid, hi)])
         if not (_finite(lval) and _finite(rval)):
             raise NonConvergent(f"non-finite panel value inside [{lo}, {hi}]")
         heapq.heappush(live, (-lerr, next(order), lo, mid, lval, lerr))
@@ -470,10 +502,13 @@ def integrate_1d(f, a: float, b: float, breakpoints=(), abs_tol: float = _ABS_TO
 
     ``f`` maps a float to a float, complex, or ndarray (fixed shape); it is
     called with Python floats only, never numpy scalars, once per node.
-    ``factor``, if given, is the part of the integrand that is cheaper per
-    panel than per node: it takes a panel's 15 nodes as a list of floats and
-    returns an array of shape ``(15, *shape)``, and the integrand at the i-th
-    node is ``factor(nodes)[i] * f(nodes[i])``, with ``f`` then real-valued.
+    ``factor``, if given, is the part of the integrand that is cheaper in a
+    batch than per node: it takes the nodes of every panel in a call of the
+    panel rule, 15 a panel, as one list of floats and returns an array of
+    shape ``(len(nodes), *shape)``, and the integrand at the i-th node is
+    ``factor(nodes)[i] * f(nodes[i])``, with ``f`` then real-valued.  A call
+    holds the first panels of an adaptive pass or both halves of a
+    bisection.
     The product rounds as the per-node one would, so the result has the
     bits of ``integrate_1d(lambda x: factor([x])[0] * f(x), a, b)``, and
     ``f`` is called at the same nodes in the same order.
@@ -543,9 +578,10 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
     ``bounds()``, which gives (lo, hi) as sequences of Python floats.  ``f``
     takes a point of length ``dim`` as a tuple of Python floats, ``(x,)`` or
     ``(x, y)``, and reads it by index.  ``factor``, if given, multiplies
-    ``f`` as in ``integrate_1d``: it takes the 15 points of an innermost
-    panel as a list of such tuples (the points of one slice in dimension 2)
-    and returns an array of shape ``(15, *shape)``.
+    ``f`` as in ``integrate_1d``: it takes the points of the innermost
+    panels of one call, 15 a panel, as a list of such tuples (points of one
+    slice in dimension 2) and returns an array of shape
+    ``(len(points), *shape)``.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are ``((cx, cy), radius)`` kink circles (dimension 2).
     An empty fiber integrates to 0.  The tolerances are the module's; each

@@ -208,6 +208,53 @@ class TestPackedPoints:
         assert any(p is arg for p in seen)
 
 
+class TestRealCoordinates:
+    """Complex or NaN coordinates are refused with InvalidParam, as
+    ``AffineFiberMap.through`` refuses them, never dropped or left to fail
+    in ``float()``."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Ball((0.5j, 0.0), 1.0, (0, 1)),
+        lambda: Ball((0.0, 0.0), 1.0j, (0, 1)),
+        lambda: Box((0.5j, 0.0), (1.0, 1.0), (0, 1)),
+        lambda: Box((0.0, 0.0), (1.0, np.complex64(1.0)), (0, 1)),
+        lambda: AffineFiberMap((0.5j,), ((1.0,),), (0.0,)),
+        lambda: AffineFiberMap((0.0,), ((1.0j,),), (0.0,)),
+        lambda: AffineFiberMap((0.0,), ((1.0,),), (np.complex128(0.5j),)),
+        lambda: AffineFiberMap.constant(0.5j, 1),
+        lambda: AffineFiberMap.through(0.0, 0.5j, 1.0, 1.0),
+    ], ids=["ball-center", "ball-radius", "box-lo", "box-hi", "map-x0", "map-matrix",
+            "map-t0", "constant", "through"])
+    def test_complex_coordinates_are_refused(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning would drop the imaginary part
+            with pytest.raises(InvalidParam, match="complex"):
+                build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: Ball((math.nan, 0.0), 1.0, (0, 1)),
+        lambda: Ball((0.0, 0.0), math.nan, (0, 1)),
+        lambda: Box((math.nan, 0.0), (1.0, 1.0), (0, 1)),
+        lambda: Box((0.0, 0.0), (1.0, math.nan), (0, 1)),
+    ], ids=["ball-center", "ball-radius", "box-lo", "box-hi"])
+    def test_nan_coordinates_are_refused(self, build):
+        with pytest.raises(InvalidParam):
+            build()
+
+    def test_infinite_box_bounds_stay_allowed(self):
+        box = Box((-math.inf, 0.0), (math.inf, 1.0), (0, 1))
+        assert box.lo == (-math.inf, 0.0) and box.hi == (math.inf, 1.0)
+        assert box.member((1e300, 0.5)) and not box.member((0.0, 1.5))
+
+    def test_real_coordinates_become_python_floats(self):
+        ball = Ball((np.float32(0.5), 1), np.int64(2), (0, 1))
+        assert ball.center == (0.5, 1.0) and ball.radius == 2.0
+        assert floats(ball.center) == (tuple, float, float) and type(ball.radius) is float
+        a = AffineFiberMap(np.array([0.25]), [[1]], (np.float64(0.0),))
+        assert (a.x0, a.mat, a.t0) == ((0.25,), ((1.0,),), (0.0,))
+        assert floats(a.x0) == floats(a.t0) == (tuple, float)
+
+
 class TestAffineFiberMap:
     def test_through_two_points(self):
         a = AffineFiberMap.through(0.0, 0.0, 1.0, 1.0)

@@ -1,5 +1,6 @@
 """Quadrature, compensated summation, and fiber minimization."""
 
+import hashlib
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from convlab.numerics import (
     _MAX_PANELS,
     _NODES_ROW,
     _REL_TOL,
+    _circle_crossings,
     _panel_rule,
     integrate_1d,
     integrate_fiber,
@@ -24,6 +26,7 @@ from convlab.numerics import (
     minimize_over_fiber,
     skirt_ladder,
 )
+from convlab.weights import lemma3_weight
 
 SQRT_PI = math.sqrt(math.pi)
 _NODES = np.array(_NODES_ROW)
@@ -182,6 +185,26 @@ class TestAdaptiveFailures:
         with pytest.raises(NonConvergent, match="non-finite panel value " + message):
             integrate_1d(f, 0.0, b, breakpoints=breakpoints)
 
+    def test_a_raising_first_panel_is_named_alone(self):
+        # [0, 100], [100, 800] and [800, 1000] take one call, and math.exp
+        # raises in the last two; a call that raises is made again one panel
+        # at a time, so the first non-finite panel is named, not the call
+        with pytest.raises(NonConvergent, match=r"non-finite panel value on \[100.0, 800.0\]$"):
+            integrate_1d(math.exp, 0.0, 1000.0, breakpoints=[100.0, 800.0])
+
+    @pytest.mark.parametrize("pole", [0.5, 1.5])  # the centre node of [0, 1], of [1, 2]
+    def test_a_raising_half_of_a_bisection(self, pole):
+        # both halves of the first split of [0, 2] take one call, which a
+        # float division by zero at either centre node makes raise
+        with pytest.raises(NonConvergent, match=r"non-finite panel value inside \[0.0, 2.0\]$"):
+            integrate_1d(lambda x: 1.0 / (x - pole), 0.0, 2.0)
+
+    def test_a_raising_tail_window_is_named(self):
+        # the window [520, 1032] is the first that reaches beyond math.exp's range
+        with pytest.raises(DivergentIntegral, match=r"^tail window \[520.0, 1032.0\] did not "
+                           r"stabilize: non-finite panel value on \[520.0, 1032.0\]$"):
+            integrate_1d(math.exp, 0.0, math.inf)
+
     @pytest.mark.parametrize("f,b,breakpoints", [
         (lambda x: 5e307, 4.0, (1.0, 2.0, 3.0)),  # four finite panels of 5e307
         # three finite pieces of about 7e307: the core and two tail windows
@@ -284,7 +307,7 @@ class TestPanelRule:
         # Every sum runs left to right over the nodes: numbers in Python,
         # arrays a row at a time, a single-entry array as a number.
         f = _integrand(kind, c0, c1, degree)
-        val, err = _panel_rule(_per_node(f), lo, lo + width)
+        (val, err), = _panel_rule(_per_node(f), [(lo, lo + width)])
         ref_val, ref_err = _cumsum_panel_rule(f, lo, lo + width)
         assert _bits(val) == _bits(ref_val)
         assert err == ref_err
@@ -315,7 +338,7 @@ class TestPanelRule:
         # Sums start from -0.0, so a panel of -0.0 values is worth -0.0 (a
         # +0.0 start would give +0.0), one of +0.0 values +0.0; the error
         # of either is +0.0, as the left-to-right rule gives it.
-        val, err = _panel_rule(_per_node(lambda x: zero), -1.0, 2.0)
+        (val, err), = _panel_rule(_per_node(lambda x: zero), [(-1.0, 2.0)])
         ref_val, ref_err = _cumsum_panel_rule(lambda x: zero, -1.0, 2.0)
         assert type(val) is type(zero)
         assert _bits(val) == _bits(ref_val) == _bits(value)
@@ -329,8 +352,9 @@ class TestPanelRule:
         # Ints, numpy scalars and 0-d arrays are summed as the Python numbers
         # they convert to.
         f = _integrand("real", 0.7, 1.3, 0)
-        val, err = _panel_rule(_per_node(lambda x: wrap(f(x))), -0.4, 2.1)
-        ref_val, ref_err = _panel_rule(_per_node(lambda x: as_python(wrap(f(x)))), -0.4, 2.1)
+        (val, err), = _panel_rule(_per_node(lambda x: wrap(f(x))), [(-0.4, 2.1)])
+        (ref_val, ref_err), = _panel_rule(_per_node(lambda x: as_python(wrap(f(x)))),
+                                          [(-0.4, 2.1)])
         assert type(val) is as_python
         assert _bits(val) == _bits(ref_val)
         assert err == ref_err
@@ -348,7 +372,7 @@ class TestPanelRule:
             return scale * c if kind == "real" else complex(scale * c, scale * s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, err = _panel_rule(_per_node(f), lo, lo + width)
+            (val, err), = _panel_rule(_per_node(f), [(lo, lo + width)])
         assert (val, err) == (math.inf, math.inf) or (
             math.isfinite(err) and np.isfinite(val))
 
@@ -357,7 +381,8 @@ class TestPanelRule:
     def test_an_overflowing_panel_is_inf(self, value, width):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _panel_rule(_per_node(lambda x: value), 0.0, width) == (math.inf, math.inf)
+            pairs = _panel_rule(_per_node(lambda x: value), [(0.0, width)])
+        assert pairs == [(math.inf, math.inf)]
 
     @given(kind=_KINDS, node=st.integers(0, 14), bad=st.sampled_from([math.inf, math.nan]),
            degree=st.integers(0, 8))
@@ -366,10 +391,36 @@ class TestPanelRule:
         smooth = _integrand(kind, 0.5, 1.5, degree)
         x_bad = 0.5 + 0.5 * _NODES[node]
         f = lambda x: smooth(x) + bad if x == x_bad else smooth(x)
-        val, err = _panel_rule(_per_node(f), 0.0, 1.0)
+        (val, err), = _panel_rule(_per_node(f), [(0.0, 1.0)])
         assert err == math.inf
         assert np.all(np.asarray(val) == math.inf)
         assert np.shape(val) == np.shape(smooth(0.5))
+
+    @given(kind=_KINDS, degree=st.integers(0, 16), c0=st.floats(-3, 3), c1=st.floats(-3, 3),
+           edges=st.lists(st.floats(-20, 20), min_size=2, max_size=5, unique=True),
+           bad=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 14),
+                                     st.sampled_from([math.inf, math.nan, "raise"])))
+    @settings(max_examples=200, deadline=None)
+    def test_panels_in_one_call_give_each_panel_alone(self, kind, degree, c0, c1, edges, bad):
+        # One (value, error) per panel, with the bits of a call of that panel
+        # alone, also where one node of one panel is non-finite or raises.
+        edges = sorted(edges)
+        intervals = list(zip(edges, edges[1:]))
+        smooth = f = _integrand(kind, c0, c1, degree)
+        if bad is not None:
+            panel, node, value = bad
+            lo, hi = intervals[panel % len(intervals)]
+            x_bad = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES_ROW[node]
+
+            def f(x):
+                if x != x_bad:
+                    return smooth(x)
+                if value == "raise":
+                    raise OverflowError
+                return smooth(x) + value
+        together = _panel_rule(_per_node(f), intervals)
+        alone = [_panel_rule(_per_node(f), [iv])[0] for iv in intervals]
+        assert [(_bits(v), e) for (v, e) in together] == [(_bits(v), e) for (v, e) in alone]
 
     @given(rate=st.floats(0.05, 4.0), freq=st.floats(-3, 3), start=st.floats(-5, 5))
     # no shrink phase: a broken panel rule makes tail integrals hit the panel
@@ -408,7 +459,7 @@ _FACTOR_RANGES = [(-1.0, 2.0, ()), (0.0, 1.5, (0.4,)), (0.5, math.inf, ()),
 
 class TestFactor:
     """``integrate_1d(f, a, b, factor=F)``: the integrand at a node is
-    ``F(nodes)[i] * f(x_i)``, with F formed once per panel."""
+    ``F(nodes)[i] * f(x_i)``, with F formed once per call of the panel rule."""
 
     @pytest.mark.parametrize("a, b, bps", _FACTOR_RANGES)
     @pytest.mark.parametrize("degree", [0, 3, 8])
@@ -446,6 +497,48 @@ class TestFactor:
         got = integrate_fiber(f, fib, factor=factor, **seams)
         want = integrate_fiber(lambda p: factor([p])[0] * f(p), fib, **seams)
         assert _bits(got) == _bits(want)
+
+
+def _digest(xs):
+    return hashlib.sha256(" ".join(x.hex() for x in xs).encode()).hexdigest()[:16]
+
+
+class TestNodeSequence:
+    """The nodes an integrand sees, in order, pinned by a digest: batching
+    panels into one call must not move, add or drop a node."""
+
+    def test_improper_integral_with_breakpoints(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.exp(-abs(x - 1.5)) * (1.0 + 0.5 * math.cos(3.0 * x))
+        integrate_1d(f, -math.inf, math.inf, breakpoints=(1.5, -2.0, 12.0))
+        assert (len(seen), _digest(seen)) == (840, "37ebc9c6773afe1f")
+
+    def test_gram_inner_slice(self):
+        # one inner integral of a degree-8 Gram matrix on the unit disc, as
+        # integrate_fiber makes it at x = 0.3: lemma3's density times the
+        # monomial products, between the crossings of the seam circle
+        w, x, c = lemma3_weight(4, 0.5), 0.3, 0.2 + 0.1j
+        fib = fiber(disc_region(1.0), ())
+        density = w.fiber_density(fib)
+        (ylo, yhi), = fib.slice_intervals(x)
+        circles = [(cx, cy, r) for ((cx, cy), r) in w.fiber_seams(())]
+        js = np.arange(9)
+        rows, cols = np.triu_indices(9)
+
+        def factor(ys):
+            b = np.array([complex(x, y) - c for y in ys])[:, None] ** js
+            return np.take(b, rows, 1) * np.take(b.conj(), cols, 1)
+        seen = []
+
+        def g(y):
+            seen.append(y)
+            return density((x, y))
+        integrate_1d(g, ylo, yhi, breakpoints=_circle_crossings(x, circles),
+                     abs_tol=_ABS_TOL / 32.0, factor=factor)
+        assert (len(seen), _digest(seen)) == (105, "aabf1d43970dd3dd")
 
 
 class TestSkirtLadder:
