@@ -505,9 +505,10 @@ def _exp_or_nonconvergent(v: float, what: str) -> float:
 def lemma2_harness(profile: RadialProfile, ks) -> list:
     """Localized kernel values at the center of a radial weight, per sharpness.
 
-    For each k the log-cone penalty of sharpness k is added to the profile and
-    the kernel diagonal at 0 is computed by the radial route (``1/m_0``).  The
-    target is ``e^{profile(0)}``; the certified finite-k upper bound is
+    For each k the profile ``psh_localizer(k, 0).radial_fn(())`` of the log
+    cone of sharpness k is added to the profile, and the kernel diagonal at 0
+    is computed by the radial route (``1/m_0``).  The target is
+    ``e^{profile(0)}``; the certified finite-k upper bound is
     ``exp(max of the profile on the penalty's flat disc of radius 1/k)``.
     """
     target = _exp_or_nonconvergent(profile(0.0), "target")
@@ -517,10 +518,10 @@ def lemma2_harness(profile: RadialProfile, ks) -> list:
         k = int(k)
         if k < 3:
             raise InvalidParam("need k >= 3 for integrable plane penalties")
-        cone = psh_localizer(k, origin).radial_fn
+        cone = psh_localizer(k, origin).radial_fn(())
 
         combined = RadialProfile(
-            fn=lambda r, cone=cone: profile.fn(r) + cone((), r),
+            fn=lambda r, cone=cone: profile.fn(r) + cone(r),
             cutoff=profile.cutoff,
             seam_radii=tuple(profile.seam_radii) + (1.0 / k,),
         )
@@ -582,8 +583,9 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
 
     Adds the log-cone penalty of sharpness k about the moving center and
     evaluates the kernel at the center by the requested route.  The radial
-    route needs the combined weight to be rotation invariant about a(tau) and
-    the fiber to be a full plane or a disc whose center equals a(tau) exactly,
+    route reads the profile ``combined.radial_fn(t)``, which the sum has when
+    ``w`` is a constant or has a ``radial_fn`` about a(tau), and needs the
+    fiber to be a full plane or a disc whose center equals a(tau) exactly,
     which the fiber's node answers through ``disc_radius``; anything else
     raises MethodUnavailable so a silently wrong fast path cannot exist.
     """
@@ -597,14 +599,14 @@ def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
         if method == "radial":
             if combined.radial_fn is None:
                 raise MethodUnavailable(
-                    "weight is not rotation invariant about the moving center")
+                    "weight has no radial profile about the moving center")
             center = a.at(t)
             cutoff = fiber(domain, t).node.disc_radius(center)
             if cutoff is None:
                 raise MethodUnavailable(
                     "fiber is not a plane or a disc centered on the moving center")
             prof = RadialProfile(
-                fn=lambda rr, t=t: combined.radial_fn(t, rr),
+                fn=combined.radial_fn(t),
                 cutoff=cutoff,
                 seam_radii=tuple(r for (c, r) in combined.fiber_seams(t)
                                  if c == center),

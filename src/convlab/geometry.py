@@ -500,6 +500,11 @@ class Intersection(_Compound):
             v, e = _minimum(v, qv), e & qe
         return v, e
 
+    def disc_radius(self, center):
+        """Discs about one center intersect in the smallest of them."""
+        radii = [q.disc_radius(center) for q in self.parts]
+        return None if None in radii else min(radii)
+
     def dist_outside(self, p):
         return _by_axis_groups(self.parts, p, dist_to_set)
 

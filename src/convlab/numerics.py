@@ -578,10 +578,10 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
     ``bounds()``, which gives (lo, hi) as sequences of Python floats.  ``f``
     takes a point of length ``dim`` as a tuple of Python floats, ``(x,)`` or
     ``(x, y)``, and reads it by index.  ``factor``, if given, multiplies
-    ``f`` as in ``integrate_1d``: it takes the points of the innermost
-    panels of one call, 15 a panel, as a list of such tuples (points of one
-    slice in dimension 2) and returns an array of shape
-    ``(len(points), *shape)``.
+    ``f`` as in ``integrate_1d``, in dimension 2 only: it takes the points
+    of the inner panels of one call, 15 a panel, as a list of such tuples
+    (points of one slice) and returns an array of shape
+    ``(len(points), *shape)``.  A one-dimensional fiber refuses it.
     ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
     ``circle_seams`` are ``((cx, cy), radius)`` kink circles (dimension 2).
     An empty fiber integrates to 0.  The tolerances are the module's; each
@@ -599,14 +599,15 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
     """
     dim = fiber.dim
     if dim == 1:
+        if factor is not None:
+            raise InvalidParam("integrate_fiber takes a factor in dimension 2 only")
         intervals = fiber.quad_intervals()
         if not intervals:
             return 0.0
         fn = lambda x: f((x,))
-        fac = None if factor is None else lambda xs: factor([(x,) for x in xs])
         values = []
         for (lo, hi) in intervals:
-            values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams, factor=fac)))
+            values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams)))
         values.sort(key=lambda p: p[0])
         return _finite_total((v for (_, v) in values), "the fiber")
     if dim != 2:

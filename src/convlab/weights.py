@@ -16,7 +16,8 @@ transforms need:
   quadrature panels split at them instead of straddling them;
 * radial structure -- "depends only on the distance to a moving center" --
   which is what lets kernel computations collapse to one-dimensional moment
-  integrals;
+  integrals; a weight whose profile a kernel route reads also carries it, as
+  the radial restriction t -> (r -> w(t, a(t) + r e_1));
 * an optional decay rate: ``weight >= rate * dist - C`` for some constant C,
   with dist the distance to the radial center.  It records why integrals
   over unbounded fibers converge, and it sets the scale of the panel ladder
@@ -115,6 +116,9 @@ class WeightField:
     ``restrict(())`` itself when the base is empty, else
     ``p -> restrict(p[:nb])(p[nb:])``.  It is not a constructor argument, and
     ``dataclasses.replace`` cannot set it.
+    ``radial_fn(t)``, if given, is the profile ``r -> w(t, a(t) + r e_1)``
+    about ``a = radial_center``, with the t-only terms bound once; it needs
+    the center, which may stand alone.
     """
 
     restrict: Callable[[Sequence[float]], Callable[[Sequence[float]], float]]
@@ -123,7 +127,7 @@ class WeightField:
     lower_bound: Optional[float] = None
     seams: tuple = ()
     radial_center: Optional[AffineFiberMap] = None
-    radial_fn: Optional[Callable[[np.ndarray, float], float]] = None
+    radial_fn: Optional[Callable[[Sequence[float]], Callable[[float], float]]] = None
     decay_rate: Optional[float] = None  # about radial_center
     constant: Optional[float] = None
     fn: Callable[[Sequence[float]], float] = field(init=False)
@@ -131,8 +135,8 @@ class WeightField:
     def __post_init__(self):
         if self.base_rdim < 0 or self.fiber_rdim < 1:
             raise InvalidParam("need base_rdim >= 0 and fiber_rdim >= 1")
-        if (self.radial_fn is None) != (self.radial_center is None):
-            raise InvalidParam("radial_fn and radial_center come as a pair")
+        if self.radial_fn is not None and self.radial_center is None:
+            raise InvalidParam("a radial_fn needs a radial_center")
         if self.decay_rate is not None and not self.decay_rate > 0.0:
             raise InvalidParam("decay rate must be positive")
         if self.constant is not None and self.lower_bound != self.constant:
@@ -235,18 +239,18 @@ def _combine_radial(a: WeightField, b: WeightField):
     """Radial metadata of a sum, ``(center, radial_fn, decay_rate)``: a radial
     part keeps its center beside a constant or beside a part about the same
     center.  The parts' rates add, and a part without one must be bounded
-    below (a constant is); otherwise the sum has no rate."""
+    below (a constant is); otherwise the sum has no rate.  The profiles add
+    as the restrictions do, a constant's restriction serving as its own."""
     for const, radial in ((a, b), (b, a)):
-        if const.constant is not None and radial.radial_fn is not None:
-            c, rf = const.constant, radial.radial_fn
-            center, fn = radial.radial_center, lambda t, r: c + rf(t, r)
+        if const.constant is not None and radial.radial_center is not None:
+            center = radial.radial_center
             break
     else:
-        if a.radial_fn is None or b.radial_fn is None \
-                or a.radial_center != b.radial_center:
+        if a.radial_center is None or a.radial_center != b.radial_center:
             return None, None, None
-        ra, rb = a.radial_fn, b.radial_fn
-        center, fn = a.radial_center, lambda t, r: ra(t, r) + rb(t, r)
+        center = a.radial_center
+    ra, rb = (w.restrict if w.constant is not None else w.radial_fn for w in (a, b))
+    fn = None if ra is None or rb is None else lambda t: _added(ra(t), rb(t))
     rates = [w.decay_rate for w in (a, b) if w.decay_rate is not None]
     bounded = all(w.decay_rate is not None or w.lower_bound is not None for w in (a, b))
     return center, fn, (sum(rates) if rates and bounded else None)
@@ -361,9 +365,7 @@ def convex_localizer(k: int, a: AffineFiberMap) -> WeightField:
     return WeightField(
         restrict=_cone_about(cone, a), base_rdim=a.base_rdim, fiber_rdim=n,
         lower_bound=lb, seams=(SphereSeam(a, inv_k),),
-        radial_center=a,
-        radial_fn=lambda t, r: cone(r),
-        decay_rate=kk,
+        radial_center=a, decay_rate=kk,
     )
 
 
@@ -390,8 +392,7 @@ def psh_localizer(k: int, a: AffineFiberMap) -> WeightField:
     return WeightField(
         restrict=_cone_about(cone, a), base_rdim=a.base_rdim, fiber_rdim=2,
         lower_bound=lb, seams=(SphereSeam(a, 1.0 / k),),
-        radial_center=a,
-        radial_fn=lambda t, r: cone(float(r)),
+        radial_center=a, radial_fn=lambda t: cone,
     )
 
 
@@ -413,9 +414,7 @@ def lemma3_weight(k: int, r: float) -> WeightField:
     return WeightField(
         restrict=lambda t: lambda x: cone(math.hypot(x[0], x[1])),
         base_rdim=0, fiber_rdim=2, lower_bound=0.0,
-        seams=(SphereSeam(origin, rf, base_center=()),),
-        radial_center=origin,
-        radial_fn=lambda t, s: cone(float(s)),
+        seams=(SphereSeam(origin, rf, base_center=()),), radial_center=origin,
     )
 
 
@@ -431,9 +430,7 @@ def _dent(radius: float, e2: float) -> WeightField:
         restrict=restrict,
         base_rdim=1, fiber_rdim=1, lower_bound=0.0,
         seams=(SphereSeam(origin, radius, base_center=(0.0,)),),
-        radial_center=origin,
-        radial_fn=lambda t, r: restrict(t)((r,)),  # at distance r from 0
-        decay_rate=1.0,
+        radial_center=origin, decay_rate=1.0,
     )
 
 
@@ -465,8 +462,8 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
             restrict=restrict,
             base_rdim=2, fiber_rdim=2, lower_bound=0.0,
             seams=(SphereSeam(origin, eps, base_center=(0.0, 0.0)),),
-            radial_center=origin,
-            radial_fn=lambda t, r: restrict(t)((r, 0.0)),  # at distance r from 0
+            radial_center=origin,  # its profile: the point at distance r from 0
+            radial_fn=lambda t: lambda r, w=restrict(t): w((r, 0.0)),
         )
     if name == "minprinciple_cex":
         return _dent(1.0, 1.0)

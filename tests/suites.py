@@ -329,11 +329,11 @@ def kernel_monotonicity_suite(seed: int, cases: int = 1000,
         wv = weight_from_fn(
             lambda p, a2=a2: a2 * (p[0] ** 2 + p[1] ** 2), 0, 2,
             radial_center=origin,
-            radial_fn=lambda t, r, a2=a2: a2 * r * r)
+            radial_fn=lambda t, a2=a2: lambda r: a2 * r * r)
         wu = weight_from_fn(
             lambda p, a2=a2, lift=lift: (a2 + lift) * (p[0] ** 2 + p[1] ** 2),
             0, 2, radial_center=origin,
-            radial_fn=lambda t, r, a2=a2, lift=lift: (a2 + lift) * r * r)
+            radial_fn=lambda t, a2=a2, lift=lift: lambda r: (a2 + lift) * r * r)
         g_low = bergman_gram(wv, disc, (), at=z, degree=4)
         g_high = bergman_gram(wu, disc, (), at=z, degree=4)
         g_deg6 = bergman_gram(wv, disc, (), at=z, degree=6)
@@ -393,7 +393,7 @@ def product_split_suite(seed: int, cases: int = 1000) -> dict:
         wk = weight_from_fn(
             lambda p, a2=a2, u2=u2: u2(p[:2]) + a2 * (p[2] ** 2 + p[3] ** 2),
             2, 2, radial_center=center,
-            radial_fn=lambda t, r, a2=a2, u2=u2: u2(t) + a2 * r * r)
+            radial_fn=lambda t, a2=a2, u2=u2: lambda r, ut=u2(t): ut + a2 * r * r)
         k = int(rng.integers(2, 25))
         n_taus = min(BATCH, cases - done) + 1
         ths = rng.uniform(0.0, 2.0 * math.pi, n_taus)

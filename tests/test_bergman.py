@@ -12,7 +12,7 @@ from convlab import bergman
 from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, NonConvergent,
                             ZeroKernel)
 from convlab.geometry import (AffineFiberMap, Ball, Domain, Intersection, bidisc, disc_region,
-                              fiber, full_space, hartogs_figure, plane_region)
+                              fiber, full_space, hartogs_figure, plane_region, punctured_ball)
 from convlab.prekopa import dent_marginal_closed
 from convlab.weights import RadialProfile, constant_weight, lemma3_weight
 from convlab.bergman import (
@@ -494,15 +494,32 @@ class TestKernelCurve:
         np.testing.assert_allclose(val, 0.75, atol=1e-3)
 
     def test_radial_requires_centered_discs(self):
-        with pytest.raises(MethodUnavailable):
+        # the punctured ball's fiber at 0 is a disc minus its center
+        with pytest.raises(MethodUnavailable, match="not a plane or a disc"):
             kernel_curve(
                 constant_weight(0.0, 2, 2),
-                hartogs_figure(0.5),
+                punctured_ball((1, 1), kind="complex"),
                 AffineFiberMap.complex_affine(0.0),
                 8,
-                [(0.2, 0.0)],
+                [0j],
                 method="radial",
             )
+
+    @pytest.mark.parametrize("k", [3, 8, 32])
+    def test_radial_takes_the_hartogs_figures_small_disc(self, k):
+        # the fiber over tau = 0 is the disc of radius rho = 0.5 twice over,
+        # and m_0 of the log cone about its center is in closed form
+        rho = 0.5
+        m0 = 1.0 + 2.0 * (1.0 - (k * rho) ** (2 - k)) / (k - 2)
+        val, = kernel_curve(constant_weight(0.0, 2, 2), hartogs_figure(rho),
+                            AffineFiberMap.complex_affine(0.0), k, [0j])
+        np.testing.assert_allclose(val, 1.0 / m0, rtol=1e-14)
+
+    def test_radial_needs_a_profile_about_the_moving_center(self):
+        # the log shell is radial about 0 but carries no profile
+        with pytest.raises(MethodUnavailable, match="no radial profile"):
+            kernel_curve(lemma3_weight(4, 0.5), plane_region(),
+                         AffineFiberMap.constant((0.0, 0.0), 0), 8, [()])
 
     # the unit base disc times the fiber disc of radius 0.4 about 0.5
     OFF_CENTER = Domain(Intersection((Ball((0.0, 0.0), 1.0, (0, 1)),

@@ -565,6 +565,18 @@ class TestNodeQuestions:
         assert ball.disc_radius([0.0, 0.0]) == 1.0
         assert ball.disc_radius((0.0, 1e-300)) is None
         assert Ball((0.0, 0.0), 1.0, (2, 3)).disc_radius((0.0, 0.0)) is None
+        # discs about one center intersect in the smallest of them
+        disc = lambda c, r: Ball(c, r, (0, 1))
+        assert Intersection((disc((0.0, 0.0), 1.0), Full())).disc_radius((0.0, 0.0)) == 1.0
+        assert Intersection((disc((0.0, 0.0), 1.0), disc((0.0, 0.0), 0.25),
+                             disc((0.0, 0.0), 0.5))).disc_radius((0.0, 0.0)) == 0.25
+        # one part that is not a disc about the center makes the whole no disc
+        assert Intersection((disc((0.0, 0.0), 1.0), disc((0.0, 1e-300), 0.5))
+                            ).disc_radius((0.0, 0.0)) is None
+        assert fiber(hartogs_figure(), 0j).node.disc_radius((0.0, 0.0)) == 0.5
+        assert fiber(hartogs_figure(), 0j).node.disc_radius((0.5, 0.0)) is None
+        punctured = fiber(punctured_ball((1, 1), kind="complex"), 0j).node
+        assert punctured.disc_radius((0.0, 0.0)) is None
 
     def test_bounds_are_tuples_of_python_floats(self):
         want = {

@@ -484,19 +484,23 @@ class TestFactor:
                                factor=lambda xs: np.asfortranarray(factor(xs)))
         assert _bits(f_order) == _bits(c_order)
 
-    @pytest.mark.parametrize("domain, seams", [
-        (box_domain((-1.0,), (2.0,), split=(0, 1)), {"point_seams": (0.5,)}),
-        (disc_region(0.75, 0.3 - 0.2j), {"circle_seams": (((0.0, 0.0), 0.5),)}),
-    ])
-    def test_integrate_fiber_passes_the_factor_to_its_inner_integrals(self, domain, seams):
+    def test_integrate_fiber_passes_the_factor_to_its_inner_integrals(self):
         # the factor takes the points of a panel; here, the monomials of x
         js = np.arange(4)
         factor = lambda pts: np.array([p[0] for p in pts])[:, None] ** js
         f = lambda p: math.exp(-sum(v * v for v in p))
-        fib = fiber(domain, ())
+        fib = fiber(disc_region(0.75, 0.3 - 0.2j), ())
+        seams = {"circle_seams": (((0.0, 0.0), 0.5),)}
         got = integrate_fiber(f, fib, factor=factor, **seams)
         want = integrate_fiber(lambda p: factor([p])[0] * f(p), fib, **seams)
         assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("interval", [(-1.0, 2.0), (1.0, 1.0)])
+    def test_a_one_dimensional_fiber_refuses_a_factor(self, interval):
+        # rather than integrate f alone, an empty fiber included
+        fib = fiber(box_domain((interval[0],), (interval[1],), split=(0, 1)), ())
+        with pytest.raises(InvalidParam, match="dimension 2 only"):
+            integrate_fiber(lambda p: 1.0, fib, factor=lambda pts: np.ones((len(pts), 2)))
 
 
 def _digest(xs):

@@ -138,9 +138,21 @@ class TestWeightAlgebra:
         for s in slices(dent, (0.05,)) + slices(psi, (0.05,)):
             assert s in seams
 
-    def test_adding_a_constant_keeps_the_radial_route(self):
-        psi = convex_localizer(8, MOVING)
-        assert (psi + constant_weight(1.0, 1, 1)).radial_fn is not None
+    def test_adding_a_constant_keeps_the_center_and_the_rate(self):
+        # the center and the rate ride on radial_center; the localizer has
+        # no profile, so neither has the sum
+        both = convex_localizer(8, MOVING) + constant_weight(1.0, 1, 1)
+        assert (both.radial_center, both.decay_rate, both.radial_fn) == (MOVING, 64.0, None)
+
+    def test_a_dent_and_a_localizer_about_one_center_add_their_rates(self):
+        # without this rate the twisted marginals' skirt ladders move
+        origin = AffineFiberMap.constant((0.0,), 1)
+        summed = stock_weight("prekopa_cex", 0.1) + convex_localizer(128, origin)
+        assert summed.decay_rate == 1.0 + 128.0 ** 2
+
+    def test_a_radial_fn_needs_a_radial_center(self):
+        with pytest.raises(InvalidParam, match="needs a radial_center"):
+            weight_from_fn(lambda p: 0.0, 0, 2, radial_fn=lambda t: lambda r: 0.0)
 
     def test_envelope_survives_a_bounded_mate(self):
         # A mate sharing the anchor but carrying no decay of its own only
@@ -152,7 +164,6 @@ class TestWeightAlgebra:
             1,
             lower_bound=-1.0,
             radial_center=MOVING,
-            radial_fn=lambda t, r: -math.exp(-r),
         )
         assert (psi + mate).decay_rate == 64.0
 
@@ -186,8 +197,7 @@ class TestWeightAlgebra:
                            seams=(SphereSeam(MOVING, 0.5, base_center=(0.0, 0.0)),))
         with pytest.raises(InvalidParam, match="center of split"):
             weight_from_fn(lambda p: 0.0, 1, 1,
-                           radial_center=AffineFiberMap.constant((0.0, 0.0), 0),
-                           radial_fn=lambda t, r: 0.0)
+                           radial_center=AffineFiberMap.constant((0.0, 0.0), 0))
 
     def test_packed_point_dimension_guard(self):
         with pytest.raises(InvalidParam):
@@ -277,7 +287,7 @@ class TestRadialProfile:
 
         def seam_radii(seam):
             w = weight_from_fn(lambda p: 0.0, 2, 2, seams=(seam,),
-                               radial_center=a, radial_fn=lambda t, r: 0.0)
+                               radial_center=a, radial_fn=lambda t: lambda r: 0.0)
             bergman.kernel_curve(w, full_space((1, 1), "complex"), a, 8, [(0.1, 0.0)])
             return profiles.pop().seam_radii
 
@@ -292,30 +302,39 @@ class TestRadialProfile:
         rp = RadialProfile(fn=lambda r: r, cutoff=1.0, seam_radii=(0.5, 1.5, -0.2, 0.0))
         assert rp.seam_radii == (0.5,)
 
-    # Every radial catalog weight, and whether fn and radial_fn compute the
-    # same expression from the same distance (then they agree bit for bit).
-    # logshell measures with math.hypot and berndtsson_cex adds the squares of
-    # t to those of x, where the test takes the root of the sum of squares.
-    RADIAL_CATALOG = {
-        "cone2": (convex_localizer(8, MOVING), True),
-        "logcone": (psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)), True),
-        "logshell": (lemma3_weight(10, 0.5), False),
-        "prekopa_cex": (stock_weight("prekopa_cex", eps=0.3), True),
-        "berndtsson_cex": (stock_weight("berndtsson_cex", eps=0.3), False),
-        "minprinciple_cex": (stock_weight("minprinciple_cex"), True),
+    # Every weight with a profile, and whether the profile and the
+    # restriction at a(t) + r e_1 compute the same expression from the same
+    # distance (then they agree bit for bit): with a(t) = 0, a(t) + r e_1 is
+    # (r, 0.0) exactly and |(r, 0.0)| is r, while a moving center rounds it.
+    ORIGIN22 = AffineFiberMap.constant((0.0, 0.0), 2)
+    WITH_PROFILE = {
+        "logcone": (psh_localizer(3, AffineFiberMap.complex_affine(0.1, 0.5)), False),
+        "logcone_at_0": (psh_localizer(3, ORIGIN22), True),
+        "berndtsson_cex": (stock_weight("berndtsson_cex", eps=0.3), True),
+        "constant+logcone": (constant_weight(0.7, 2, 2)
+                             + psh_localizer(5, AffineFiberMap.complex_affine(0.1, 0.5)), False),
+        "berndtsson_cex+logcone_at_0": (stock_weight("berndtsson_cex", eps=0.3)
+                                        + psh_localizer(4, ORIGIN22), True),
     }
 
-    @pytest.mark.parametrize("name", sorted(RADIAL_CATALOG))
-    def test_fn_matches_radial_fn(self, name):
-        w, exact = self.RADIAL_CATALOG[name]
+    @pytest.mark.parametrize("name", sorted(WITH_PROFILE))
+    def test_radial_fn_is_the_restriction_along_e1(self, name):
+        w, exact = self.WITH_PROFILE[name]
         rng = np.random.default_rng(7)
-        for p in rng.uniform(-1.2, 1.2, size=(64, w.rdim)):
-            t, x = p[:w.base_rdim], p[w.base_rdim:]
-            r = _distance(*(x - w.radial_center.at(t)).tolist())
+        for p in rng.uniform(-1.2, 1.2, size=(64, w.rdim)).tolist():
+            t, r = tuple(p[:w.base_rdim]), abs(p[-1])
+            a = w.radial_center.at(t)
+            want = w.restrict(t)((a[0] + r, a[1]))
             if exact:
-                assert w.fn(p) == w.radial_fn(t, r)
+                assert w.radial_fn(t)(r) == want
             else:
-                np.testing.assert_allclose(w.fn(p), w.radial_fn(t, r), rtol=1e-14, atol=1e-15)
+                np.testing.assert_allclose(w.radial_fn(t)(r), want, rtol=1e-14, atol=1e-15)
+
+    def test_only_the_kernel_routes_weights_carry_a_profile(self):
+        # the other radial catalog weights keep their center and rate alone
+        for w in (convex_localizer(8, MOVING), lemma3_weight(10, 0.5),
+                  stock_weight("prekopa_cex", eps=0.3), stock_weight("minprinciple_cex")):
+            assert w.radial_center is not None and w.radial_fn is None
 
 
 def _square_of_x(p):
@@ -522,7 +541,7 @@ class TestFiberRestriction:
         assert seen == {(tuple, float)}
 
     @pytest.mark.parametrize("split", [(0, 1), (1, 1), (0, 2), (2, 2)])
-    def test_a_bare_function_receives_an_ndarray(self, split):
+    def test_a_bare_function_receives_a_tuple_of_floats(self, split):
         seen = []
 
         def fn(p):
