@@ -65,8 +65,11 @@ through it too, unless they are Python floats already, and a ``Ball`` or
 ``AffineFiberMap.at`` are such tuples, and every other module uses them as
 they come.  The ``Domain`` and ``FiberDomain`` methods and the probes built
 on them (``boundary_distance``, ``fiber_distance``,
-``midpoint_closure_check``) return Python scalars: a ``bool`` for
-membership, a ``float`` for a distance.
+``midpoint_closure_check``) return Python scalars for one point: a ``bool``
+for membership, a ``float`` for a distance.  ``fiber_distance`` also takes a
+coordinate-major batch of base and fiber points and returns an ``(N,)``
+array with the bits of the single-point calls; columns whose slices are
+equal share one batched query.
 
 ``fiber`` slices the domain at ``Domain.base_point(t)`` and keeps the packed
 point as ``FiberDomain.t``; the fiberwise transforms of ``prekopa`` and
@@ -835,11 +838,19 @@ def boundary_distance(domain: Domain, p) -> DistanceInfo:
     return _distance_in(domain.csg, domain.point(p))
 
 
-def fiber_distance(domain: Domain, t, x) -> float:
+def fiber_distance(domain: Domain, t, x) -> "float | np.ndarray":
     """Distance from x to the complement of the fiber over t (within the fiber).
 
     The point is tested against the domain itself, then measured on the
-    sliced node as ``boundary_distance`` measures on a domain."""
+    sliced node as ``boundary_distance`` measures on a domain.
+
+    ``t`` and ``x`` may also be a coordinate-major batch in packed reals, of
+    shapes ``(base_rdim, N)`` and ``(fiber_rdim, N)`` as
+    ``AnalyticDisc.eval_real`` returns them.  The answer is then an ``(N,)``
+    array whose entry j has the bits of the call on column j alone, and an
+    outside column raises what that call raises for the first of them."""
+    if np.ndim(t) == 2 or np.ndim(x) == 2:
+        return _fiber_distances(domain, t, x)
     fd = fiber(domain, t)
     q = _as_real_point(x, domain.kind, fd.dim)
     if not domain.csg.member(fd.t + q):
@@ -847,6 +858,45 @@ def fiber_distance(domain: Domain, t, x) -> float:
             f"fiber point {list(q)} is not in the slice over {list(fd.t)}"
         )
     return _distance_in(fd.node, q).value
+
+
+def _fiber_distances(domain: Domain, t, x) -> np.ndarray:
+    """The batch branch of ``fiber_distance``.
+
+    Every column is tested against the domain in one ``member`` call, then
+    sliced over its base point.  Columns whose slices are equal nodes share
+    one batched query on that node: a slice's centres and bounds are the
+    domain's own constants and a sliced radius is a square root (never
+    -0.0), so equal slices answer with equal bits.  A group of one column,
+    or one whose query is not exact, is measured point by point."""
+    t, x = np.asarray(t), np.asarray(x)
+    nb, nf = domain.base_rdim, domain.fiber_rdim
+    if (t.ndim != 2 or x.ndim != 2 or t.shape[0] != nb or x.shape != (nf, t.shape[1])
+            or "c" in (t.dtype.kind, x.dtype.kind)):
+        raise InvalidParam(f"a fiber batch is packed reals of shapes ({nb}, N) and "
+                           f"({nf}, N), got {t.shape} and {x.shape}")
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    out = np.empty(t.shape[1])
+    # a batch square past the float range is inf with no warning, as a float's is
+    with np.errstate(over="ignore"):
+        inside = domain.csg.member(np.concatenate((t, x)))
+        if not _all(inside):
+            j = int(np.argmin(inside))
+            fiber_distance(domain, t[:, j], x[:, j])  # raises as the column alone does
+        groups = {}
+        for j, tj in enumerate(t.T.tolist()):
+            groups.setdefault(domain.csg.slice_first(tj, nb), []).append(j)
+        for node, cols in groups.items():
+            if len(cols) > 1:
+                q = x[:, cols]
+                if _all(node.member(q)):
+                    v, exact = dist_to_complement(node, q)
+                    if _all(exact):
+                        out[cols] = v
+                        continue
+            for j in cols:
+                out[j] = _distance_in(node, tuple(x[:, j].tolist())).value
+    return out
 
 
 # ---------------------------------------------------------------------------

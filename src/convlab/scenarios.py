@@ -618,9 +618,10 @@ def _psh_delta(p):
 
 def _disc_log_distance(domain, disc):
     """-log of the fiber boundary distance along an analytic disc, as an array
-    map for ``psh_mean_value_check``.  The fiber changes with every point, so
-    this is a loop over the packed disc points."""
+    map for ``psh_mean_value_check``: one batched ``fiber_distance`` call per
+    array of disc points (a probe circle, or the centres), with ``math.log``
+    taken per value."""
     def u(w):
         q = disc.eval_real(w)
-        return np.array([-math.log(fiber_distance(domain, p[:2], p[2:])) for p in q.T])
+        return np.array([-math.log(d) for d in fiber_distance(domain, q[:2], q[2:]).tolist()])
     return u

@@ -116,6 +116,76 @@ class TestFiberSlices:
             assert fiber(ball_domain((1, 1)), t).node == Empty()
 
 
+def _interior_columns(dom, seed, n, scale):
+    """``n`` seeded points of ``dom``, uniform in the box |coordinate| < scale
+    and kept when inside, as packed (base, fiber) arrays of shape (rdim, n)."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    while len(cols) < n:
+        p = rng.uniform(-1.0, 1.0, dom.rdim) * scale
+        if dom.member(p):
+            cols.append(p)
+    q = np.array(cols).T
+    return q[:dom.base_rdim], q[dom.base_rdim:]
+
+
+def _hartogs_columns():
+    """Base points below, at and above |tau| = 1/2, each with fiber points."""
+    t, x = _interior_columns(hartogs_figure(0.5), 3, 40, (1.0, 1.0, 1.0, 1.0))
+    on_seam = np.array([[0.5, 0.0, -0.5, 0.5, 0.0], [0.0, 0.5, 0.0, 0.0, -0.5]])
+    near = np.array([[0.3, -0.1, 0.0, 0.2, 0.4], [0.1, 0.2, -0.45, 0.0, 0.1]])
+    return np.hstack((t, on_seam)), np.hstack((x, near))
+
+
+_BATCHES = {
+    "bidisc": lambda: (bidisc(), *_interior_columns(bidisc(), 1, 64, 1.0)),
+    "hartogs": lambda: (hartogs_figure(0.5), *_hartogs_columns()),
+    "complex-ball": lambda: (ball_domain((1, 1), kind="complex"),
+                             *_interior_columns(ball_domain((1, 1), kind="complex"), 2, 32, 1.0)),
+    # the neck's slices are one box; the bulges' are inexact unions
+    "dumbbell": lambda: (dumbbell(), *_interior_columns(dumbbell(), 4, 48, (1.3, 0.3))),
+    # no base axes: one slice, the whole union, whose distance is not exact
+    "vesica": lambda: (vesica(), *_interior_columns(vesica(), 5, 6, 1.5)),
+}
+
+
+class TestFiberDistanceBatch:
+    @pytest.mark.parametrize("name", sorted(_BATCHES))
+    def test_each_column_has_the_bits_of_the_point_alone(self, name):
+        dom, t, x = _BATCHES[name]()
+        got = fiber_distance(dom, t, x)
+        assert got.shape == (t.shape[1],)
+        for j in range(t.shape[1]):
+            assert got[j].hex() == fiber_distance(dom, t[:, j], x[:, j]).hex(), j
+
+    def test_an_empty_batch(self):
+        assert fiber_distance(bidisc(), np.empty((2, 0)), np.empty((2, 0))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [2.0, 1e200])
+    def test_the_first_outside_column_raises_as_it_does_alone(self, bad):
+        dom = hartogs_figure(0.5)
+        t = np.array([[0.1, 0.2, 0.0, 0.3], [0.0, 0.0, 0.1, 0.0]])
+        x = np.array([[0.1, bad, 0.2, -bad], [0.0, 0.0, 0.7, 0.0]])
+        with pytest.raises(PointOutsideDomain) as alone:
+            fiber_distance(dom, t[:, 1], x[:, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PointOutsideDomain) as batch:
+                fiber_distance(dom, t, x)
+        assert str(batch.value) == str(alone.value)
+
+    @pytest.mark.parametrize("t,x", [
+        (np.zeros((1, 3)), np.zeros((2, 3))),
+        (np.zeros((2, 3)), np.zeros((2, 4))),
+        (np.zeros((2, 3)), np.zeros((3, 3))),
+        (np.zeros((2, 3)), np.zeros(2)),
+        (np.zeros((1, 3), complex), np.zeros((1, 3), complex)),
+    ], ids=["base-rows", "columns", "fiber-rows", "single-fiber", "complex"])
+    def test_a_batch_off_the_split_is_refused(self, t, x):
+        with pytest.raises(InvalidParam):
+            fiber_distance(bidisc(), t, x)
+
+
 class TestMidpointClosure:
     def test_dumbbell_drops_the_midpoint(self):
         rep = midpoint_closure_check(dumbbell(bulge=0.3, neck=0.02), (-1.0, 0.25), (1.0, 0.25))
