@@ -15,7 +15,10 @@ competitors.  The lab computes it two ways:
 The two routes build different integrals but run on the same GK15 core of
 ``numerics``.  The closed forms of the log dent family (the fiber mass, the
 log-kernel curve and its inner Laplacian) call no quadrature at all, so they
-are independent of that core and check it.
+are independent of that core and check it.  The quadrature side takes the
+log dent from the weight catalog: ``berndtsson_profile`` is the radial
+restriction of ``stock_weight("berndtsson_cex")``, so the weight's formula
+is written once, in ``weights``.
 
 Truncation makes both routes converge to the kernel from below (adding basis
 functions enlarges the competitor space), so finite-degree values are honest
@@ -48,7 +51,8 @@ from .errors import (DivergentIntegral, IllConditioned, InvalidParam,
 from .geometry import (AffineFiberMap, Domain, boundary_distance, disc_region,
                        fiber)
 from .numerics import integrate_1d, integrate_fiber, skirt_ladder
-from .weights import RadialProfile, WeightField, lemma3_weight, psh_localizer
+from .weights import (RadialProfile, WeightField, lemma3_weight, psh_localizer,
+                      stock_weight)
 
 __all__ = [
     "MomentTable", "radial_moments", "bergman_radial",
@@ -249,8 +253,7 @@ def gram_kernel(w: WeightField, domain: Domain, t=(), center: complex = 0j,
         b = np.array([complex(x, y) - c for (x, y) in points])[:, None] ** js
         return np.take(b, rows, 1) * np.take(b.conj(), cols, 1)
 
-    upper = integrate_fiber(density, fib, circle_seams=w.fiber_seams(fib.t),
-                            factor=monomials)
+    upper = integrate_fiber(density, fib, seams=w.fiber_seams(fib.t), factor=monomials)
     gram = np.empty((degree + 1, degree + 1), dtype=complex)
     gram[cols, rows] = np.conj(upper)
     gram[rows, cols] = upper
@@ -275,20 +278,19 @@ def bergman_gram(w: WeightField, domain: Domain, t=(), at: complex = 0j,
 def berndtsson_profile(z: complex, eps: float) -> RadialProfile:
     """Fiber profile of the log dent weight at base point z.
 
-    ``r -> (3/2) log(1 + | |z|^2 + r^2 - eps^2 |)`` on the whole plane, with
-    the kink radius registered when the base point sits inside the dent.
+    ``r -> (3/2) log(1 + | |z|^2 + r^2 - eps^2 |)`` on the whole plane: the
+    radial restriction of ``stock_weight("berndtsson_cex", eps)`` at
+    t = (|z|, 0), whose seam registers the kink radius when the base point
+    sits inside the dent.  An eps outside (0, 1) raises the catalog's
+    InvalidParam.
     """
-    if not (0.0 < eps < 1.0):
-        raise InvalidParam("needs eps in (0, 1)")
+    w = stock_weight("berndtsson_cex", eps)
     z_abs = abs(complex(z))
     if not math.isfinite(z_abs * z_abs):
         raise InvalidParam("base point must have a finite |z|^2")
-    c = z_abs ** 2 - eps * eps
-    seams = (math.sqrt(-c),) if c < 0.0 else ()
-    return RadialProfile(
-        fn=lambda r: 1.5 * math.log1p(abs(c + r * r)),
-        cutoff=math.inf, seam_radii=seams,
-    )
+    t = (z_abs, 0.0)
+    return RadialProfile(fn=w.radial_fn(t), cutoff=math.inf,
+                         seam_radii=tuple(r for (_, r) in w.fiber_seams(t)))
 
 
 def _log_dent_mass(z_abs, eps: float) -> np.ndarray:
@@ -563,7 +565,7 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
     for k in ks:
         k = int(k)
         w = lemma3_weight(k, r)
-        mass = integrate_fiber(w.fiber_density(fib), fib, circle_seams=w.fiber_seams(()))
+        mass = integrate_fiber(w.fiber_density(fib), fib, seams=w.fiber_seams(()))
         if not mass > 0.0:
             raise NonConvergent("fiber mass underflows to zero")
         lower = 1.0 / mass

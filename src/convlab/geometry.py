@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +229,7 @@ class Ball(Node):
             raise InvalidParam("ball radius must be nonnegative")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "axes", tuple(map(int, self.axes)))
+        object.__setattr__(self, "axes", _indices(self.axes, "ball axes"))
 
     def _dist2(self, p):
         return _sum_squares([p[a] - c for a, c in zip(self.axes, self.center)])
@@ -303,7 +304,7 @@ class Box(Node):
             raise InvalidParam("box bounds must not be NaN")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
+        object.__setattr__(self, "axes", _indices(self.axes, "box axes"))
 
     def member(self, p, closed=False):
         out = True
@@ -664,7 +665,10 @@ def _as_real_point(p, kind: str, rdim: int) -> tuple:
             raise InvalidParam(f"expected {rdim // 2} complex coordinates, got {arr.size}")
         # interleaved (re, im) pairs
         return tuple(arr.astype(complex).ravel().view(float).tolist())
-    arr = np.asarray(arr, dtype=float).ravel()
+    try:
+        arr = np.asarray(arr, dtype=float).ravel()
+    except (TypeError, ValueError):
+        raise InvalidParam(f"coordinates must be real numbers, got {p!r}") from None
     if arr.size != rdim:
         raise InvalidParam(f"expected a real point of dimension {rdim}, got {arr.size}")
     return tuple(arr.tolist())
@@ -680,6 +684,17 @@ def _real_tuple(values) -> tuple:
     return _as_real_point(values, "real", len(values))
 
 
+def _indices(values, what: str) -> tuple:
+    """``values`` as a tuple of Python ints, checked with ``operator.index``:
+    numpy integers pass, and 1.5 or '1' raises InvalidParam rather than
+    being floored or compared."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InvalidParam(f"{what}: need integers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class Domain:
     """An open set in R^(m+n) or C^(m+n) with a declared base/fiber split."""
@@ -689,12 +704,12 @@ class Domain:
     kind: str = "real"
 
     def __post_init__(self):
-        m, n = self.split
+        m, n = _indices(self.split, "a split")
         if m < 0 or n < 0 or m + n < 1:
             raise InvalidParam(f"bad ambient split {self.split}")
         if self.kind not in ("real", "complex"):
             raise InvalidParam(f"kind must be 'real' or 'complex', got {self.kind!r}")
-        object.__setattr__(self, "split", (int(m), int(n)))
+        object.__setattr__(self, "split", (m, n))
         bad = [a for a in self.csg.axes_set() if not (0 <= a < self.rdim)]
         if bad:
             raise InvalidParam(f"csg axes {bad} outside ambient dimension {self.rdim}")
@@ -872,9 +887,9 @@ def _fiber_distances(domain: Domain, t, x) -> np.ndarray:
     t, x = np.asarray(t), np.asarray(x)
     nb, nf = domain.base_rdim, domain.fiber_rdim
     if (t.ndim != 2 or x.ndim != 2 or t.shape[0] != nb or x.shape != (nf, t.shape[1])
-            or "c" in (t.dtype.kind, x.dtype.kind)):
+            or not {t.dtype.kind, x.dtype.kind} <= set("biuf")):
         raise InvalidParam(f"a fiber batch is packed reals of shapes ({nb}, N) and "
-                           f"({nf}, N), got {t.shape} and {x.shape}")
+                           f"({nf}, N), got {t.dtype} {t.shape} and {x.dtype} {x.shape}")
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     out = np.empty(t.shape[1])
     # a batch square past the float range is inf with no warning, as a float's is
@@ -946,6 +961,7 @@ class AffineFiberMap:
 
     @staticmethod
     def constant(x0, base_rdim: int) -> "AffineFiberMap":
+        (base_rdim,) = _indices((base_rdim,), "base_rdim")
         x0, zeros = np.atleast_1d(x0), (0.0,) * base_rdim
         return AffineFiberMap(x0, (zeros,) * len(x0), zeros)
 

@@ -8,7 +8,10 @@ reduces to a handful of numerical primitives collected here:
   doubling windows with an empirical Cauchy test.
 * ``integrate_fiber`` -- integration over one- and two-dimensional fiber
   regions described by interval decompositions (tensor quadrature with exact
-  per-abscissa slicing; no rejection masks).
+  per-abscissa slicing; no rejection masks).  It takes a weight's kink seams
+  in one form, the ``(center, radius)`` slices of ``WeightField.fiber_seams``:
+  points c -+ r on a ladder spaced by the decay rate in dimension 1, circles
+  in dimension 2.
 * ``minimize_over_fiber`` -- deterministic coarse-grid search with local
   refinement and lexicographic tie-breaking.
 
@@ -570,7 +573,7 @@ def _circle_crossings(x: float, circles) -> list[float]:
     return out
 
 
-def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
+def integrate_fiber(f, fiber, seams=(), rate=None, factor=None):
     """Integrate ``f`` over a fiber region of dimension 1 or 2.
 
     ``fiber`` must expose ``dim``, ``quad_intervals()`` (dimension 1),
@@ -582,8 +585,12 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
     of the inner panels of one call, 15 a panel, as a list of such tuples
     (points of one slice) and returns an array of shape
     ``(len(points), *shape)``.  A one-dimensional fiber refuses it.
-    ``point_seams`` are fiber-coordinate breakpoints (dimension 1);
-    ``circle_seams`` are ``((cx, cy), radius)`` kink circles (dimension 2).
+    ``seams`` are ``(center, radius)`` kink spheres in fiber coordinates, as
+    ``WeightField.fiber_seams`` gives them, with centers of length ``dim``
+    (InvalidParam otherwise).  On a one-dimensional fiber the seam points
+    c - r and c + r become breakpoints, padded by ``skirt_ladder(points,
+    rate)``, so a decay rate spaces the ladder; on a two-dimensional fiber
+    the seams are kink circles, and ``rate`` is not used.
     An empty fiber integrates to 0.  The tolerances are the module's; each
     inner integral of a two-dimensional fiber runs at ``_ABS_TOL`` divided by
     16 times the outer width (``8 * _TAIL_RADIUS`` for an unbounded one).
@@ -598,6 +605,9 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
     identity; a plane with no finite edge is integrated in x itself.
     """
     dim = fiber.dim
+    if any(len(c) != dim for (c, _) in seams):
+        raise InvalidParam(f"a seam on a fiber of dimension {dim} needs a center "
+                           f"of length {dim}")
     if dim == 1:
         if factor is not None:
             raise InvalidParam("integrate_fiber takes a factor in dimension 2 only")
@@ -605,9 +615,10 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
         if not intervals:
             return 0.0
         fn = lambda x: f((x,))
+        points = skirt_ladder([e for ((c,), r) in seams for e in (c - r, c + r)], rate)
         values = []
         for (lo, hi) in intervals:
-            values.append((lo, integrate_1d(fn, lo, hi, breakpoints=point_seams)))
+            values.append((lo, integrate_1d(fn, lo, hi, breakpoints=points)))
         values.sort(key=lambda p: p[0])
         return _finite_total((v for (_, v) in values), "the fiber")
     if dim != 2:
@@ -623,7 +634,7 @@ def integrate_fiber(f, fiber, point_seams=(), circle_seams=(), factor=None):
         width = x_hi - x_lo
     inner_tol = max(_ABS_TOL / (16.0 * max(1.0, width)), 1e-300)
 
-    circles = [(float(cx), float(cy), float(r)) for ((cx, cy), r) in circle_seams]
+    circles = [(float(cx), float(cy), float(r)) for ((cx, cy), r) in seams]
 
     def outer(x: float):
         slices = fiber.slice_intervals(x)

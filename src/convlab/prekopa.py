@@ -30,8 +30,7 @@ from .errors import InvalidParam, NonConvergent, PointOutsideDomain
 from .geometry import AffineFiberMap, Domain, fiber
 # integrate_1d is unused here but stays importable as prekopa.integrate_1d:
 # perfbench/test_perfbench.py checks that the layer tracer wraps it.
-from .numerics import (integrate_1d, integrate_fiber, minimize_over_fiber,
-                       skirt_ladder)
+from .numerics import integrate_1d, integrate_fiber, minimize_over_fiber
 from .weights import WeightField, _distance, convex_localizer
 
 __all__ = [
@@ -47,18 +46,13 @@ def marginal_transform(w: WeightField, domain: Domain, t) -> float:
     """-log of the fiber mass of ``e^{-w}`` over the slice of the domain at t.
 
     Returns ``+inf`` when the fiber is empty or its mass underflows to zero.
-    The weight's registered seams become quadrature breakpoints, so kinked
-    integrands are still integrated at full accuracy.
+    The weight's seams at t, and its decay rate, go to ``integrate_fiber`` as
+    the weight gives them, so kinked integrands are still integrated at full
+    accuracy.
     """
     fib = fiber(domain, t)
-    density = w.fiber_density(fib)
-    seams = w.fiber_seams(fib.t)
-    if fib.dim == 1:
-        ends = [e for (c, r) in seams for e in (c[0] - r, c[0] + r)]
-        mass = integrate_fiber(density, fib,
-                               point_seams=skirt_ladder(ends, w.decay_rate))
-    else:
-        mass = integrate_fiber(density, fib, circle_seams=seams)
+    mass = integrate_fiber(w.fiber_density(fib), fib, seams=w.fiber_seams(fib.t),
+                           rate=w.decay_rate)
     if mass <= 0.0:
         return math.inf
     return -math.log(mass)

@@ -28,7 +28,9 @@ cone in the real case, a log cone in the complex case), the log shell weight
 of the kernel bounds, the named counterexample weights, constants, and sums of
 these.  Constructors populate all metadata; nothing is inferred.  Every
 catalog weight writes its formula once, as its restriction, and a sum binds
-the sum of its parts' restrictions.
+the sum of its parts' restrictions.  Other modules read a formula from here:
+the log dent's fiber profile in ``bergman`` is the radial restriction of
+``stock_weight("berndtsson_cex")``, and its kink radius that weight's seam.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParam, NonConvergent, UnknownName
-from .geometry import AffineFiberMap, FiberDomain, _as_real_point
+from .geometry import AffineFiberMap, FiberDomain, _as_real_point, _indices, _real_tuple
 from .numerics import BallVolume
 
 __all__ = [
@@ -71,10 +73,12 @@ class SphereSeam:
     base_center: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", float(self.radius))
+        (radius,) = _real_tuple((self.radius,))
+        if not radius >= 0.0:
+            raise InvalidParam("seam radius must be nonnegative")
+        object.__setattr__(self, "radius", radius)
         if self.base_center is not None:
-            object.__setattr__(self, "base_center",
-                               tuple(float(b) for b in self.base_center))
+            object.__setattr__(self, "base_center", _real_tuple(self.base_center))
 
     def in_fiber(self, t):
         """``(fiber center, radius)`` of the slice at t, or None if it is empty.
@@ -133,8 +137,11 @@ class WeightField:
     fn: Callable[[Sequence[float]], float] = field(init=False)
 
     def __post_init__(self):
-        if self.base_rdim < 0 or self.fiber_rdim < 1:
+        nb, nf = _indices((self.base_rdim, self.fiber_rdim), "a weight's split")
+        if nb < 0 or nf < 1:
             raise InvalidParam("need base_rdim >= 0 and fiber_rdim >= 1")
+        object.__setattr__(self, "base_rdim", nb)
+        object.__setattr__(self, "fiber_rdim", nf)
         if self.radial_fn is not None and self.radial_center is None:
             raise InvalidParam("a radial_fn needs a radial_center")
         if self.decay_rate is not None and not self.decay_rate > 0.0:
@@ -150,7 +157,7 @@ class WeightField:
                 raise InvalidParam(
                     f"center of split ({c.base_rdim},{c.fiber_rdim}) does not match "
                     f"weight split ({self.base_rdim},{self.fiber_rdim})")
-        nb, restrict = self.base_rdim, self.restrict
+        restrict = self.restrict
         object.__setattr__(self, "fn", restrict(()) if not nb
                            else lambda p: restrict(p[:nb])(p[nb:]))
 
@@ -441,6 +448,8 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
       non-convex dent whose marginal is still convex.
     * ``berndtsson_cex``: (3/2) log(1 + ||z|^2 + |w|^2 - eps^2|) on C x C -- a
       radially symmetric non-psh dent whose fiberwise kernel is still log-psh.
+      It rounds as ``(|z|^2 - eps^2) + |w|^2``, the base terms bound once per
+      fiber; ``bergman.berndtsson_profile`` is its radial restriction.
     * ``minprinciple_cex``: |t^2 + x^2 - 1| on R x R -- non-convex with a
       convex fiberwise infimum max(t^2 - 1, 0).
     """
@@ -451,12 +460,13 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
     if name == "berndtsson_cex":
         if eps is None or not (0.0 < eps < 1.0):
             raise InvalidParam("berndtsson_cex needs eps in (0, 1)")
-        e2 = float(eps) ** 2
+        eps = float(eps)
+        e2 = eps * eps
         origin = AffineFiberMap.constant((0.0, 0.0), 2)
 
         def restrict(t):
-            tt = t[0] * t[0] + t[1] * t[1]
-            return lambda x: 1.5 * math.log1p(abs(tt + (x[0] * x[0] + x[1] * x[1]) - e2))
+            c = (t[0] * t[0] + t[1] * t[1]) - e2
+            return lambda x: 1.5 * math.log1p(abs(c + (x[0] * x[0] + x[1] * x[1])))
 
         return WeightField(
             restrict=restrict,

@@ -14,7 +14,7 @@ from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, Non
 from convlab.geometry import (AffineFiberMap, Ball, Domain, Intersection, bidisc, disc_region,
                               fiber, full_space, hartogs_figure, plane_region, punctured_ball)
 from convlab.prekopa import dent_marginal_closed
-from convlab.weights import RadialProfile, constant_weight, lemma3_weight
+from convlab.weights import RadialProfile, constant_weight, lemma3_weight, stock_weight
 from convlab.bergman import (
     GramKernel,
     bergman_gram,
@@ -162,7 +162,7 @@ class TestKernelValues:
         def tensor(x):
             b = (complex(x[0], x[1]) - c) ** js
             return b[rows] * b[cols].conj() * density(x)
-        upper = bergman.integrate_fiber(tensor, fib, circle_seams=w.fiber_seams(()))
+        upper = bergman.integrate_fiber(tensor, fib, seams=w.fiber_seams(()))
         gk = gram_kernel(w, dom, center=c, degree=degree)
         assert gk.matrix[rows, cols].tobytes() == upper.tobytes()
 
@@ -264,6 +264,18 @@ class TestDomeWeight:
     def test_eps_guard(self):
         with pytest.raises(InvalidParam):
             berndtsson_profile(0.0j, 1.0)
+
+    @pytest.mark.parametrize("z_abs", [0.0, 0.15, 0.3, 0.6])
+    def test_profile_is_the_catalog_weights_radial_restriction(self, z_abs):
+        # inside the dent, on its rim and outside: the same bits as the
+        # weight at (t, x) = ((|z|, 0), (r, 0)), and the seam's radius
+        w, t = stock_weight("berndtsson_cex", EPS), (z_abs, 0.0)
+        prof = berndtsson_profile(complex(z_abs), EPS)
+        fn = w.radial_fn(t)
+        for r in (0.0, 0.1, math.sqrt(abs(EPS * EPS - z_abs * z_abs)), 0.5, 3.0, 1e150):
+            assert prof(r).hex() == fn(r).hex() == w.restrict(t)((r, 0.0)).hex()
+        assert prof.seam_radii == tuple(r for (_, r) in w.fiber_seams(t))
+        assert len(prof.seam_radii) == (z_abs < EPS)
 
 
 class TestInnerLaplacian:

@@ -311,6 +311,15 @@ class TestRealCoordinates:
         with pytest.raises(InvalidParam):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: Ball(("a", 0.0), 1.0, (0, 1)),
+        lambda: bidisc().member(("x", 0, 0, 0)),
+        lambda: fiber_distance(bidisc(), np.array([["a"], ["b"]]), np.zeros((2, 1))),
+    ], ids=["ball-center", "domain-point", "fiber-batch"])
+    def test_coordinates_that_are_not_numbers_are_refused(self, build):
+        with pytest.raises(InvalidParam):
+            build()
+
     def test_infinite_box_bounds_stay_allowed(self):
         box = Box((-math.inf, 0.0), (math.inf, 1.0), (0, 1))
         assert box.lo == (-math.inf, 0.0) and box.hi == (math.inf, 1.0)
@@ -323,6 +332,30 @@ class TestRealCoordinates:
         a = AffineFiberMap(np.array([0.25]), [[1]], (np.float64(0.0),))
         assert (a.x0, a.mat, a.t0) == ((0.25,), ((1.0,),), (0.0,))
         assert floats(a.x0) == floats(a.t0) == (tuple, float)
+
+
+class TestIntegerParameters:
+    """Splits, axes and dimensions are checked with ``operator.index``: a
+    float or a string is refused with InvalidParam, never floored."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Domain(Full(), (1.5, 1)),
+        lambda: Domain(Full(), ("1", 1)),
+        lambda: Ball((0.0,), 1.0, (0.5,)),
+        lambda: Box((0.0,), (1.0,), (1.7,)),
+        lambda: AffineFiberMap.constant((0.0,), 1.5),
+    ], ids=["split", "split-text", "ball-axes", "box-axes", "constant-map"])
+    def test_a_value_that_is_not_an_integer_is_refused(self, build):
+        with pytest.raises(InvalidParam):
+            build()
+
+    def test_numpy_integers_become_python_ints(self):
+        dom = Domain(Full(), (np.int64(1), np.int32(1)))
+        ball = Ball((0.0,), 1.0, (np.int64(0),))
+        box = Box((0.0,), (1.0,), (np.uint8(0),))
+        a = AffineFiberMap.constant((0.0,), np.int64(2))
+        assert (dom.split, ball.axes, box.axes, a.t0) == ((1, 1), (0,), (0,), (0.0, 0.0))
+        assert {type(v) for v in (*dom.split, *ball.axes, *box.axes)} == {int}
 
 
 class TestAffineFiberMap:

@@ -490,7 +490,7 @@ class TestFactor:
         factor = lambda pts: np.array([p[0] for p in pts])[:, None] ** js
         f = lambda p: math.exp(-sum(v * v for v in p))
         fib = fiber(disc_region(0.75, 0.3 - 0.2j), ())
-        seams = {"circle_seams": (((0.0, 0.0), 0.5),)}
+        seams = {"seams": (((0.0, 0.0), 0.5),)}
         got = integrate_fiber(f, fib, factor=factor, **seams)
         want = integrate_fiber(lambda p: factor([p])[0] * f(p), fib, **seams)
         assert _bits(got) == _bits(want)
@@ -639,9 +639,9 @@ class TestIntegrandsSeePythonFloats:
         assert seen == {float}
 
     @pytest.mark.parametrize("domain, seams", [
-        (box_domain((-1.0,), (2.0,), split=(0, 1)), {"point_seams": (0.5,)}),
+        (box_domain((-1.0,), (2.0,), split=(0, 1)), {"seams": (((0.5,), 0.0),)}),
         (full_space(split=(0, 1)), {}),
-        (disc_region(0.75, 0.3 - 0.2j), {"circle_seams": (((0.0, 0.0), 0.5),)}),
+        (disc_region(0.75, 0.3 - 0.2j), {"seams": (((0.0, 0.0), 0.5),)}),
         (full_space(split=(0, 2)), {}),
     ])
     def test_integrate_fiber_points_are_tuples_of_floats(self, domain, seams):
@@ -671,10 +671,34 @@ class TestIntegrateFiber:
         with pytest.raises(NonConvergent, match="on the fiber sum beyond the float range"):
             integrate_fiber(lambda x: 5e307, TwoIntervals())
 
-    def test_interval_kink_via_point_seams(self):
+    def test_interval_kink_via_a_radius_zero_seam(self):
         dom = box_domain((-1.0,), (1.0,), split=(0, 1))
-        val = integrate_fiber(lambda x: abs(x[0]), fiber(dom, ()), point_seams=(0.0,))
+        val = integrate_fiber(lambda x: abs(x[0]), fiber(dom, ()), seams=(((0.0,), 0.0),))
         np.testing.assert_allclose(val, 1.0, rtol=1e-13)
+
+    def test_a_one_dimensional_seam_is_its_two_ends_on_a_ladder(self):
+        # the ends c -+ r, padded by skirt_ladder at the decay rate
+        f = lambda x: math.exp(-8.0 * abs(abs(x[0] - 0.2) - 0.5))
+        dom = box_domain((-2.0,), (3.0,), split=(0, 1))
+        got = integrate_fiber(f, fiber(dom, ()), seams=(((0.2,), 0.5),), rate=8.0)
+        ladder = skirt_ladder((0.2 - 0.5, 0.2 + 0.5), 8.0)
+        want = integrate_1d(lambda x: f((x,)), -2.0, 3.0, breakpoints=ladder)
+        assert _bits(got) == _bits(want)
+
+    def test_a_two_dimensional_fiber_takes_no_rate(self):
+        f = lambda x: 1.0 + max(0.0, 0.25 - (x[0] - 0.5) ** 2 - x[1] ** 2)
+        fib, seams = fiber(disc_region(1.0), ()), (((0.5, 0.0), 0.5),)
+        assert _bits(integrate_fiber(f, fib, seams=seams, rate=8.0)) \
+            == _bits(integrate_fiber(f, fib, seams=seams))
+
+    @pytest.mark.parametrize("domain, seam", [
+        (box_domain((-1.0,), (1.0,), split=(0, 1)), ((0.0, 0.0), 0.5)),
+        (disc_region(1.0), ((0.0,), 0.5)),
+    ], ids=["2d-seam-on-an-interval", "1d-seam-on-a-disc"])
+    def test_a_seam_of_another_dimension_is_refused(self, domain, seam):
+        # a seam the quadrature cannot place is an error, never a seam skipped
+        with pytest.raises(InvalidParam, match="needs a center of length"):
+            integrate_fiber(lambda x: 1.0, fiber(domain, ()), seams=(seam,))
 
     def test_disc_area(self):
         val = integrate_fiber(lambda x: 1.0, fiber(disc_region(0.75), ()))
@@ -691,7 +715,7 @@ class TestIntegrateFiber:
         dom = disc_region(1.0)
         ind = lambda x: 1.0 if x[0] ** 2 + x[1] ** 2 <= 0.25 else 0.0
         val = integrate_fiber(
-            lambda x: ind(x), fiber(dom, ()), circle_seams=(((0.0, 0.0), 0.5),)
+            lambda x: ind(x), fiber(dom, ()), seams=(((0.0, 0.0), 0.5),)
         )
         np.testing.assert_allclose(val, math.pi / 4.0, rtol=1e-6)
 
@@ -711,7 +735,7 @@ class TestIntegrateFiber:
         # the unit circle at z = 1: its volume is pi/32.
         f = lambda x: 1.0 + max(0.0, 0.25 - (x[0] - 0.5) ** 2 - x[1] ** 2)
         val = integrate_fiber(f, fiber(disc_region(1.0), ()),
-                              circle_seams=(((0.5, 0.0), 0.5),))
+                              seams=(((0.5, 0.0), 0.5),))
         np.testing.assert_allclose(val, math.pi + math.pi / 32.0, rtol=1e-13)
 
     def test_disc_area_takes_few_integrand_calls(self):
@@ -731,8 +755,8 @@ class TestIntegrateFiber:
             return b[:, None] * b.conj() * math.exp(-abs(x[0] - 0.1))
         fd = fiber(disc_region(0.9, 0.2 + 0.1j), ())
         seams = (((0.0, 0.0), 0.5),)
-        first = integrate_fiber(tensor, fd, circle_seams=seams)
-        assert _bits(integrate_fiber(tensor, fd, circle_seams=seams)) == _bits(first)
+        first = integrate_fiber(tensor, fd, seams=seams)
+        assert _bits(integrate_fiber(tensor, fd, seams=seams)) == _bits(first)
 
 
 class TestMinimizeOverFiber:

@@ -199,12 +199,38 @@ class TestWeightAlgebra:
             weight_from_fn(lambda p: 0.0, 1, 1,
                            radial_center=AffineFiberMap.constant((0.0, 0.0), 0))
 
+    @pytest.mark.parametrize("split", [(1.5, 1), (1, "1")])
+    def test_a_split_that_is_not_integers_is_refused(self, split):
+        with pytest.raises(InvalidParam):
+            constant_weight(0.0, *split)
+
+    def test_numpy_integer_split_becomes_python_ints(self):
+        w = constant_weight(0.0, np.int64(1), np.int32(1))
+        assert (w.base_rdim, w.fiber_rdim) == (1, 1)
+        assert type(w.base_rdim) is type(w.fiber_rdim) is int
+
     def test_packed_point_dimension_guard(self):
         with pytest.raises(InvalidParam):
             constant_weight(0.0, 1, 1)((0.0, 0.0, 0.0))
 
 
 class TestSphereSeam:
+    @pytest.mark.parametrize("radius", [0.5j, math.nan, -0.5], ids=["complex", "nan", "negative"])
+    def test_a_radius_that_is_no_length_is_refused(self, radius):
+        # a NaN radius would reach fiber_seams, and the quadrature would drop it
+        with pytest.raises(InvalidParam):
+            SphereSeam(AffineFiberMap.constant((0.0,), 1), radius)
+
+    def test_a_complex_base_center_is_refused(self):
+        with pytest.raises(InvalidParam, match="complex"):
+            SphereSeam(AffineFiberMap.constant((0.0,), 1), 0.5, base_center=(0.5j,))
+
+    def test_radius_and_base_center_become_python_floats(self):
+        seam = SphereSeam(AffineFiberMap.constant((0.0,), 1), np.float32(0.5),
+                          base_center=(np.int64(1),))
+        assert (seam.radius, seam.base_center) == (0.5, (1.0,))
+        assert type(seam.radius) is type(seam.base_center[0]) is float
+
     def test_a_fixed_sphere_slices_by_the_base_offset(self):
         seam = SphereSeam(AffineFiberMap.constant((0.5,), 2), 0.5, base_center=(0.1, -0.2))
         c, r = seam.in_fiber(np.array([0.3, 0.1]))
