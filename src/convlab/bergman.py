@@ -15,10 +15,10 @@ competitors.  The lab computes it two ways:
 The two routes build different integrals but run on the same GK15 core of
 ``numerics``.  The closed forms of the log dent family (the fiber mass, the
 log-kernel curve and its inner Laplacian) call no quadrature at all, so they
-are independent of that core and check it.  The quadrature side takes the
-log dent from the weight catalog: ``berndtsson_profile`` is the radial
-restriction of ``stock_weight("berndtsson_cex")``, so the weight's formula
-is written once, in ``weights``.
+are independent of that core and check it.  The quadrature side reads each
+weight's profile from ``WeightField.radial_profile`` (the log dent's, so its
+formula is written once, in ``weights``); ``kernel_curve`` is the radial
+route along the base, and ``bergman_gram`` the Gram route at a point.
 
 Truncation makes both routes converge to the kernel from below (adding basis
 functions enlarges the competitor space), so finite-degree values are honest
@@ -279,7 +279,7 @@ def berndtsson_profile(z: complex, eps: float) -> RadialProfile:
     """Fiber profile of the log dent weight at base point z.
 
     ``r -> (3/2) log(1 + | |z|^2 + r^2 - eps^2 |)`` on the whole plane: the
-    radial restriction of ``stock_weight("berndtsson_cex", eps)`` at
+    ``radial_profile`` of ``stock_weight("berndtsson_cex", eps)`` at
     t = (|z|, 0), whose seam registers the kink radius when the base point
     sits inside the dent.  An eps outside (0, 1) raises the catalog's
     InvalidParam.
@@ -288,9 +288,7 @@ def berndtsson_profile(z: complex, eps: float) -> RadialProfile:
     z_abs = abs(complex(z))
     if not math.isfinite(z_abs * z_abs):
         raise InvalidParam("base point must have a finite |z|^2")
-    t = (z_abs, 0.0)
-    return RadialProfile(fn=w.radial_fn(t), cutoff=math.inf,
-                         seam_radii=tuple(r for (_, r) in w.fiber_seams(t)))
+    return w.radial_profile((z_abs, 0.0))
 
 
 def _log_dent_mass(z_abs, eps: float) -> np.ndarray:
@@ -507,11 +505,11 @@ def _exp_or_nonconvergent(v: float, what: str) -> float:
 def lemma2_harness(profile: RadialProfile, ks) -> list:
     """Localized kernel values at the center of a radial weight, per sharpness.
 
-    For each k the profile ``psh_localizer(k, 0).radial_fn(())`` of the log
-    cone of sharpness k is added to the profile, and the kernel diagonal at 0
-    is computed by the radial route (``1/m_0``).  The target is
-    ``e^{profile(0)}``; the certified finite-k upper bound is
-    ``exp(max of the profile on the penalty's flat disc of radius 1/k)``.
+    For each k the profile ``psh_localizer(k, 0).radial_profile(())`` of the
+    log cone of sharpness k, seam included, is added to the profile, and the
+    kernel diagonal at 0 is computed by the radial route (``1/m_0``).  The
+    target is ``e^{profile(0)}``; the certified finite-k upper bound is
+    ``exp(max of the profile on the cone's flat disc, out to its seam 1/k)``.
     """
     target = _exp_or_nonconvergent(profile(0.0), "target")
     origin = AffineFiberMap.constant((0.0, 0.0), 0)
@@ -520,15 +518,15 @@ def lemma2_harness(profile: RadialProfile, ks) -> list:
         k = int(k)
         if k < 3:
             raise InvalidParam("need k >= 3 for integrable plane penalties")
-        cone = psh_localizer(k, origin).radial_fn(())
-
+        cone = psh_localizer(k, origin).radial_profile(())
+        (flat,) = cone.seam_radii
         combined = RadialProfile(
-            fn=lambda r, cone=cone: profile.fn(r) + cone(r),
+            fn=lambda r, cone=cone.fn: profile.fn(r) + cone(r),
             cutoff=profile.cutoff,
-            seam_radii=tuple(profile.seam_radii) + (1.0 / k,),
+            seam_radii=profile.seam_radii + cone.seam_radii,
         )
         value = 1.0 / _radial_mass(combined)
-        grid = np.linspace(0.0, 1.0 / k, 2049)
+        grid = np.linspace(0.0, flat, 2049)
         upper = _exp_or_nonconvergent(max(profile.fn(float(r)) for r in grid),
                                       "upper bound")
         rows.append(Lemma2Row(k=k, value=value, target=target,
@@ -580,43 +578,26 @@ def lemma3_harness(ks, r: float, domain: Domain | None = None,
 
 
 def kernel_curve(w: WeightField, domain: Domain, a: AffineFiberMap, k: int,
-                 taus, method: str = "radial", degree: int = 8) -> list:
-    """Localized kernel diagonal ``B(a(tau))`` along the base, per tau.
+                 taus) -> list:
+    """Localized kernel diagonal ``B(a(tau))`` per tau, by the radial route.
 
     Adds the log-cone penalty of sharpness k about the moving center and
-    evaluates the kernel at the center by the requested route.  The radial
-    route reads the profile ``combined.radial_fn(t)``, which the sum has when
-    ``w`` is a constant or has a ``radial_fn`` about a(tau), and needs the
-    fiber to be a full plane or a disc whose center equals a(tau) exactly,
-    which the fiber's node answers through ``disc_radius``; anything else
-    raises MethodUnavailable so a silently wrong fast path cannot exist.
+    reads ``1/m_0`` of the sum's ``radial_profile(t, cutoff)``, which the sum
+    has when ``w`` is a constant or has a ``radial_fn`` about a(tau).  The
+    cutoff is the fiber node's ``disc_radius`` about a(tau): a full plane or a
+    disc centered on a(tau) exactly; anything else raises MethodUnavailable so
+    a silently wrong fast path cannot exist.  The Gram value at the same point
+    is ``bergman_gram(w + psh_localizer(k, a), domain, t, at=complex(*a.at(t)))``.
     """
     if domain.kind != "complex" or domain.fiber_rdim != 2:
         raise InvalidParam("kernel curves need one-dimensional complex fibers")
-    psi = psh_localizer(k, a)
-    combined = w + psi
+    combined = w + psh_localizer(k, a)
     out = []
     for tau in taus:
         t = domain.base_point(tau)
-        if method == "radial":
-            if combined.radial_fn is None:
-                raise MethodUnavailable(
-                    "weight has no radial profile about the moving center")
-            center = a.at(t)
-            cutoff = fiber(domain, t).node.disc_radius(center)
-            if cutoff is None:
-                raise MethodUnavailable(
-                    "fiber is not a plane or a disc centered on the moving center")
-            prof = RadialProfile(
-                fn=combined.radial_fn(t),
-                cutoff=cutoff,
-                seam_radii=tuple(r for (c, r) in combined.fiber_seams(t)
-                                 if c == center),
-            )
-            out.append(1.0 / _radial_mass(prof))
-        elif method == "gram":
-            out.append(bergman_gram(combined, domain, t, at=complex(*a.at(t)),
-                                    degree=degree))
-        else:
-            raise MethodUnavailable(f"no kernel route named {method!r}")
+        cutoff = fiber(domain, t).node.disc_radius(a.at(t))
+        if cutoff is None:
+            raise MethodUnavailable(
+                "fiber is not a plane or a disc centered on the moving center")
+        out.append(1.0 / _radial_mass(combined.radial_profile(t, cutoff)))
     return out

@@ -55,9 +55,10 @@ included, so a batch column gets exactly the bits that the same point gets
 alone.  Exact flags broadcast against the values: a plain ``True``/``False``
 where the flag is the same for every point.
 
-Outside input is packed in one place, ``_as_real_point``, which checks its
-size, splits a complex coordinate into its real and imaginary parts, in that
-order (a real point refuses one), and returns a tuple of Python floats.  The
+Outside input is packed in one place, ``_as_real_point``, which refuses a
+coordinate that is no number (None, a string), checks its size, splits a
+complex one into its real and imaginary parts, in that order (a real point
+refuses one), and returns a tuple of Python floats.  The
 real coordinates of a ``Ball``, a ``Box`` and an ``AffineFiberMap`` pass
 through it too, unless they are Python floats already, and a ``Ball`` or
 ``Box`` refuses a NaN coordinate.
@@ -658,6 +659,8 @@ def dist_to_set(node: Node, p):
 
 def _as_real_point(p, kind: str, rdim: int) -> tuple:
     arr = np.asarray(p)
+    if arr.dtype.kind not in "biufc":
+        raise InvalidParam(f"coordinates must be real numbers, got {p!r}")
     if arr.dtype.kind == "c":
         if kind != "complex":
             raise InvalidParam("expected a real point, got complex coordinates")
@@ -665,10 +668,7 @@ def _as_real_point(p, kind: str, rdim: int) -> tuple:
             raise InvalidParam(f"expected {rdim // 2} complex coordinates, got {arr.size}")
         # interleaved (re, im) pairs
         return tuple(arr.astype(complex).ravel().view(float).tolist())
-    try:
-        arr = np.asarray(arr, dtype=float).ravel()
-    except (TypeError, ValueError):
-        raise InvalidParam(f"coordinates must be real numbers, got {p!r}") from None
+    arr = np.asarray(arr, dtype=float).ravel()
     if arr.size != rdim:
         raise InvalidParam(f"expected a real point of dimension {rdim}, got {arr.size}")
     return tuple(arr.tolist())
@@ -688,7 +688,6 @@ def _indices(values, what: str) -> tuple:
     """``values`` as a tuple of Python ints, checked with ``operator.index``:
     numpy integers pass, and 1.5 or '1' raises InvalidParam rather than
     being floored or compared."""
-    values = tuple(values)
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -704,12 +703,12 @@ class Domain:
     kind: str = "real"
 
     def __post_init__(self):
-        m, n = _indices(self.split, "a split")
-        if m < 0 or n < 0 or m + n < 1:
+        split = _indices(self.split, "a split")
+        if len(split) != 2 or min(split) < 0 or sum(split) < 1:
             raise InvalidParam(f"bad ambient split {self.split}")
         if self.kind not in ("real", "complex"):
             raise InvalidParam(f"kind must be 'real' or 'complex', got {self.kind!r}")
-        object.__setattr__(self, "split", (m, n))
+        object.__setattr__(self, "split", split)
         bad = [a for a in self.csg.axes_set() if not (0 <= a < self.rdim)]
         if bad:
             raise InvalidParam(f"csg axes {bad} outside ambient dimension {self.rdim}")

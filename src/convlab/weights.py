@@ -17,7 +17,8 @@ transforms need:
 * radial structure -- "depends only on the distance to a moving center" --
   which is what lets kernel computations collapse to one-dimensional moment
   integrals; a weight whose profile a kernel route reads also carries it, as
-  the radial restriction t -> (r -> w(t, a(t) + r e_1));
+  the radial restriction t -> (r -> w(t, a(t) + r e_1)), which
+  ``radial_profile`` alone turns into a ``RadialProfile``;
 * an optional decay rate: ``weight >= rate * dist - C`` for some constant C,
   with dist the distance to the radial center.  It records why integrals
   over unbounded fibers converge, and it sets the scale of the panel ladder
@@ -29,8 +30,8 @@ of the kernel bounds, the named counterexample weights, constants, and sums of
 these.  Constructors populate all metadata; nothing is inferred.  Every
 catalog weight writes its formula once, as its restriction, and a sum binds
 the sum of its parts' restrictions.  Other modules read a formula from here:
-the log dent's fiber profile in ``bergman`` is the radial restriction of
-``stock_weight("berndtsson_cex")``, and its kink radius that weight's seam.
+every profile that ``bergman`` integrates is a weight's ``radial_profile``,
+the log dent's with that weight's seam as its kink radius.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParam, NonConvergent, UnknownName
+from .errors import InvalidParam, MethodUnavailable, NonConvergent, UnknownName
 from .geometry import AffineFiberMap, FiberDomain, _as_real_point, _indices, _real_tuple
 from .numerics import BallVolume
 
@@ -209,6 +210,20 @@ class WeightField:
         bound as a tuple of Python floats."""
         t = tuple(map(float, t))
         return tuple(sl for sl in (s.in_fiber(t) for s in self.seams) if sl is not None)
+
+    def radial_profile(self, t, cutoff: float = _INF) -> "RadialProfile":
+        """The profile ``radial_fn(t)`` on the disc of radius ``cutoff``, with
+        the radii of the seams centered exactly on ``radial_center.at(t)``:
+        the one place a kernel route's profile is built.  t is bound as a
+        tuple of Python floats; a weight without a ``radial_fn`` raises
+        MethodUnavailable."""
+        if self.radial_fn is None:
+            raise MethodUnavailable("weight has no radial profile about the moving center")
+        t = tuple(map(float, t))
+        center = self.radial_center.at(t)
+        return RadialProfile(fn=self.radial_fn(t), cutoff=cutoff,
+                             seam_radii=tuple(r for (c, r) in self.fiber_seams(t)
+                                              if c == center))
 
     def __add__(self, other: "WeightField") -> "WeightField":
         if not isinstance(other, WeightField):
@@ -449,7 +464,7 @@ def stock_weight(name: str, eps: float | None = None) -> WeightField:
     * ``berndtsson_cex``: (3/2) log(1 + ||z|^2 + |w|^2 - eps^2|) on C x C -- a
       radially symmetric non-psh dent whose fiberwise kernel is still log-psh.
       It rounds as ``(|z|^2 - eps^2) + |w|^2``, the base terms bound once per
-      fiber; ``bergman.berndtsson_profile`` is its radial restriction.
+      fiber; ``bergman.berndtsson_profile`` is its ``radial_profile``.
     * ``minprinciple_cex``: |t^2 + x^2 - 1| on R x R -- non-convex with a
       convex fiberwise infimum max(t^2 - 1, 0).
     """

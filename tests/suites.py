@@ -400,7 +400,7 @@ def product_split_suite(seed: int, cases: int = 1000) -> dict:
         rads = rng.uniform(0.0, 0.85, n_taus)
         taus = [complex(rr * math.cos(th), rr * math.sin(th))
                 for rr, th in zip(rads, ths)]
-        kvals = kernel_curve(wk, domain, center, k, taus, method="radial")
+        kvals = kernel_curve(wk, domain, center, k, taus)
         kpeel_ref = math.log(kvals[0]) - u2((taus[0].real, taus[0].imag))
 
         for j in range(n_taus - 1):

@@ -14,7 +14,8 @@ from convlab.errors import (IllConditioned, InvalidParam, MethodUnavailable, Non
 from convlab.geometry import (AffineFiberMap, Ball, Domain, Intersection, bidisc, disc_region,
                               fiber, full_space, hartogs_figure, plane_region, punctured_ball)
 from convlab.prekopa import dent_marginal_closed
-from convlab.weights import RadialProfile, constant_weight, lemma3_weight, stock_weight
+from convlab.weights import (RadialProfile, constant_weight, lemma3_weight, psh_localizer,
+                             stock_weight)
 from convlab.bergman import (
     GramKernel,
     bergman_gram,
@@ -489,20 +490,15 @@ class TestKernelCurve:
             AffineFiberMap.complex_affine(0.0),
             8,
             [(0.0, 0.0), (0.3, 0.0)],
-            method="radial",
         )
         np.testing.assert_allclose(vals, [0.75, 0.75], atol=1e-5)
 
     def test_gram_handles_csg_fibers(self):
-        val = kernel_curve(
-            constant_weight(0.0, 2, 2),
-            hartogs_figure(0.5),
-            AffineFiberMap.complex_affine(0.0),
-            8,
-            [(0.2, 0.0)],
-            method="gram",
-            degree=6,
-        )[0]
+        # the Gram value of the localized sum at the moving center, as
+        # kernel_curve's docstring names it
+        a, t = AffineFiberMap.complex_affine(0.0), (0.2, 0.0)
+        val = bergman_gram(constant_weight(0.0, 2, 2) + psh_localizer(8, a),
+                           hartogs_figure(0.5), t, at=complex(*a.at(t)), degree=6)
         np.testing.assert_allclose(val, 0.75, atol=1e-3)
 
     def test_radial_requires_centered_discs(self):
@@ -514,7 +510,6 @@ class TestKernelCurve:
                 AffineFiberMap.complex_affine(0.0),
                 8,
                 [0j],
-                method="radial",
             )
 
     @pytest.mark.parametrize("k", [3, 8, 32])
@@ -559,17 +554,6 @@ class TestKernelCurve:
         with pytest.raises(NonConvergent, match="underflows"):
             kernel_curve(constant_weight(800.0, 2, 2), full_space((1, 1), "complex"),
                          AffineFiberMap.complex_affine(0.0), 8, [0j])
-
-    def test_unknown_method(self):
-        with pytest.raises(MethodUnavailable):
-            kernel_curve(
-                constant_weight(0.0, 2, 2),
-                bidisc(),
-                AffineFiberMap.complex_affine(0.0),
-                8,
-                [(0.0, 0.0)],
-                method="magic",
-            )
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 1e200])  # 1e200: |z|^2 overflows

@@ -315,10 +315,26 @@ class TestRealCoordinates:
         lambda: Ball(("a", 0.0), 1.0, (0, 1)),
         lambda: bidisc().member(("x", 0, 0, 0)),
         lambda: fiber_distance(bidisc(), np.array([["a"], ["b"]]), np.zeros((2, 1))),
-    ], ids=["ball-center", "domain-point", "fiber-batch"])
+        lambda: bidisc().member((None, 0, 0, 0)),  # numpy packs None to NaN
+        lambda: bidisc().member(("0.5", 0, 0, 0)),  # and a numeric string to 0.5
+        lambda: fiber_distance(bidisc(), (None, 0.0), (0.0, 0.0)),
+    ], ids=["ball-center", "domain-point", "fiber-batch", "none-point",
+            "numeric-text-point", "none-base-point"])
     def test_coordinates_that_are_not_numbers_are_refused(self, build):
         with pytest.raises(InvalidParam):
             build()
+
+    @pytest.mark.parametrize("p", [
+        (np.int64(3), np.uint8(7), np.True_, np.float32(0.1)),
+        np.array([3, 7, 1, -2], dtype=np.int32),
+        np.array([True, False, True, True]),
+        np.array([0.1, -2.5e-300, 1e300, -0.0]),
+        (0.1, np.float64(1.0 / 3.0), 2, False),
+    ], ids=["numpy-scalars", "int-array", "bool-array", "float-array", "mixed"])
+    def test_numbers_pack_bit_for_bit(self, p):
+        got = geometry._as_real_point(p, "real", 4)
+        assert {type(v) for v in got} == {float}
+        assert [v.hex() for v in got] == [float(v).hex() for v in p]
 
     def test_infinite_box_bounds_stay_allowed(self):
         box = Box((-math.inf, 0.0), (math.inf, 1.0), (0, 1))
@@ -348,6 +364,12 @@ class TestIntegerParameters:
     def test_a_value_that_is_not_an_integer_is_refused(self, build):
         with pytest.raises(InvalidParam):
             build()
+
+    @pytest.mark.parametrize("split", [(1, 1, 1), (2,), (), 2],
+                             ids=["three", "one", "none", "not-a-sequence"])
+    def test_a_split_is_two_entries(self, split):
+        with pytest.raises(InvalidParam):
+            Domain(Full(), split)
 
     def test_numpy_integers_become_python_ints(self):
         dom = Domain(Full(), (np.int64(1), np.int32(1)))

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlab import bergman
-from convlab.errors import InvalidParam, UnknownName
+from convlab.errors import InvalidParam, MethodUnavailable, UnknownName
 from convlab.geometry import AffineFiberMap, Ball, Empty, fiber, full_space
 from convlab.prekopa import marginal_transform
 from convlab.weights import (
@@ -302,20 +301,15 @@ class TestFiberSeams:
 
 
 class TestRadialProfile:
-    def test_seam_radii_need_a_seam_centered_exactly_on_the_radial_center(self, monkeypatch):
-        # kernel_curve's radial route hands the profile the radii of the
-        # seams about a(tau) and no others; the localizer adds 1/8.
+    def test_seam_radii_need_a_seam_centered_exactly_on_the_radial_center(self):
+        # the localized sum's profile keeps the radii of the seams about
+        # a(tau) and no others; the localizer adds 1/8.
         a = AffineFiberMap.complex_affine(0.5)
-        profiles = []
-        moments = bergman.radial_moments
-        monkeypatch.setattr(bergman, "radial_moments",
-                            lambda prof, n: profiles.append(prof) or moments(prof, n))
 
         def seam_radii(seam):
             w = weight_from_fn(lambda p: 0.0, 2, 2, seams=(seam,),
                                radial_center=a, radial_fn=lambda t: lambda r: 0.0)
-            bergman.kernel_curve(w, full_space((1, 1), "complex"), a, 8, [(0.1, 0.0)])
-            return profiles.pop().seam_radii
+            return (w + psh_localizer(8, a)).radial_profile((0.1, 0.0)).seam_radii
 
         def fixed(c):
             return SphereSeam(AffineFiberMap.constant((c, 0.0), 2), 0.3, base_center=(0.0, 0.0))
@@ -323,6 +317,34 @@ class TestRadialProfile:
         assert seam_radii(fixed(0.5)) == pytest.approx((math.sqrt(0.08), 0.125))
         assert seam_radii(fixed(0.5 + 3e-6)) == (0.125,)
         assert seam_radii(SphereSeam(AffineFiberMap.complex_affine(0.6), 0.2)) == (0.125,)
+
+    def test_the_profile_is_the_radial_fn_on_the_plane(self):
+        a = AffineFiberMap.complex_affine(0.1, 0.5)
+        w = constant_weight(0.7, 2, 2) + psh_localizer(5, a)
+        t = (0.3, -0.2)
+        prof = w.radial_profile(t)
+        assert prof.cutoff == math.inf and prof.seam_radii == (0.2,)
+        for r in (0.0, 0.1, 0.2, 0.5, 3.0):
+            assert prof(r) == w.radial_fn(t)(r)
+
+    def test_a_weight_without_a_radial_fn_has_no_profile(self):
+        with pytest.raises(MethodUnavailable, match="no radial profile"):
+            lemma3_weight(4, 0.5).radial_profile(())
+
+    def test_a_cutoff_drops_the_seams_outside_it(self):
+        cone = psh_localizer(8, ORIGIN2)
+        assert cone.radial_profile((), cutoff=0.5).seam_radii == (0.125,)
+        prof = cone.radial_profile((), cutoff=0.1)
+        assert (prof.cutoff, prof.seam_radii) == (0.1, ())
+
+    @pytest.mark.parametrize("z_abs", [0.0, 0.1, 0.25, 0.3, 0.31, 0.6])
+    def test_the_log_dent_has_a_seam_inside_the_dent_only(self, z_abs):
+        # the kink circle |z|^2 + r^2 = eps^2 cuts the fiber at the radius
+        # sqrt(eps^2 - |z|^2) inside the dent, and misses it on or outside the rim
+        eps = 0.3
+        prof = stock_weight("berndtsson_cex", eps).radial_profile((z_abs, 0.0))
+        want = (math.sqrt(eps * eps - z_abs * z_abs),) if z_abs < eps else ()
+        assert prof.seam_radii == want
 
     def test_seams_outside_the_cutoff_are_dropped(self):
         rp = RadialProfile(fn=lambda r: r, cutoff=1.0, seam_radii=(0.5, 1.5, -0.2, 0.0))
