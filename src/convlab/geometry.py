@@ -21,7 +21,8 @@ Three consumers drive the design:
   with the boundary samples a literal subset of the disc samples.
 
 Each node class holds its own rules as methods: ``member``, ``slice_first``,
-``bounds`` (tuples of Python floats), ``complement`` and ``disc_radius``;
+``slice_key``, ``bounds`` (tuples of Python floats), ``complement`` and
+``disc_radius``;
 ``intervals``, the open-interval decomposition of a one-dimensional node;
 ``critical_points``, the abscissae where a slice can change shape;
 ``dist_to_complement``; and ``dist_outside``, the distance to the closure
@@ -42,7 +43,12 @@ other way, so a fiber over a base point on the boundary of a removed set
 keeps that set, and a double complement slices to its part.  Unions and
 intersections share one slicing rule: a part that slices to the absorbing
 node (``Full`` for a union, ``Empty`` for an intersection) is the whole
-slice, and one that slices to the other drops out.
+slice, and one that slices to the other drops out.  ``slice_key(t, nb,
+closed=False)`` takes a coordinate-major base batch and returns the ``(N,)``
+rows of what ``slice_first`` reads of it: a ball's squared base offset (or,
+on base axes only, its verdict), any other primitive's base coordinates, a
+compound's parts' rows in order, and a complement's part's rows for the
+other ``closed``.  Columns with equal keys slice to equal nodes.
 
 Points are real coordinate vectors.  One point is a tuple of Python floats
 (a list serves too); a batch of N points is a coordinate-major array of
@@ -56,7 +62,8 @@ alone.  Exact flags broadcast against the values: a plain ``True``/``False``
 where the flag is the same for every point.
 
 Outside input is packed in one place, ``_as_real_point``, which refuses a
-coordinate that is no number (None, a string), checks its size, splits a
+coordinate that is no number (None, a string, a ragged sequence; a batch
+too goes through its ``_as_array``), checks its size, splits a
 complex one into its real and imaginary parts, in that order (a real point
 refuses one), and returns a tuple of Python floats.  The
 real coordinates of a ``Ball``, a ``Box`` and an ``AffineFiberMap`` pass
@@ -69,8 +76,9 @@ on them (``boundary_distance``, ``fiber_distance``,
 ``midpoint_closure_check``) return Python scalars for one point: a ``bool``
 for membership, a ``float`` for a distance.  ``fiber_distance`` also takes a
 coordinate-major batch of base and fiber points and returns an ``(N,)``
-array with the bits of the single-point calls; columns whose slices are
-equal share one batched query.
+array with the bits of the single-point calls.  It slices once per distinct
+slice key, not once per base point, and columns whose slices are equal
+share one batched query.
 
 ``fiber`` slices the domain at ``Domain.base_point(t)`` and keeps the packed
 point as ``FiberDomain.t``; the fiberwise transforms of ``prekopa`` and
@@ -181,6 +189,13 @@ class Node:
         Unions and intersections share one rule, ``_Compound.slice_first``."""
         raise NotImplementedError
 
+    def slice_key(self, t, nb: int, closed: bool = False) -> list:
+        """The ``(N,)`` rows of what ``slice_first`` reads of a coordinate-major
+        base batch ``t`` of shape ``(nb, N)``: columns whose keys are equal
+        (as floats) slice to equal nodes.  Here the base coordinates
+        themselves, which serves any node that compares them."""
+        return list(t[:nb])
+
     def bounds(self, dim: int) -> tuple:
         """(lo, hi): tuples of Python floats per axis; the whole space here."""
         return (-_INF,) * dim, (_INF,) * dim
@@ -259,6 +274,18 @@ class Ball(Node):
         if rad2 < 0.0 or (rad2 == 0.0 and not closed):
             return Empty()
         return Ball(tuple(fib_center), math.sqrt(rad2), tuple(fib_axes))
+
+    def slice_key(self, t, nb, closed=False):
+        """``off2`` as ``slice_first`` forms it, or for a ball on base axes
+        only its verdict; nothing when the ball reads no base axis."""
+        d = [t[a] - c for a, c in zip(self.axes, self.center) if a < nb]
+        if not d:
+            return []
+        off2 = _sum_squares(d)
+        if len(d) < len(self.axes):
+            return [off2]
+        r2 = self.radius * self.radius
+        return [off2 <= r2 if closed else off2 < r2]
 
     def bounds(self, dim):
         lo, hi = [-_INF] * dim, [_INF] * dim
@@ -454,6 +481,9 @@ class _Compound(Node):
             return out[0]
         return type(self)(tuple(out))
 
+    def slice_key(self, t, nb, closed=False):
+        return [row for q in self.parts for row in q.slice_key(t, nb, closed)]
+
 
 @dataclass(frozen=True)
 class Union(_Compound):
@@ -528,6 +558,9 @@ class Complement(Node):
 
     def slice_first(self, t, nb, closed=False):
         return self.part.slice_first(t, nb, not closed).complement()
+
+    def slice_key(self, t, nb, closed=False):
+        return self.part.slice_key(t, nb, not closed)
 
     def complement(self):
         return self.part
@@ -657,8 +690,17 @@ def dist_to_set(node: Node, p):
 # Domains
 
 
+def _as_array(p) -> np.ndarray:
+    """``np.asarray(p)``, where a ragged ``p`` raises InvalidParam rather
+    than numpy's ValueError."""
+    try:
+        return np.asarray(p)
+    except ValueError:
+        raise InvalidParam(f"coordinates must be real numbers, got {p!r}") from None
+
+
 def _as_real_point(p, kind: str, rdim: int) -> tuple:
-    arr = np.asarray(p)
+    arr = _as_array(p)
     if arr.dtype.kind not in "biufc":
         raise InvalidParam(f"coordinates must be real numbers, got {p!r}")
     if arr.dtype.kind == "c":
@@ -862,8 +904,11 @@ def fiber_distance(domain: Domain, t, x) -> "float | np.ndarray":
     shapes ``(base_rdim, N)`` and ``(fiber_rdim, N)`` as
     ``AnalyticDisc.eval_real`` returns them.  The answer is then an ``(N,)``
     array whose entry j has the bits of the call on column j alone, and an
-    outside column raises what that call raises for the first of them."""
-    if np.ndim(t) == 2 or np.ndim(x) == 2:
+    outside column raises what that call raises for the first of them.  The
+    batch is sliced once per distinct slice key (``Node.slice_key``), and the
+    columns with equal slices share one batched query."""
+    t, x = _as_array(t), _as_array(x)
+    if t.ndim == 2 or x.ndim == 2:
         return _fiber_distances(domain, t, x)
     fd = fiber(domain, t)
     q = _as_real_point(x, domain.kind, fd.dim)
@@ -878,12 +923,18 @@ def _fiber_distances(domain: Domain, t, x) -> np.ndarray:
     """The batch branch of ``fiber_distance``.
 
     Every column is tested against the domain in one ``member`` call, then
-    sliced over its base point.  Columns whose slices are equal nodes share
-    one batched query on that node: a slice's centres and bounds are the
-    domain's own constants and a sliced radius is a square root (never
-    -0.0), so equal slices answer with equal bits.  A group of one column,
-    or one whose query is not exact, is measured point by point."""
-    t, x = np.asarray(t), np.asarray(x)
+    keyed by ``domain.csg.slice_key``.  A key must list every value that
+    ``slice_first`` reads of a base point, so that columns with equal keys
+    slice to equal nodes.  The first column of each distinct key is sliced
+    alone, and keys whose slices are equal nodes merge into one group.
+    Groups keep the order of their first columns and columns ascend within
+    a group, as slicing column by column would give them.
+
+    Each group shares one batched query on its node: a slice's centres and
+    bounds are the domain's own constants and a sliced radius is a square
+    root (never -0.0), so equal slices answer with equal bits.  A group of
+    one column, or one whose query is not exact, is measured point by
+    point."""
     nb, nf = domain.base_rdim, domain.fiber_rdim
     if (t.ndim != 2 or x.ndim != 2 or t.shape[0] != nb or x.shape != (nf, t.shape[1])
             or not {t.dtype.kind, x.dtype.kind} <= set("biuf")):
@@ -897,10 +948,16 @@ def _fiber_distances(domain: Domain, t, x) -> np.ndarray:
         if not _all(inside):
             j = int(np.argmin(inside))
             fiber_distance(domain, t[:, j], x[:, j])  # raises as the column alone does
-        groups = {}
-        for j, tj in enumerate(t.T.tolist()):
-            groups.setdefault(domain.csg.slice_first(tj, nb), []).append(j)
-        for node, cols in groups.items():
+        rows = domain.csg.slice_key(t, nb)
+        key = np.array(rows, dtype=float).reshape(len(rows), t.shape[1]).T
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        groups, group_of_key = {}, np.empty(len(first), dtype=int)
+        for k in np.argsort(first).tolist():
+            node = domain.csg.slice_first(t[:, first[k]].tolist(), nb)
+            group_of_key[k] = groups.setdefault(node, len(groups))
+        group_of_col = group_of_key[inverse]
+        for node, g in groups.items():
+            cols = np.flatnonzero(group_of_col == g)
             if len(cols) > 1:
                 q = x[:, cols]
                 if _all(node.member(q)):
@@ -908,7 +965,7 @@ def _fiber_distances(domain: Domain, t, x) -> np.ndarray:
                     if _all(exact):
                         out[cols] = v
                         continue
-            for j in cols:
+            for j in cols.tolist():
                 out[j] = _distance_in(node, tuple(x[:, j].tolist())).value
     return out
 

@@ -1,11 +1,14 @@
 """List the code of ``convlab`` that no command and no property suite reaches.
 
-Usage (from the root of a checkout, with ``convlab`` importable)::
+Usage (from the root of a checkout)::
 
     python3 tests/check_reachability.py
     python3 tests/check_reachability.py --write
 
-A ``sys.setprofile`` hook is installed before ``convlab`` is imported.  The
+The checkout's ``src`` goes first on ``sys.path``, and the check refuses,
+with exit status 1, when ``convlab`` would still be imported from elsewhere
+(a copy that was imported before).  A ``sys.setprofile`` hook is installed
+before ``convlab`` is imported.  The
 pass then runs ``convlab.cli.main`` in process for ``list``, ``run --all
 --json``, ``marginal --csv``, ``bergman``, ``check-convex`` on that CSV and
 ``check-psh``, and the five suites of ``tests/suites.py`` at 10 cases each,
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import importlib.util
 import inspect
 import io
 import sys
@@ -35,6 +39,7 @@ import types
 from pathlib import Path
 
 FROZEN = Path(__file__).resolve().parent / "data" / "unreached.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
@@ -69,8 +74,19 @@ def _run_commands(tmp: Path) -> None:
             raise SystemExit(f"convlab {' '.join(argv)} exited {rc}")
 
 
+def use_checkout(src: Path = SRC) -> None:
+    """Put ``src`` first on ``sys.path``; refuse when ``convlab`` would still
+    be imported from elsewhere, as from a copy imported before."""
+    sys.path.insert(0, str(src))
+    spec = importlib.util.find_spec("convlab")
+    origin = spec.origin if spec else None
+    if origin is None or Path(origin).resolve().parent != (src / "convlab").resolve():
+        raise SystemExit(f"check_reachability: convlab imports from {origin}, not from {src}")
+
+
 def unreached() -> list:
-    """The qualified names of the package's code that the pass never ran."""
+    """The qualified names of the checkout's code that the pass never ran."""
+    use_checkout()
     reached = set()
 
     def hook(frame, event, arg):

@@ -1,6 +1,13 @@
 """The reachability check that CI runs after the traced counts."""
 
+import os
+import subprocess
+import sys
+
+import pytest
+
 import check_reachability as check
+import convlab
 
 FROZEN = check.read()
 
@@ -54,3 +61,31 @@ def test_write_keeps_the_reasons_and_stores_a_new_entry_without_one(tmp_path, mo
     assert frozen.read_text() == "b.g: abstract: overridden\nc.h:\n"
     assert check.read() == {"b.g": "abstract: overridden", "c.h": ""}
     assert check.main([]) == 0
+
+
+def test_the_checkout_goes_first_on_the_path(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    check.use_checkout()
+    assert sys.path[0] == str(check.SRC)
+
+
+def test_a_convlab_imported_from_elsewhere_is_refused(tmp_path, monkeypatch):
+    stale = tmp_path / "src" / "convlab"
+    stale.mkdir(parents=True)
+    (stale / "__init__.py").write_text("")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit) as refused:
+        check.use_checkout(tmp_path / "src")  # the checkout's convlab is imported already
+    assert str(refused.value) == (f"check_reachability: convlab imports from "
+                                  f"{convlab.__file__}, not from {tmp_path / 'src'}")
+
+
+def test_a_plain_checkout_imports_its_own_sources(tmp_path):
+    """With only the tool's folder on the path, as ``python3
+    tests/check_reachability.py`` runs, convlab comes from the checkout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = os.path.dirname(check.__file__)
+    code = "import check_reachability as c; c.use_checkout(); import convlab; print(convlab.__file__)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == str(check.SRC / "convlab" / "__init__.py") + "\n"

@@ -1,9 +1,10 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convlab import geometry
 from convlab.errors import DiscEscapesDomain, InvalidParam, OutOfDomain, PointOutsideDomain
@@ -34,6 +35,7 @@ from convlab.geometry import (
 )
 from convlab.numerics import minimize_over_fiber
 from convlab.prekopa import midpoint_divergence_probe
+from convlab.scenarios import run_scenario
 from convlab.weights import lemma3_weight, stock_weight
 
 
@@ -186,6 +188,140 @@ class TestFiberDistanceBatch:
             fiber_distance(bidisc(), t, x)
 
 
+# Coordinates on a grid of halves, so that a drawn point often sits exactly on
+# a drawn sphere: (1/2, 0) is on the circle of radius 1/2 about the origin.
+_HALVES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_GRID = st.sampled_from(_HALVES)
+
+
+@st.composite
+def csg_trees(draw, nb, depth=3):
+    """A CSG tree of balls, boxes, unions, intersections and complements on
+    ``nb`` base and ``nb`` fiber axes; a primitive reads the base only, the
+    fiber only, or both, equally often."""
+    kind = draw(st.sampled_from(("ball", "box", "union", "intersection", "complement")
+                                if depth else ("ball", "box")))
+    if kind in ("ball", "box"):
+        reads = draw(st.sampled_from(((0,), (nb,), (0, nb))))  # the halves' first axes
+        axes = draw(st.permutations([a for lo in reads for a in range(lo, lo + nb)
+                                     if a == lo or draw(st.booleans())]))
+        if kind == "ball":
+            return Ball(tuple(draw(_GRID) for _ in axes),
+                        draw(st.sampled_from((0.0, 0.5, 1.0))), tuple(axes))
+        ends = [sorted(draw(st.lists(_GRID, min_size=2, max_size=2, unique=True)))
+                for _ in axes]
+        return Box(tuple(lo for lo, _ in ends), tuple(hi for _, hi in ends), tuple(axes))
+    if kind == "complement":
+        return Complement(draw(csg_trees(nb, depth - 1)))
+    parts = draw(st.lists(csg_trees(nb, depth - 1), min_size=1, max_size=3))
+    return (Union if kind == "union" else Intersection)(tuple(parts))
+
+
+@st.composite
+def fiber_batches(draw):
+    """A domain on a real or complex (1, 1) split and a batch on it.  The base
+    columns are a few grid points, each once and some again, so that columns
+    repeat and sit on base spheres; the fiber points are grid points, drawn
+    either freely or inside the domain."""
+    kind = draw(st.sampled_from(("real", "complex")))
+    dom = Domain(draw(csg_trees(1 if kind == "real" else 2)), (1, 1), kind)
+    nb, nf = dom.base_rdim, dom.fiber_rdim
+    if nb == 1:  # the whole base grid, on every sphere that meets it
+        pool = [(v,) for v in _HALVES]
+    else:  # the corners of a square: pairs that share one coordinate
+        pool = list(itertools.product(*(draw(st.lists(_GRID, min_size=2, max_size=2, unique=True))
+                                        for _ in range(nb))))
+    repeats = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    columns = draw(st.permutations(pool + repeats))
+    if draw(st.booleans()):  # fiber points inside, in the columns whose fiber has one
+        grid = list(itertools.product(_HALVES, repeat=nf))
+        inside = [(tj, [q for q in grid if dom.member(tj + q)]) for tj in columns]
+        cols = [(tj, draw(st.sampled_from(qs))) for tj, qs in inside if qs]
+    else:
+        cols = [(tj, tuple(draw(_GRID) for _ in range(nf))) for tj in columns]
+    if not cols:
+        return dom, np.empty((nb, 0)), np.empty((nf, 0))
+    t, x = (np.array(part, dtype=float).T for part in zip(*cols))
+    return dom, t, x
+
+
+# Columns that share one base coordinate but not their offset from a ball's
+# centre, and a column on a removed base sphere, where the complement slices
+# the closed ball: a key that misses either merges columns with unequal slices.
+_SHARED_COORDINATE = (Domain(Ball((0.0, 0.0, 0.0), 1.0, (0, 1, 2)), (1, 1), "complex"),
+                      np.array([[0.5, 0.5], [0.0, 0.5]]), np.zeros((2, 2)))
+_ON_A_REMOVED_SPHERE = (Domain(Union((Ball((0.0,), 0.5, (1,)),
+                                      Complement(Ball((0.0,), 0.5, (0,))))), (1, 1), "real"),
+                        np.array([[0.5, 1.0]]), np.zeros((1, 2)))
+
+
+def _alone(dom, t, x):
+    """What ``fiber_distance`` answers or raises for one column."""
+    try:
+        return fiber_distance(dom, t, x).hex()
+    except PointOutsideDomain as e:
+        return e
+
+
+class TestSliceKey:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(batch=fiber_batches())
+    @example(batch=_SHARED_COORDINATE)
+    @example(batch=_ON_A_REMOVED_SPHERE)
+    def test_each_column_answers_as_it_does_alone(self, batch):
+        """The batch answers with each column's bits, or raises what its first
+        outside column raises; the batch of its inside columns answers too."""
+        dom, t, x = batch
+        alone = [_alone(dom, t[:, j], x[:, j]) for j in range(t.shape[1])]
+        inside = [not isinstance(a, Exception) for a in alone]
+        if not all(inside):
+            with pytest.raises(PointOutsideDomain) as batch_error:
+                fiber_distance(dom, t, x)
+            assert str(batch_error.value) == str(alone[inside.index(False)])
+        got = fiber_distance(dom, t[:, inside], x[:, inside]).tolist()
+        assert [v.hex() for v in got] == [a for a in alone if not isinstance(a, Exception)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(batch=fiber_batches(), closed=st.booleans())
+    @example(batch=_SHARED_COORDINATE, closed=False)
+    @example(batch=_ON_A_REMOVED_SPHERE, closed=False)
+    def test_equal_keys_slice_to_equal_nodes(self, batch, closed):
+        dom, t, _ = batch
+        nb, n = dom.base_rdim, t.shape[1]
+        rows = dom.csg.slice_key(t, nb, closed)
+        key = np.array(rows, dtype=float).reshape(len(rows), n).T
+        slices = [dom.csg.slice_first(t[:, j].tolist(), nb, closed) for j in range(n)]
+        for j in range(n):
+            for k in range(j):
+                if (key[j] == key[k]).all():
+                    assert slices[j] == slices[k], (j, k)
+
+    def test_psh_delta_slices_once_per_group(self, monkeypatch):
+        """A batch slices each ball of its domain once per group of columns
+        with equal slices, not once per column."""
+        slice_first, fiber_distances = Ball.slice_first, geometry._fiber_distances
+        calls, batches = [0], []
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return slice_first(self, *args, **kwargs)
+
+        def recorded(domain, t, x):
+            before = calls[0]
+            out = fiber_distances(domain, t, x)
+            batches.append((domain, t, calls[0] - before))
+            return out
+
+        monkeypatch.setattr(Ball, "slice_first", counted)
+        monkeypatch.setattr(geometry, "_fiber_distances", recorded)
+        run_scenario("psh-delta")
+        monkeypatch.undo()
+        assert batches and sum(t.shape[1] for _, t, _ in batches) > 10 * len(batches)
+        for domain, t, n in batches:
+            groups = {domain.csg.slice_first(tj, domain.base_rdim) for tj in t.T.tolist()}
+            assert n <= len(groups) * repr(domain.csg).count("Ball("), (t.shape, n)
+
+
 class TestMidpointClosure:
     def test_dumbbell_drops_the_midpoint(self):
         rep = midpoint_closure_check(dumbbell(bulge=0.3, neck=0.02), (-1.0, 0.25), (1.0, 0.25))
@@ -318,8 +454,10 @@ class TestRealCoordinates:
         lambda: bidisc().member((None, 0, 0, 0)),  # numpy packs None to NaN
         lambda: bidisc().member(("0.5", 0, 0, 0)),  # and a numeric string to 0.5
         lambda: fiber_distance(bidisc(), (None, 0.0), (0.0, 0.0)),
+        lambda: bidisc().member(((0, 0), 0, 0, 0)),
+        lambda: fiber_distance(bidisc(), [[0.0, 0.1], [0.0]], [[0.0], [0.0]]),
     ], ids=["ball-center", "domain-point", "fiber-batch", "none-point",
-            "numeric-text-point", "none-base-point"])
+            "numeric-text-point", "none-base-point", "ragged-point", "ragged-batch"])
     def test_coordinates_that_are_not_numbers_are_refused(self, build):
         with pytest.raises(InvalidParam):
             build()
